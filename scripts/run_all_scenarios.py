@@ -3,7 +3,7 @@
 JSON/CSV reports to a chosen directory.
 
 Usage:
-    python scripts/run_all_scenarios.py --seed 7 --out reports --workers 4
+    python scripts/run_all_scenarios.py --seed 7 --out reports
 """
 import argparse
 import sys
@@ -36,13 +36,11 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--out", type=str, default="reports")
-    ap.add_argument("--workers", type=int, default=4)
     args = ap.parse_args()
 
     cfg = {
         "seed": args.seed,
         "output_dir": args.out,
-        "workers": args.workers,
         "scenarios": [dict(MODERATE[sid], id=sid) for sid in SCENARIOS],
     }
     with tempfile.NamedTemporaryFile("w", suffix=".yaml", delete=False) as fh:

@@ -23,7 +23,6 @@ def main() -> None:
     ap.add_argument("--beta", type=float, default=4.0)
     ap.add_argument("--noise", type=float, default=0.01)
     ap.add_argument("--reps", type=int, default=20_000)
-    ap.add_argument("--workers", type=int, default=4)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--out", type=str, default="sinr.csv")
     args = ap.parse_args()
@@ -44,12 +43,8 @@ def main() -> None:
             exponential(1.0),
             constant(args.noise),
         )
-        p_po, se_po = sinr_success_rayleigh(
-            layout, poisson, args.reps, stream.split(2 * k), workers=args.workers
-        )
-        p_th, se_th = sinr_success_rayleigh(
-            layout, thomas, args.reps, stream.split(2 * k + 1), workers=args.workers
-        )
+        p_po, se_po = sinr_success_rayleigh(layout, poisson, args.reps, stream.split(2 * k))
+        p_th, se_th = sinr_success_rayleigh(layout, thomas, args.reps, stream.split(2 * k + 1))
         lines.append(
             ",".join(format(v, ".12g") for v in (t, p_po, se_po, p_th, se_th))
         )

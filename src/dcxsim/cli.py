@@ -3,7 +3,8 @@
 Config files are YAML with top-level keys:
   seed        integer master seed
   output_dir  directory for the emitted reports
-  workers     optional worker-thread count (default 1)
+  workers     optional positive integer, accepted for existing configs; it has
+              no effect, since scenarios run their replications serially
   scenarios   list of {id: <scenario id>, ...scenario parameters...}
 
 Each scenario produces <output_dir>/<id>.json and <output_dir>/<id>.csv.
@@ -111,7 +112,6 @@ def run_cmd(config_path: str):
         sys.exit(EXIT_CONFIG)
 
     seed = cfg["seed"]
-    workers = cfg.get("workers", 1)
     any_bad = False
     for k, entry in enumerate(cfg["scenarios"]):
         params = {key: v for key, v in entry.items() if key != "id"}
@@ -119,7 +119,7 @@ def run_cmd(config_path: str):
         stream = make_stream(seed, k)
         t0 = time.perf_counter()
         try:
-            result = run_scenario(sid, params, stream, workers=workers)
+            result = run_scenario(sid, params, stream)
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
             click.echo(f"runtime failure in scenario {sid}: {exc}", err=True)
             sys.exit(EXIT_RUNTIME)

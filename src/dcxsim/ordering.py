@@ -8,14 +8,13 @@ falsify an ordering, so passing verdicts are CONSISTENT rather than proven.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import stats as sps
 
-from .geometry import Box, GridField, PointPattern, RngStream, boxes_disjoint, count_in
+from .geometry import Box, RngStream, boxes_disjoint, count_in
 
 CONSISTENT = "CONSISTENT"
 VIOLATION = "VIOLATION"
@@ -217,6 +216,9 @@ class OrderReport:
     mean_equality: Optional[dict]
     n_reps: int
     z_crit: float
+    # per-coordinate variances of X and Y; kept for callers, not reported
+    var_x: np.ndarray
+    var_y: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -232,17 +234,109 @@ def bonferroni_z(z_crit: float, n_tests: int) -> float:
     return float(sps.norm.isf(sps.norm.sf(z_crit) / max(n_tests, 1)))
 
 
+# Rows per chunk of the suite and lower-orthant comparisons.  Chunk ci of side
+# s draws from stream.split(n_sides * ci + s), so the chunk size fixes which
+# random numbers each replication sees and must stay constant.
+_CHUNK = 2000
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Count, per-column mean and M2 (sum of squared deviations from the mean)
+    of a sample of rows, mergeable with the pairwise update of Chan, Golub &
+    LeVeque (1979).
+
+    The mean is held as ``shift + offset`` with ``shift`` the sample's first
+    row, so samples far from zero merge without cancellation (the shifted-data
+    advice of Chan, Golub & LeVeque 1983).
+    """
+
+    n: int
+    shift: np.ndarray
+    offset: np.ndarray
+    m2: np.ndarray
+
+    @classmethod
+    def of(cls, rows: np.ndarray) -> "Moments":
+        """Two-pass moments of the rows of a 2-d array."""
+        rows = np.asarray(rows, dtype=float)
+        shift = rows[0].copy()  # a view would keep every chunk's rows alive
+        dev = rows - shift
+        offset = dev.mean(axis=0)
+        dev -= offset
+        return cls(rows.shape[0], shift, offset, np.square(dev, out=dev).sum(axis=0))
+
+    def merge(self, other: "Moments") -> "Moments":
+        n = self.n + other.n
+        delta = (other.shift - self.shift) + (other.offset - self.offset)
+        return Moments(
+            n,
+            self.shift,
+            self.offset + delta * (other.n / n),
+            self.m2 + other.m2 + delta**2 * (self.n * other.n / n),
+        )
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.shift + self.offset
+
+    @property
+    def var(self) -> np.ndarray:
+        """Unbiased (ddof = 1) variance per column."""
+        return self.m2 / (self.n - 1)
+
+    @property
+    def stderr(self) -> np.ndarray:
+        """Standard error of the mean per column."""
+        return np.sqrt(self.var / self.n)
+
+
 def _chunk_sizes(n_reps: int, chunk_size: int) -> list[int]:
     full, rem = divmod(n_reps, chunk_size)
     return [chunk_size] * full + ([rem] if rem else [])
 
 
-def _run_chunks(worker, n_chunks: int, workers: int) -> list:
-    """Run chunk workers, merging results in chunk order for determinism."""
-    if workers <= 1:
-        return [worker(ci) for ci in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(n_chunks)))
+def _run_chunks(worker, n_chunks: int) -> list:
+    """The engine's chunk loop: worker results in chunk order."""
+    return [worker(ci) for ci in range(n_chunks)]
+
+
+def replicate(
+    draws: Sequence[Callable[[np.random.Generator], np.ndarray]],
+    reduce: Callable[[np.ndarray], np.ndarray],
+    n_reps: int,
+    stream: RngStream,
+    chunk_size: int,
+) -> list[Moments]:
+    """Moments of n_reps independent draws per side, one Moments per draw function.
+
+    Each chunk stacks its draws into a (size, k) array and ``reduce`` maps it
+    to the rows whose moments are kept.  Chunk ci of side s draws from
+    ``stream.split(len(draws) * ci + s)`` and chunks merge in chunk order, so
+    the result depends only on the stream and the chunk size.
+    """
+    sizes = _chunk_sizes(n_reps, chunk_size)
+    n_sides = len(draws)
+
+    def worker(ci: int) -> list[Moments]:
+        out = []
+        for s, draw in enumerate(draws):
+            gen = stream.split(n_sides * ci + s).generator()
+            vals = np.stack([np.atleast_1d(draw(gen)) for _ in range(sizes[ci])])
+            out.append(Moments.of(reduce(vals)))
+        return out
+
+    parts = _run_chunks(worker, len(sizes))
+    merged = parts[0]
+    for part in parts[1:]:
+        merged = [a.merge(b) for a, b in zip(merged, part)]
+    return merged
+
+
+def _z_scores(diff: np.ndarray, se: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
+    """diff / se where se > 0, else ``degenerate``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(se > 0, diff / np.where(se > 0, se, 1.0), degenerate)
 
 
 def compare_vectors(
@@ -254,8 +348,6 @@ def compare_vectors(
     *,
     require_equal_means: Optional[bool] = None,
     z_crit: float = 3.0,
-    workers: int = 1,
-    chunk_size: int = 2000,
 ) -> OrderReport:
     """Independent MC estimates of E f(X) and E f(Y) per suite function, with
     Welch z-scores against the claim X <= Y and a Bonferroni-corrected verdict."""
@@ -263,58 +355,31 @@ def compare_vectors(
         raise ValueError("empty test-function suite")
     if require_equal_means is None:
         require_equal_means = suite[0].declared_class in MEAN_EQUALITY_CLASSES
-    sizes = _chunk_sizes(n_reps, chunk_size)
     nf = len(suite)
 
-    def worker(ci: int):
-        size = sizes[ci]
-        gx = stream.split(2 * ci).generator()
-        gy = stream.split(2 * ci + 1).generator()
-        X = np.stack([np.atleast_1d(draw_x(gx)) for _ in range(size)])
-        Y = np.stack([np.atleast_1d(draw_y(gy)) for _ in range(size)])
-        fx = np.stack([f(X) for f in suite])
-        fy = np.stack([f(Y) for f in suite])
-        return (
-            fx.sum(axis=1), (fx**2).sum(axis=1),
-            fy.sum(axis=1), (fy**2).sum(axis=1),
-            X.sum(axis=0), (X**2).sum(axis=0),
-            Y.sum(axis=0), (Y**2).sum(axis=0),
-        )
+    def reduce(v: np.ndarray) -> np.ndarray:
+        # suite values first, then the coordinates for the mean-equality gate
+        return np.column_stack([f(v) for f in suite] + [v])
 
-    parts = _run_chunks(worker, len(sizes), workers)
-    acc = [np.zeros_like(parts[0][k]) for k in range(8)]
-    for part in parts:
-        for k in range(8):
-            acc[k] = acc[k] + part[k]
-    sfx, sfx2, sfy, sfy2, sx, sx2, sy, sy2 = acc
-    n = float(n_reps)
+    mom_x, mom_y = replicate((draw_x, draw_y), reduce, n_reps, stream, _CHUNK)
+    mean_x, mean_y = mom_x.mean, mom_y.mean
+    var_x, var_y = mom_x.var, mom_y.var
+    se_all = np.sqrt((var_x + var_y) / n_reps)
+    diff_all = mean_y - mean_x
 
-    def mean_var(s, s2):
-        m = s / n
-        v = np.maximum((s2 - n * m**2) / (n - 1), 0.0)
-        return m, v
-
-    mfx, vfx = mean_var(sfx, sfx2)
-    mfy, vfy = mean_var(sfy, sfy2)
-    se = np.sqrt((vfx + vfy) / n)
-    diff = mfy - mfx
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, diff / np.where(se > 0, se, 1.0), np.where(diff == 0, 0.0, np.sign(diff) * np.inf))
+    diff, se = diff_all[:nf], se_all[:nf]
+    z = _z_scores(diff, se, np.where(diff == 0, 0.0, np.sign(diff) * np.inf))
     records = [
-        FunctionRecord(f.fid, f.describe(), float(mfx[i]), float(mfy[i]), float(diff[i]), float(se[i]), float(z[i]))
+        FunctionRecord(f.fid, f.describe(), float(mean_x[i]), float(mean_y[i]), float(diff[i]), float(se[i]), float(z[i]))
         for i, f in enumerate(suite)
     ]
 
-    mx, vx = mean_var(sx, sx2)
-    my, vy = mean_var(sy, sy2)
-    se_m = np.sqrt((vx + vy) / n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zm = np.where(se_m > 0, (my - mx) / np.where(se_m > 0, se_m, 1.0), 0.0)
+    zm = _z_scores(diff_all[nf:], se_all[nf:], 0.0)
     means_equal = bool(np.all(np.abs(zm) <= 3.0))
     mean_eq = {
         "checked": require_equal_means,
-        "mean_x": mx.tolist(),
-        "mean_y": my.tolist(),
+        "mean_x": mean_x[nf:].tolist(),
+        "mean_y": mean_y[nf:].tolist(),
         "z": zm.tolist(),
         "passed": means_equal,
     }
@@ -326,7 +391,7 @@ def compare_vectors(
         verdict = INCONCLUSIVE
     else:
         verdict = CONSISTENT
-    return OrderReport(records, verdict, mean_eq, n_reps, z_crit)
+    return OrderReport(records, verdict, mean_eq, n_reps, z_crit, var_x[nf:], var_y[nf:])
 
 
 def counts_on_boxes(sampler: Callable, boxes: Sequence[Box]) -> Callable:
@@ -361,45 +426,6 @@ def compare_on_boxes(
     )
 
 
-def field_values(sampler: Callable, queries: np.ndarray) -> Callable:
-    """Adapt a field sampler (GridField or vector output) to query values."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-
-    def draw(gen: np.random.Generator) -> np.ndarray:
-        out = sampler(gen)
-        if isinstance(out, GridField):
-            return out.value_at(queries)
-        return np.atleast_1d(np.asarray(out, dtype=float))
-
-    return draw
-
-
-def compare_fields(
-    sampler_x: Callable,
-    sampler_y: Callable,
-    queries: np.ndarray,
-    suite: Sequence[TestFunction],
-    n_reps: int,
-    stream: RngStream,
-    **kwargs,
-) -> OrderReport:
-    """compare_vectors on field values at shared query points."""
-    return compare_vectors(
-        field_values(sampler_x, queries),
-        field_values(sampler_y, queries),
-        suite,
-        n_reps,
-        stream,
-        **kwargs,
-    )
-
-
-def pilot_scale(draw: Callable, stream: RngStream, n: int = 1000) -> np.ndarray:
-    """Pilot mean vector used to calibrate test-function thresholds."""
-    gen = stream.generator()
-    return np.stack([np.atleast_1d(draw(gen)) for _ in range(n)]).mean(axis=0)
-
-
 # ---------------------------------------------------------------------------
 # Lower-orthant comparison
 
@@ -432,30 +458,16 @@ def lo_compare(
     thresholds: np.ndarray,
     n_reps: int,
     stream: RngStream,
-    *,
-    workers: int = 1,
-    chunk_size: int = 2000,
 ) -> LoReport:
     """Test the claim U1 <= U2 in lower-orthant order:
     P(U1 <= t) >= P(U2 <= t) jointly at every threshold vector t."""
     thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
-    sizes = _chunk_sizes(n_reps, chunk_size)
 
-    def worker(ci: int):
-        size = sizes[ci]
-        g1 = stream.split(2 * ci).generator()
-        g2 = stream.split(2 * ci + 1).generator()
-        u1 = np.stack([np.atleast_1d(draw_u1(g1)) for _ in range(size)])
-        u2 = np.stack([np.atleast_1d(draw_u2(g2)) for _ in range(size)])
-        c1 = np.all(u1[:, None, :] <= thresholds[None, :, :], axis=2).sum(axis=0)
-        c2 = np.all(u2[:, None, :] <= thresholds[None, :, :], axis=2).sum(axis=0)
-        return c1, c2
+    def below(u: np.ndarray) -> np.ndarray:
+        return np.all(u[:, None, :] <= thresholds[None, :, :], axis=2)
 
-    parts = _run_chunks(worker, len(sizes), workers)
-    c1 = sum(p[0] for p in parts)
-    c2 = sum(p[1] for p in parts)
-    p1 = c1 / n_reps
-    p2 = c2 / n_reps
+    mom_1, mom_2 = replicate((draw_u1, draw_u2), below, n_reps, stream, _CHUNK)
+    p1, p2 = mom_1.mean, mom_2.mean
     se = np.sqrt(p1 * (1 - p1) / n_reps + p2 * (1 - p2) / n_reps)
     verdict = VIOLATION if np.any(p1 < p2 - 3.0 * se) else CONSISTENT
     return LoReport(thresholds, p1, p2, se, verdict)

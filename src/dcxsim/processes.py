@@ -133,13 +133,7 @@ def _kernel_values(
     """(n_parents, n_query) kernel density values under the window topology."""
     if parents.shape[0] == 0:
         return np.zeros((0, query.shape[0]))
-    if w.topology == TORUS:
-        d = pairwise_distances(w, parents, query)
-    else:
-        d = np.sqrt(
-            np.sum((parents[:, None, :] - query[None, :, :]) ** 2, axis=2)
-        )
-    return kernel.density(d, w.dim)
+    return kernel.density(pairwise_distances(w, parents, query), w.dim)
 
 
 def sample_ppcluster_intensity(
@@ -202,10 +196,6 @@ def make_lgcp_sampler(
         return sample_cox(field, gen)
 
     return draw
-
-
-def sample_lgcp(mean: float, cov: CovarianceSpec, w: Window, cells_per_axis, rng) -> PointPattern:
-    return make_lgcp_sampler(mean, cov, w, cells_per_axis)(rng)
 
 
 def sample_gnscp(

@@ -7,16 +7,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import ordering, processes, wireless
+from . import processes, wireless
 from .distributions import ClusterKernel, MassDistribution, constant, exponential
-from .geometry import Box, RngStream, Window, make_window
+from .geometry import Box, RngStream, Window, count_in, make_window, mass_in
 from .ops import displace, superpose, thin_iid
 from .ordering import (
     CONSISTENT,
     VIOLATION,
     compare_on_boxes,
     compare_vectors,
-    counts_on_boxes,
     lo_compare,
     make_suite,
     oracle_ginibre_radii,
@@ -25,7 +24,6 @@ from .ordering import (
 )
 from .shotnoise import ResponseKernel, extremal_sn
 from .stats import mixed_palm_estimate, ripley_k
-from .geometry import count_in, mass_in
 
 
 @dataclass
@@ -75,7 +73,7 @@ def _thomas_sampler_matching(lam: float, params: dict, w: Window) -> Callable:
 # ---------------------------------------------------------------------------
 # Scenario runners
 
-def run_ising_vs_poisson(params: dict, stream: RngStream, workers: int) -> ScenarioResult:
+def run_ising_vs_poisson(params: dict, stream: RngStream) -> ScenarioResult:
     mu1 = float(params.get("mu1", 2.0))
     mu2 = float(params.get("mu2", 0.0))
     p_plus = float(params.get("p_plus", 0.5))
@@ -97,8 +95,7 @@ def run_ising_vs_poisson(params: dict, stream: RngStream, workers: int) -> Scena
     scale = np.array([lam_bar * b.volume for b in boxes])
     suite = make_suite("dcx", len(boxes), suite_size, stream.split(10**6), scale=scale)
     report = compare_on_boxes(
-        draw_poisson, draw_ising, boxes, suite, n_reps, stream,
-        z_crit=z_crit, workers=workers,
+        draw_poisson, draw_ising, boxes, suite, n_reps, stream, z_crit=z_crit
     )
     header, rows = _order_csv(report)
     n_separated = int(sum(r.z > 3.0 for r in report.records))
@@ -113,7 +110,7 @@ def run_ising_vs_poisson(params: dict, stream: RngStream, workers: int) -> Scena
     )
 
 
-def run_ppcluster_family(params: dict, stream: RngStream, workers: int) -> ScenarioResult:
+def run_ppcluster_family(params: dict, stream: RngStream) -> ScenarioResult:
     lam = float(params.get("lam", 20.0))
     sigma = float(params.get("sigma", 0.1))
     n_reps = int(params.get("n_reps", 20_000))
@@ -129,7 +126,6 @@ def run_ppcluster_family(params: dict, stream: RngStream, workers: int) -> Scena
         return lambda gen: processes.ppcluster_intensity_at(c, lam, kernel, w, queries, gen)
 
     results = []
-    variances = {}
     verdict = CONSISTENT
     per_function = []
     mean_eq = None
@@ -140,33 +136,24 @@ def run_ppcluster_family(params: dict, stream: RngStream, workers: int) -> Scena
             scale=np.full(queries.shape[0], lam),
         )
         # larger c is the less variable (dcx-smaller) member of the family
-        rep = compare_vectors(
-            draw_at(c_hi), draw_at(c_lo), suite, n_reps, stream.split(2 * k),
-            workers=workers,
-        )
+        rep = compare_vectors(draw_at(c_hi), draw_at(c_lo), suite, n_reps, stream.split(2 * k))
         if rep.verdict != CONSISTENT and verdict == CONSISTENT:
             verdict = rep.verdict
         per_function.extend(dict(r.to_dict(), c_pair=[c_hi, c_lo]) for r in rep.records)
         mean_eq = rep.mean_equality
-        for c in (c_hi, c_lo):
-            if c not in variances:
-                gen = stream.split(10**6 + 100 + round(1000 * c)).generator()
-                vals = np.array([draw_at(c)(gen)[0] for _ in range(n_reps)])
-                variances[c] = float(vals.var(ddof=1))
+        # intensity variance at the first query, from the compared draws
+        var_hi, var_lo = float(rep.var_x[0]), float(rep.var_y[0])
         results.append(
             {
                 "c_pair": [c_hi, c_lo],
                 "verdict": rep.verdict,
-                "var_hi": variances[c_hi],
-                "var_lo": variances[c_lo],
-                "var_ratio": variances[c_hi] / variances[c_lo],
+                "var_hi": var_hi,
+                "var_lo": var_lo,
+                "var_ratio": var_hi / var_lo,
                 "expected_ratio": c_lo / c_hi,
             }
         )
-        rows.append(
-            [c_hi, c_lo, rep.verdict, variances[c_hi], variances[c_lo],
-             variances[c_hi] / variances[c_lo], c_lo / c_hi]
-        )
+        rows.append([c_hi, c_lo, rep.verdict, var_hi, var_lo, var_hi / var_lo, c_lo / c_hi])
     return ScenarioResult(
         "ppcluster-family",
         verdict,
@@ -193,7 +180,7 @@ def _sinr_layout(params: dict, w: Window) -> wireless.LinkLayout:
     )
 
 
-def run_sinr_compare(params: dict, stream: RngStream, workers: int) -> ScenarioResult:
+def run_sinr_compare(params: dict, stream: RngStream) -> ScenarioResult:
     lam = float(params.get("lam", 5.0))
     n_reps = int(params.get("n_reps", 20_000))
     w = _window(params, [0.0, 0.0], [1.0, 1.0])
@@ -201,13 +188,13 @@ def run_sinr_compare(params: dict, stream: RngStream, workers: int) -> ScenarioR
     poisson = lambda gen: processes.sample_poisson(lam, w, gen)
     thomas = _thomas_sampler_matching(lam, params, w)
     p_po, se_po = wireless.sinr_success_rayleigh(
-        layout, poisson, n_reps, stream.split(0), workers=workers
+        layout, poisson, n_reps, stream.split(0)
     )
     p_th, se_th = wireless.sinr_success_rayleigh(
-        layout, thomas, n_reps, stream.split(1), workers=workers
+        layout, thomas, n_reps, stream.split(1)
     )
     p_ind, se_ind = wireless.sinr_success(
-        layout, poisson, n_reps, stream.split(2), workers=workers
+        layout, poisson, n_reps, stream.split(2)
     )
     pooled = float(np.hypot(se_po, se_ind))
     estimators_agree = abs(p_po - p_ind) <= 3.0 * pooled
@@ -234,7 +221,7 @@ def run_sinr_compare(params: dict, stream: RngStream, workers: int) -> ScenarioR
     )
 
 
-def run_coverage_compare(params: dict, stream: RngStream, workers: int) -> ScenarioResult:
+def run_coverage_compare(params: dict, stream: RngStream) -> ScenarioResult:
     lam = float(params.get("lam", 20.0))
     r = float(params.get("r", 0.1))
     n_reps = int(params.get("n_reps", 20_000))
@@ -244,10 +231,10 @@ def run_coverage_compare(params: dict, stream: RngStream, workers: int) -> Scena
     poisson = lambda gen: processes.sample_poisson(lam, w, gen)
     thomas = _thomas_sampler_matching(lam, params, w)
     rep_po = wireless.boolean_coverage(
-        poisson, radius, queries, n_reps, stream.split(0), workers=workers
+        poisson, radius, queries, n_reps, stream.split(0)
     )
     rep_th = wireless.boolean_coverage(
-        thomas, radius, queries, n_reps, stream.split(1), workers=workers
+        thomas, radius, queries, n_reps, stream.split(1)
     )
     se_cov = np.hypot(rep_po.p_cover_stderr, rep_th.p_cover_stderr)
     se_m1 = np.hypot(rep_po.mean_count_stderr, rep_th.mean_count_stderr)
@@ -283,7 +270,7 @@ def run_coverage_compare(params: dict, stream: RngStream, workers: int) -> Scena
     )
 
 
-def run_palm_poisson_check(params: dict, stream: RngStream, workers: int) -> ScenarioResult:
+def run_palm_poisson_check(params: dict, stream: RngStream) -> ScenarioResult:
     lam = float(params.get("lam", 5.0))
     n_reps = int(params.get("n_reps", 20_000))
     w = _window(params, [0.0, 0.0], [2.0, 2.0])
@@ -305,7 +292,7 @@ def run_palm_poisson_check(params: dict, stream: RngStream, workers: int) -> Sce
     )
 
 
-def run_ginibre_oracle(params: dict, stream: RngStream, workers: int) -> ScenarioResult:
+def run_ginibre_oracle(params: dict, stream: RngStream) -> ScenarioResult:
     b_values = [float(b) for b in params.get("b_values", [0.5, 1.0, 2.0, 5.0])]
     rows, reports = [], []
     passed = True
@@ -325,7 +312,7 @@ def run_ginibre_oracle(params: dict, stream: RngStream, workers: int) -> Scenari
     )
 
 
-def run_oracle_poisson_scaling(params: dict, stream: RngStream, workers: int) -> ScenarioResult:
+def run_oracle_poisson_scaling(params: dict, stream: RngStream) -> ScenarioResult:
     a_values = [float(a) for a in params.get("a_values", [0.5, 1.0, 2.0])]
     c_values = [float(c) for c in params.get("c_values", [1.5, 2.0, 3.0])]
     if "a" in params:
@@ -353,7 +340,7 @@ def run_oracle_poisson_scaling(params: dict, stream: RngStream, workers: int) ->
     )
 
 
-def run_lo_extremal(params: dict, stream: RngStream, workers: int) -> ScenarioResult:
+def run_lo_extremal(params: dict, stream: RngStream) -> ScenarioResult:
     lam = float(params.get("lam", 20.0))
     beta = float(params.get("beta", 4.0))
     n_reps = int(params.get("n_reps", 20_000))
@@ -367,7 +354,7 @@ def run_lo_extremal(params: dict, stream: RngStream, workers: int) -> ScenarioRe
     grid_1d = np.asarray(params.get("threshold_grid", np.linspace(0.1, 0.9, 5)), dtype=float)
     thresholds = np.array([[t1, t2] for t1 in grid_1d for t2 in grid_1d])
     # the clustered field has more uncovered space: claim U_thomas <= U_poisson (lo)
-    rep = lo_compare(draw_th, draw_po, thresholds, n_reps, stream, workers=workers)
+    rep = lo_compare(draw_th, draw_po, thresholds, n_reps, stream)
     rows = [
         [thresholds[i, 0], thresholds[i, 1], float(rep.cdf_1[i]), float(rep.cdf_2[i]),
          float(rep.stderr[i])]
@@ -379,7 +366,7 @@ def run_lo_extremal(params: dict, stream: RngStream, workers: int) -> ScenarioRe
     )
 
 
-def run_levy_grid(params: dict, stream: RngStream, workers: int) -> ScenarioResult:
+def run_levy_grid(params: dict, stream: RngStream) -> ScenarioResult:
     spacing = float(params.get("lattice_spacing", 1.0))
     n_reps = int(params.get("n_reps", 20_000))
     suite_size = int(params.get("suite_size", 60))
@@ -400,9 +387,7 @@ def run_levy_grid(params: dict, stream: RngStream, workers: int) -> ScenarioResu
         "dcx", len(boxes), suite_size, stream.split(10**6),
         scale=np.full(len(boxes), atoms_per_box),
     )
-    rep = compare_vectors(
-        draw(mass_x), draw(mass_y), suite, n_reps, stream, workers=workers
-    )
+    rep = compare_vectors(draw(mass_x), draw(mass_y), suite, n_reps, stream)
     header, rows = _order_csv(rep)
     return ScenarioResult(
         "levy-grid", rep.verdict, [r.to_dict() for r in rep.records],
@@ -410,7 +395,7 @@ def run_levy_grid(params: dict, stream: RngStream, workers: int) -> ScenarioResu
     )
 
 
-def run_marked_basis(params: dict, stream: RngStream, workers: int) -> ScenarioResult:
+def run_marked_basis(params: dict, stream: RngStream) -> ScenarioResult:
     lam = float(params.get("lam", 10.0))
     mark_mean = float(params.get("mark_mean", 1.0))
     n_reps = int(params.get("n_reps", 20_000))
@@ -428,7 +413,7 @@ def run_marked_basis(params: dict, stream: RngStream, workers: int) -> ScenarioR
 
     scale = np.array([lam * mark_mean * b.volume for b in boxes])
     suite = make_suite("dcx", len(boxes), suite_size, stream.split(10**6), scale=scale)
-    rep = compare_vectors(draw(0), draw(1), suite, n_reps, stream, workers=workers)
+    rep = compare_vectors(draw(0), draw(1), suite, n_reps, stream)
     header, rows = _order_csv(rep)
     return ScenarioResult(
         "marked-basis", rep.verdict, [r.to_dict() for r in rep.records],
@@ -436,7 +421,7 @@ def run_marked_basis(params: dict, stream: RngStream, workers: int) -> ScenarioR
     )
 
 
-def run_ops_preservation(params: dict, stream: RngStream, workers: int) -> ScenarioResult:
+def run_ops_preservation(params: dict, stream: RngStream) -> ScenarioResult:
     mu1 = float(params.get("mu1", 2.0))
     mu2 = float(params.get("mu2", 0.0))
     p_plus = float(params.get("p_plus", 0.5))
@@ -473,9 +458,7 @@ def run_ops_preservation(params: dict, stream: RngStream, workers: int) -> Scena
         )
         sx = lambda gen, op=op: op(base_poisson(gen), gen)
         sy = lambda gen, op=op: op(base_ising(gen), gen)
-        rep = compare_on_boxes(
-            sx, sy, boxes, suite, n_reps, stream.split(op_idx), workers=workers
-        )
+        rep = compare_on_boxes(sx, sy, boxes, suite, n_reps, stream.split(op_idx))
         verdicts[name] = rep.verdict
         min_z = min(r.z for r in rep.records)
         rows.append([name, rep.verdict, min_z])
@@ -490,7 +473,7 @@ def run_ops_preservation(params: dict, stream: RngStream, workers: int) -> Scena
     )
 
 
-def run_ripley_poisson(params: dict, stream: RngStream, workers: int) -> ScenarioResult:
+def run_ripley_poisson(params: dict, stream: RngStream) -> ScenarioResult:
     lam = float(params.get("lam", 50.0))
     n_reps = int(params.get("n_reps", 1000))
     r_grid = np.asarray(params.get("r_grid", [0.02, 0.05, 0.1, 0.15]), dtype=float)
@@ -567,7 +550,7 @@ SCENARIOS: dict[str, tuple[str, Callable]] = {
 }
 
 
-def run_scenario(scenario_id: str, params: dict, stream: RngStream, workers: int = 1) -> ScenarioResult:
+def run_scenario(scenario_id: str, params: dict, stream: RngStream) -> ScenarioResult:
     if scenario_id not in SCENARIOS:
         raise KeyError(f"unknown scenario {scenario_id!r}")
-    return SCENARIOS[scenario_id][1](params, stream, workers)
+    return SCENARIOS[scenario_id][1](params, stream)

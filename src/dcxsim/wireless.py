@@ -9,9 +9,13 @@ import numpy as np
 
 from .distributions import MassDistribution
 from .geometry import PointPattern, RngStream, Window, pairwise_distances
-from .ordering import _chunk_sizes, _run_chunks
+from .ordering import replicate
 from .shotnoise import ResponseKernel
 from .stats import coverage_field
+
+# Replications per chunk; like the comparison chunk size in ordering, it fixes
+# the substream each replication draws from and must stay constant.
+_CHUNK = 1000
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,14 @@ class LinkLayout:
             raise ValueError("a direct link has zero path gain (beyond truncation)")
         return gains
 
+    def cross_gains(self) -> np.ndarray:
+        """Path gain from transmitter i to receiver j at [i, j], diagonal zeroed."""
+        gains = self.path_loss.value(
+            pairwise_distances(self.window, self.transmitters, self.receivers)
+        )
+        np.fill_diagonal(gains, 0.0)
+        return gains
+
 
 def _interference(layout: LinkLayout, interferers: PointPattern, gen) -> np.ndarray:
     """Fading-weighted interference power at each receiver; fading i.i.d. per
@@ -67,30 +79,12 @@ def _interference(layout: LinkLayout, interferers: PointPattern, gen) -> np.ndar
     return (fades * layout.path_loss.value(d)).sum(axis=0)
 
 
-def _cross_interference(layout: LinkLayout, gen) -> np.ndarray:
+def _cross_interference(layout: LinkLayout, cross_gains: np.ndarray, gen) -> np.ndarray:
     """Power received from the other links' emitters, independent fading per pair."""
     if layout.n_links == 1:
         return np.zeros(1)
-    d = pairwise_distances(layout.window, layout.transmitters, layout.receivers)
-    gains = layout.path_loss.value(d)
-    np.fill_diagonal(gains, 0.0)
-    fades = np.asarray(layout.fading.sample(gen, size=d.shape), dtype=float)
-    return (fades * gains).sum(axis=0)
-
-
-def _per_rep_values(layout, interferer_sampler, gen, rayleigh: bool) -> float:
-    gains = layout.direct_gains()
-    interferers = interferer_sampler(gen)
-    w = np.asarray(layout.noise.sample(gen, size=layout.n_links), dtype=float)
-    i_pow = _cross_interference(layout, gen) + _interference(layout, interferers, gen)
-    s = layout.threshold * (w + i_pow) / gains
-    if rayleigh:
-        # conditional success probability given noise and interference:
-        # product of the fading tails, a lower-variance estimator of the
-        # same joint coverage probability
-        return float(np.prod(layout.fading.tail(s)))
-    own = np.asarray(layout.fading.sample(gen, size=layout.n_links), dtype=float)
-    return float(np.all(own >= s))
+    fades = np.asarray(layout.fading.sample(gen, size=cross_gains.shape), dtype=float)
+    return (fades * cross_gains).sum(axis=0)
 
 
 def _sinr_estimate(
@@ -99,24 +93,25 @@ def _sinr_estimate(
     n_reps: int,
     stream: RngStream,
     rayleigh: bool,
-    workers: int,
-    chunk_size: int,
 ) -> tuple[float, float]:
-    sizes = _chunk_sizes(n_reps, chunk_size)
+    gains = layout.direct_gains()
+    cross_gains = layout.cross_gains()
 
-    def worker(ci: int):
-        gen = stream.split(ci).generator()
-        vals = np.array(
-            [_per_rep_values(layout, interferer_sampler, gen, rayleigh) for _ in range(sizes[ci])]
-        )
-        return vals.sum(), (vals**2).sum()
+    def draw(gen) -> float:
+        interferers = interferer_sampler(gen)
+        w = np.asarray(layout.noise.sample(gen, size=layout.n_links), dtype=float)
+        i_pow = _cross_interference(layout, cross_gains, gen) + _interference(layout, interferers, gen)
+        s = layout.threshold * (w + i_pow) / gains
+        if rayleigh:
+            # conditional success probability given noise and interference:
+            # product of the fading tails, a lower-variance estimator of the
+            # same joint coverage probability
+            return float(np.prod(layout.fading.tail(s)))
+        own = np.asarray(layout.fading.sample(gen, size=layout.n_links), dtype=float)
+        return float(np.all(own >= s))
 
-    parts = _run_chunks(worker, len(sizes), workers)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    mean = s1 / n_reps
-    var = max((s2 - n_reps * mean**2) / (n_reps - 1), 0.0)
-    return float(mean), float(np.sqrt(var / n_reps))
+    (mom,) = replicate((draw,), lambda v: v, n_reps, stream, _CHUNK)
+    return float(mom.mean[0]), float(mom.stderr[0])
 
 
 def sinr_success(
@@ -124,16 +119,13 @@ def sinr_success(
     interferer_sampler: Callable,
     n_reps: int,
     stream: RngStream,
-    *,
-    workers: int = 1,
-    chunk_size: int = 1000,
 ) -> tuple[float, float]:
     """Joint success probability of all links, indicator estimator.
 
     Works for any fading law; every replication draws the interferer pattern,
     noise, interference fading and own-link fading.
     """
-    return _sinr_estimate(layout, interferer_sampler, n_reps, stream, False, workers, chunk_size)
+    return _sinr_estimate(layout, interferer_sampler, n_reps, stream, False)
 
 
 def sinr_success_rayleigh(
@@ -141,9 +133,6 @@ def sinr_success_rayleigh(
     interferer_sampler: Callable,
     n_reps: int,
     stream: RngStream,
-    *,
-    workers: int = 1,
-    chunk_size: int = 1000,
 ) -> tuple[float, float]:
     """Joint success probability with own-link fading integrated out analytically.
 
@@ -153,7 +142,7 @@ def sinr_success_rayleigh(
     """
     if layout.fading.kind == "sum_of_exponentials":
         raise ValueError("fading law lacks a closed-form tail")
-    return _sinr_estimate(layout, interferer_sampler, n_reps, stream, True, workers, chunk_size)
+    return _sinr_estimate(layout, interferer_sampler, n_reps, stream, True)
 
 
 @dataclass
@@ -184,42 +173,21 @@ def boolean_coverage(
     queries: np.ndarray,
     n_reps: int,
     stream: RngStream,
-    *,
-    workers: int = 1,
-    chunk_size: int = 1000,
 ) -> CoverageReport:
     """Coverage count V(y) = number of balls (germ, i.i.d. radius) containing y;
     estimates P(V >= 1), E V and E V^2 at each query with stderrs."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    sizes = _chunk_sizes(n_reps, chunk_size)
+    nq = queries.shape[0]
 
-    def worker(ci: int):
-        gen = stream.split(ci).generator()
-        acc = np.zeros((6, queries.shape[0]))
-        for _ in range(sizes[ci]):
-            p = germ_sampler(gen)
-            radii = np.atleast_1d(np.asarray(radius_dist.sample(gen, size=p.n), dtype=float))
-            marked = PointPattern(p.window, p.points, radii)
-            v = coverage_field(marked, queries).astype(float)
-            cov = (v >= 1).astype(float)
-            acc[0] += cov
-            acc[1] += cov**2
-            acc[2] += v
-            acc[3] += v**2
-            acc[4] += v**2
-            acc[5] += v**4
-        return acc
+    def draw(gen):
+        p = germ_sampler(gen)
+        radii = np.atleast_1d(np.asarray(radius_dist.sample(gen, size=p.n), dtype=float))
+        return coverage_field(PointPattern(p.window, p.points, radii), queries).astype(float)
 
-    parts = _run_chunks(worker, len(sizes), workers)
-    acc = sum(parts)
-    n = float(n_reps)
-
-    def mean_se(s, s2):
-        m = s / n
-        var = np.maximum((s2 - n * m**2) / (n - 1), 0.0)
-        return m, np.sqrt(var / n)
-
-    pc, pc_se = mean_se(acc[0], acc[1])
-    mc, mc_se = mean_se(acc[2], acc[3])
-    m2, m2_se = mean_se(acc[4], acc[5])
-    return CoverageReport(pc, pc_se, mc, mc_se, m2, m2_se)
+    (mom,) = replicate(
+        (draw,), lambda v: np.hstack([v >= 1, v, v**2]), n_reps, stream, _CHUNK
+    )
+    mean, se = mom.mean, mom.stderr
+    return CoverageReport(
+        mean[:nq], se[:nq], mean[nq : 2 * nq], se[nq : 2 * nq], mean[2 * nq :], se[2 * nq :]
+    )

@@ -135,11 +135,11 @@ def test_criterion_06_box_count_dcx_comparison():
     scale = np.array([lam_bar * b.volume for b in boxes])
     suite = make_suite("dcx", 4, 100, stream.split(10**6), scale=scale)
     fwd = compare_on_boxes(
-        draw_po, draw_is, boxes, suite, 100_000, stream.split(0), workers=8
+        draw_po, draw_is, boxes, suite, 100_000, stream.split(0)
     )
     n_sep = sum(r.z > 3 for r in fwd.records)
     rev = compare_on_boxes(
-        draw_is, draw_po, boxes, suite, 100_000, stream.split(1), workers=8
+        draw_is, draw_po, boxes, suite, 100_000, stream.split(1)
     )
     ok = (
         fwd.verdict == CONSISTENT
@@ -166,7 +166,7 @@ def test_criterion_07_cluster_intensity_family():
     for k, (c_hi, c_lo) in enumerate([(4.0, 1.0), (2.0, 0.5)]):
         suite = make_suite("dcx", 3, 40, stream.split(10**6 + k), scale=np.full(3, lam))
         rep = compare_vectors(
-            draw_at(c_hi), draw_at(c_lo), suite, n_reps, stream.split(k), workers=8
+            draw_at(c_hi), draw_at(c_lo), suite, n_reps, stream.split(k)
         )
         ok = ok and rep.verdict == CONSISTENT
     variances = {}
@@ -190,7 +190,7 @@ def test_criterion_08_extremal_lower_orthant():
     draw_th = lambda gen: extremal_sn(thomas(gen), h, queries)
     grid = np.linspace(0.1, 0.9, 5)
     thresholds = np.array([[a, b] for a in grid for b in grid])
-    rep = lo_compare(draw_th, draw_po, thresholds, 20_000, make_stream(SEED, 8), workers=8)
+    rep = lo_compare(draw_th, draw_po, thresholds, 20_000, make_stream(SEED, 8))
     ok = rep.verdict == CONSISTENT
     assert _report(8, ok, f"extremal-field lower-orthant order over 25 thresholds: {rep.verdict}")
 
@@ -210,9 +210,9 @@ def test_criterion_09_sinr_comparison():
     thomas = processes.make_thomas_sampler(1.0, 5.0, 0.05, W1)
     stream = make_stream(SEED, 9)
     n_reps = 50_000
-    p_po, se_po = wireless.sinr_success_rayleigh(layout, poisson, n_reps, stream.split(0), workers=8)
-    p_th, se_th = wireless.sinr_success_rayleigh(layout, thomas, n_reps, stream.split(1), workers=8)
-    p_ind, se_ind = wireless.sinr_success(layout, poisson, n_reps, stream.split(2), workers=8)
+    p_po, se_po = wireless.sinr_success_rayleigh(layout, poisson, n_reps, stream.split(0))
+    p_th, se_th = wireless.sinr_success_rayleigh(layout, thomas, n_reps, stream.split(1))
+    p_ind, se_ind = wireless.sinr_success(layout, poisson, n_reps, stream.split(2))
     separated = p_th - p_po > 3 * float(np.hypot(se_po, se_th))
     agree = abs(p_po - p_ind) <= 3 * float(np.hypot(se_po, se_ind))
     ok = separated and agree
@@ -228,8 +228,8 @@ def test_criterion_10_boolean_coverage():
     thomas = processes.make_thomas_sampler(4.0, 5.0, 0.05, W1)
     stream = make_stream(SEED, 10)
     n_reps = 50_000
-    rep_po = wireless.boolean_coverage(poisson, constant(r), queries, n_reps, stream.split(0), workers=8)
-    rep_th = wireless.boolean_coverage(thomas, constant(r), queries, n_reps, stream.split(1), workers=8)
+    rep_po = wireless.boolean_coverage(poisson, constant(r), queries, n_reps, stream.split(0))
+    rep_th = wireless.boolean_coverage(thomas, constant(r), queries, n_reps, stream.split(1))
     se_cov = float(np.hypot(rep_po.p_cover_stderr[0], rep_th.p_cover_stderr[0]))
     se_m1 = float(np.hypot(rep_po.mean_count_stderr[0], rep_th.mean_count_stderr[0]))
     se_m2 = float(np.hypot(rep_po.second_moment_stderr[0], rep_th.second_moment_stderr[0]))
@@ -249,7 +249,7 @@ def test_criterion_10_boolean_coverage():
 
 def test_criterion_11_operation_preservation():
     res = run_ops_preservation(
-        {"n_reps": 10_000, "suite_size": 30}, make_stream(SEED, 11), workers=8
+        {"n_reps": 10_000, "suite_size": 30}, make_stream(SEED, 11)
     )
     ok = res.verdict == CONSISTENT and all(
         v == CONSISTENT for v in res.details["per_op"].values()

@@ -9,6 +9,7 @@ from dcxsim.ordering import (
     CONSISTENT,
     INCONCLUSIVE,
     VIOLATION,
+    Moments,
     TestFunction,
     bonferroni_z,
     compare_vectors,
@@ -106,21 +107,33 @@ def test_compare_vectors_mean_gate_inconclusive():
     assert not rep.mean_equality["passed"]
 
 
-def test_compare_vectors_deterministic_across_workers():
-    stream = make_stream(8)
-    suite = make_suite("dcx", 2, 10, stream.split(10**6), scale=np.full(2, 5.0))
-    reps = [
-        compare_vectors(
-            _draw_iid_poisson(5.0, 2),
-            _draw_mixed_poisson([4.0, 6.0], 2),
-            suite,
-            6000,
-            stream,
-            workers=k,
-        )
-        for k in (1, 8)
-    ]
-    assert reps[0].to_dict() == reps[1].to_dict()
+@given(
+    st.integers(2, 80),
+    st.integers(1, 3),
+    st.lists(st.integers(1, 79), max_size=8),
+    st.sampled_from([0.0, 1e8]),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=80, deadline=None)
+def test_moments_merged_chunks_match_one_pass(n, k, cuts, offset, seed):
+    rows = offset + make_stream(seed).generator().standard_normal((n, k))
+    pieces = np.split(rows, sorted({c for c in cuts if c < n}))
+    merged = Moments.of(pieces[0])
+    for piece in pieces[1:]:
+        merged = merged.merge(Moments.of(piece))
+    assert merged.n == n
+    np.testing.assert_allclose(merged.mean, rows.mean(axis=0), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(merged.var, rows.var(axis=0, ddof=1), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_compare_vectors_stderr_at_large_offset(seed):
+    # X = Y = 1e8 + N(0, 1): the mean difference of a linear function has
+    # stderr sqrt(2 / n) whatever the offset
+    f = TestFunction(0, "lin_convex", "dcx", np.array([1.0]), phi="power", t=0.0, p=1.0)
+    draw = lambda gen: 1e8 + gen.standard_normal(1)
+    rep = compare_vectors(draw, draw, [f], 20_000, make_stream(seed), require_equal_means=False)
+    assert rep.records[0].stderr == pytest.approx(np.sqrt(2 / 20_000), rel=0.05)
 
 
 def test_bonferroni_grows_with_suite_size():

@@ -10,6 +10,8 @@ from dcxsim.geometry import (
     make_stream,
     make_window,
 )
+from dcxsim.ordering import VIOLATION, compare_vectors, make_suite
+from dcxsim.processes import sample_cox, sample_ising_field, sample_poisson
 from dcxsim.shotnoise import ResponseKernel, additive_sn, campbell_mean, extremal_sn
 
 W = make_window([0.0, 0.0], [1.0, 1.0])
@@ -94,8 +96,6 @@ def test_campbell_mean_indicator_ball():
 
 
 def test_campbell_mean_matches_monte_carlo():
-    from dcxsim.processes import sample_poisson
-
     h = ResponseKernel("power_law", (4.0,))
     lam = 10.0
     target = campbell_mean(h, lam, W)
@@ -110,3 +110,23 @@ def test_campbell_mean_requires_torus():
     h = ResponseKernel("gaussian", (0.1,))
     with pytest.raises(ValueError):
         campbell_mean(h, 1.0, make_window([0, 0], [1, 1], "plain"))
+
+
+def test_dcx_ordered_measures_give_ordered_additive_shot_noise():
+    # Poisson(1) is dcx-smaller than the spin-lattice Cox process with
+    # intensities (2, 0, 1/2); additive shot noise at any query points keeps
+    # that order, so the reversed claim must be falsified
+    w = make_window([0.0, 0.0], [4.0, 4.0])
+    h = ResponseKernel("gaussian", (0.5,))
+    queries = np.array([[1.0, 1.0], [1.4, 1.3], [3.0, 2.5]])
+    draw_po = lambda gen: additive_sn(sample_poisson(1.0, w, gen), h, queries)
+    draw_cox = lambda gen: additive_sn(
+        sample_cox(sample_ising_field(2.0, 0.0, 0.5, w, [32, 32], gen), gen), h, queries
+    )
+    stream = make_stream(12)
+    suite = make_suite("dcx", 3, 30, stream.split(10**6), scale=np.full(3, campbell_mean(h, 1.0, w)))
+    fwd = compare_vectors(draw_po, draw_cox, suite, 4000, stream.split(0))
+    assert fwd.verdict != VIOLATION
+    assert any(r.z > 3 for r in fwd.records)
+    rev = compare_vectors(draw_cox, draw_po, suite, 4000, stream.split(1))
+    assert rev.verdict == VIOLATION

@@ -98,14 +98,3 @@ def test_boolean_coverage_empty_germs():
     )
     assert rep.p_cover[0] == 0.0
     assert rep.mean_count[0] == 0.0
-
-
-def test_coverage_deterministic_across_workers():
-    sampler = lambda gen: sample_poisson(10.0, W, gen)
-    reps = [
-        wireless.boolean_coverage(
-            sampler, constant(0.1), np.array([[0.5, 0.5]]), 4000, make_stream(7), workers=k
-        )
-        for k in (1, 8)
-    ]
-    assert reps[0].to_dict() == reps[1].to_dict()
