@@ -8,8 +8,10 @@ Config files are YAML with top-level keys:
   scenarios   list of {id: <scenario id>, ...scenario parameters...}
 
 Each scenario produces <output_dir>/<id>.json and <output_dir>/<id>.csv.
-Exit codes: 0 clean, 1 a verdict was VIOLATION/fail, 2 configuration error,
-3 runtime failure.
+Exit codes: 0 clean, 1 a verdict was VIOLATION/fail, 2 configuration error
+(including invalid scenario parameters and fewer than 2 replications), 3 runtime
+failure (including numerical failures: NumericalError, LinAlgError,
+FloatingPointError).
 """
 from __future__ import annotations
 
@@ -120,7 +122,7 @@ def run_cmd(config_path: str):
         t0 = time.perf_counter()
         try:
             result = run_scenario(sid, params, stream)
-        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        except (np.linalg.LinAlgError, ArithmeticError) as exc:
             click.echo(f"runtime failure in scenario {sid}: {exc}", err=True)
             sys.exit(EXIT_RUNTIME)
         except (ValueError, KeyError, TypeError) as exc:

@@ -7,6 +7,8 @@ from typing import Tuple
 import numpy as np
 from scipy import special, stats
 
+from .geometry import NumericalError
+
 
 @dataclass(frozen=True)
 class MassDistribution:
@@ -231,4 +233,4 @@ def cholesky_with_jitter(cov: np.ndarray, jitter: float = 1e-10) -> np.ndarray:
         try:
             return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
         except np.linalg.LinAlgError as exc:
-            raise ValueError("covariance matrix is not PSD within jitter tolerance") from exc
+            raise NumericalError("covariance matrix is not PSD within jitter tolerance") from exc

@@ -12,6 +12,12 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 
+class NumericalError(ArithmeticError, ValueError):
+    """A numerical failure rather than a bad input: a non-PSD covariance,
+    quadrature non-convergence, non-finite values, all-zero weights.  It is a
+    ValueError too, so callers that catch ValueError still catch it."""
+
+
 # ---------------------------------------------------------------------------
 # Windows and boxes
 

@@ -1,9 +1,15 @@
 """Stochastic-order testing: certified test-function suites, paired Monte-Carlo
-comparisons with Bonferroni-corrected verdicts, and exact discrete oracles.
+comparisons, one verdict rule, and exact discrete oracles.
 
 A claim "X <= Y in class F" is tested by estimating E f(X) and E f(Y) for a
 randomized suite of functions f certified to lie in F.  Monte Carlo can only
 falsify an ordering, so passing verdicts are CONSISTENT rather than proven.
+
+Every Monte-Carlo verdict comes from ``decide``: a family of z-scores, signed
+so that negative values count against the claim (a two-sided test enters as
+z and -z), is a VIOLATION iff some z < -bonferroni_z(z_crit, len(z)).  One
+family fires falsely with probability at most sf(z_crit), 1.35e-3 at the
+default z_crit = 3.  ``worst`` combines the verdicts of sub-comparisons.
 """
 from __future__ import annotations
 
@@ -234,6 +240,16 @@ def bonferroni_z(z_crit: float, n_tests: int) -> float:
     return float(sps.norm.isf(sps.norm.sf(z_crit) / max(n_tests, 1)))
 
 
+def decide(z, z_crit: float = 3.0) -> str:
+    """VIOLATION iff some z < -bonferroni_z(z_crit, len(z)); negative z count against the claim."""
+    return VIOLATION if np.any(np.ravel(z) < -bonferroni_z(z_crit, np.size(z))) else CONSISTENT
+
+
+def worst(verdicts) -> str:
+    """The most severe verdict: VIOLATION, then INCONCLUSIVE, then CONSISTENT."""
+    return max(verdicts, key=(CONSISTENT, INCONCLUSIVE, VIOLATION).index, default=CONSISTENT)
+
+
 # Rows per chunk of the suite and lower-orthant comparisons.  Chunk ci of side
 # s draws from stream.split(n_sides * ci + s), so the chunk size fixes which
 # random numbers each replication sees and must stay constant.
@@ -315,6 +331,8 @@ def replicate(
     ``stream.split(len(draws) * ci + s)`` and chunks merge in chunk order, so
     the result depends only on the stream and the chunk size.
     """
+    if n_reps < 2:
+        raise ValueError("need at least 2 replications")
     sizes = _chunk_sizes(n_reps, chunk_size)
     n_sides = len(draws)
 
@@ -333,8 +351,10 @@ def replicate(
     return merged
 
 
-def _z_scores(diff: np.ndarray, se: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
-    """diff / se where se > 0, else ``degenerate``."""
+def _z_scores(diff, se, degenerate=None) -> np.ndarray:
+    """diff / se where se > 0, else ``degenerate`` (default: 0 or +-inf by the sign of diff)."""
+    if degenerate is None:
+        degenerate = np.where(diff == 0, 0.0, np.copysign(np.inf, diff))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(se > 0, diff / np.where(se > 0, se, 1.0), degenerate)
 
@@ -368,14 +388,14 @@ def compare_vectors(
     diff_all = mean_y - mean_x
 
     diff, se = diff_all[:nf], se_all[:nf]
-    z = _z_scores(diff, se, np.where(diff == 0, 0.0, np.sign(diff) * np.inf))
+    z = _z_scores(diff, se)
     records = [
         FunctionRecord(f.fid, f.describe(), float(mean_x[i]), float(mean_y[i]), float(diff[i]), float(se[i]), float(z[i]))
         for i, f in enumerate(suite)
     ]
 
     zm = _z_scores(diff_all[nf:], se_all[nf:], 0.0)
-    means_equal = bool(np.all(np.abs(zm) <= 3.0))
+    means_equal = decide(np.concatenate([zm, -zm]), z_crit) == CONSISTENT
     mean_eq = {
         "checked": require_equal_means,
         "mean_x": mean_x[nf:].tolist(),
@@ -384,13 +404,9 @@ def compare_vectors(
         "passed": means_equal,
     }
 
-    zb = bonferroni_z(z_crit, nf)
-    if np.any(z < -zb):
-        verdict = VIOLATION
-    elif require_equal_means and not means_equal:
+    verdict = decide(z, z_crit)
+    if verdict == CONSISTENT and require_equal_means and not means_equal:
         verdict = INCONCLUSIVE
-    else:
-        verdict = CONSISTENT
     return OrderReport(records, verdict, mean_eq, n_reps, z_crit, var_x[nf:], var_y[nf:])
 
 
@@ -469,8 +485,7 @@ def lo_compare(
     mom_1, mom_2 = replicate((draw_u1, draw_u2), below, n_reps, stream, _CHUNK)
     p1, p2 = mom_1.mean, mom_2.mean
     se = np.sqrt(p1 * (1 - p1) / n_reps + p2 * (1 - p2) / n_reps)
-    verdict = VIOLATION if np.any(p1 < p2 - 3.0 * se) else CONSISTENT
-    return LoReport(thresholds, p1, p2, se, verdict)
+    return LoReport(thresholds, p1, p2, se, decide(_z_scores(p1 - p2, se)))
 
 
 # ---------------------------------------------------------------------------

@@ -69,20 +69,30 @@ def sample_ising_field(
     spacing: float = 1.0,
 ) -> GridField:
     """Randomly shifted lattice field taking mu1 w.p. p_plus else mu2, i.i.d. per
-    lattice cell, resampled onto the requested grid at cell midpoints."""
+    lattice cell, resampled onto the requested grid at cell midpoints.
+
+    On a torus the lattice is periodic (each side must be a whole multiple of
+    the spacing), so the cell that wraps around the window has one spin.
+    """
     if mu2 > mu1:
         raise ValueError("need mu2 <= mu1")
     if not 0.0 <= p_plus <= 1.0:
         raise ValueError("p_plus must be a probability")
+    n_lattice = np.rint(w.lengths / spacing).astype(int)
+    if w.topology == TORUS and np.any(np.abs(n_lattice * spacing - w.lengths) > 1e-9 * w.lengths):
+        raise ValueError("on a torus each window side must be a whole multiple of the spacing")
     gen = as_generator(rng)
     shift = gen.random(w.dim) * spacing
     field = GridField(w, cells_per_axis, np.zeros(tuple(np.atleast_1d(cells_per_axis))))
     mids = field.midpoints()
-    lattice_idx = np.floor((mids - shift) / spacing).astype(int)
-    lo = lattice_idx.min(axis=0)
-    hi = lattice_idx.max(axis=0)
-    spins = gen.random(tuple(hi - lo + 1)) < p_plus
-    vals = np.where(spins[tuple((lattice_idx - lo).T)], mu1, mu2)
+    if w.topology == TORUS:
+        lattice_idx = np.floor((mids - w.lows - shift) / spacing).astype(int) % n_lattice
+    else:
+        lattice_idx = np.floor((mids - shift) / spacing).astype(int)
+        lattice_idx -= lattice_idx.min(axis=0)
+        n_lattice = lattice_idx.max(axis=0) + 1
+    spins = gen.random(tuple(n_lattice)) < p_plus
+    vals = np.where(spins[tuple(lattice_idx.T)], mu1, mu2)
     return GridField(w, cells_per_axis, vals.reshape(field.values.shape))
 
 

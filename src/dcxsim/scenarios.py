@@ -13,14 +13,17 @@ from .geometry import Box, RngStream, Window, count_in, make_window, mass_in
 from .ops import displace, superpose, thin_iid
 from .ordering import (
     CONSISTENT,
-    VIOLATION,
+    _z_scores,
+    bonferroni_z,
     compare_on_boxes,
     compare_vectors,
+    decide,
     lo_compare,
     make_suite,
     oracle_ginibre_radii,
     oracle_ising_exact,
     oracle_poisson_scaling,
+    worst,
 )
 from .shotnoise import ResponseKernel, extremal_sn
 from .stats import mixed_palm_estimate, ripley_k
@@ -125,20 +128,18 @@ def run_ppcluster_family(params: dict, stream: RngStream) -> ScenarioResult:
     def draw_at(c):
         return lambda gen: processes.ppcluster_intensity_at(c, lam, kernel, w, queries, gen)
 
-    results = []
-    verdict = CONSISTENT
-    per_function = []
+    results, per_function, rows = [], [], []
     mean_eq = None
-    rows = []
+    z_crit = bonferroni_z(3.0, len(pairs))  # one scenario rate, split over the pairs
     for k, (c_hi, c_lo) in enumerate(pairs):
         suite = make_suite(
             "dcx", queries.shape[0], suite_size, stream.split(10**6 + k),
             scale=np.full(queries.shape[0], lam),
         )
         # larger c is the less variable (dcx-smaller) member of the family
-        rep = compare_vectors(draw_at(c_hi), draw_at(c_lo), suite, n_reps, stream.split(2 * k))
-        if rep.verdict != CONSISTENT and verdict == CONSISTENT:
-            verdict = rep.verdict
+        rep = compare_vectors(
+            draw_at(c_hi), draw_at(c_lo), suite, n_reps, stream.split(2 * k), z_crit=z_crit
+        )
         per_function.extend(dict(r.to_dict(), c_pair=[c_hi, c_lo]) for r in rep.records)
         mean_eq = rep.mean_equality
         # intensity variance at the first query, from the compared draws
@@ -156,7 +157,7 @@ def run_ppcluster_family(params: dict, stream: RngStream) -> ScenarioResult:
         rows.append([c_hi, c_lo, rep.verdict, var_hi, var_lo, var_hi / var_lo, c_lo / c_hi])
     return ScenarioResult(
         "ppcluster-family",
-        verdict,
+        worst(r["verdict"] for r in results),
         per_function,
         mean_eq,
         {"pairs": results},
@@ -196,13 +197,12 @@ def run_sinr_compare(params: dict, stream: RngStream) -> ScenarioResult:
     p_ind, se_ind = wireless.sinr_success(
         layout, poisson, n_reps, stream.split(2)
     )
-    pooled = float(np.hypot(se_po, se_ind))
-    estimators_agree = abs(p_po - p_ind) <= 3.0 * pooled
+    z_agree = float(_z_scores(p_po - p_ind, np.hypot(se_po, se_ind)))
     sep = float(np.hypot(se_po, se_th))
-    # clustered interferers leave more interference-free space: claim p_th >= p_po
-    verdict = VIOLATION if p_th < p_po - 3.0 * sep else CONSISTENT
-    if not estimators_agree:
-        verdict = VIOLATION
+    # one family: the estimators agree, and clustered interferers leave more free space
+    verdict = decide([z_agree, -z_agree, _z_scores(p_th - p_po, sep)])
+    # the agreement rows at the family's size (an inf row never fires)
+    estimators_agree = decide([z_agree, -z_agree, np.inf]) == CONSISTENT
     details = {
         "p_poisson": p_po, "stderr_poisson": se_po,
         "p_thomas": p_th, "stderr_thomas": se_th,
@@ -239,15 +239,13 @@ def run_coverage_compare(params: dict, stream: RngStream) -> ScenarioResult:
     se_cov = np.hypot(rep_po.p_cover_stderr, rep_th.p_cover_stderr)
     se_m1 = np.hypot(rep_po.mean_count_stderr, rep_th.mean_count_stderr)
     se_m2 = np.hypot(rep_po.second_moment_stderr, rep_th.second_moment_stderr)
-    # claims: coverage lower for the clustered germs, first moments equal,
-    # second moments higher for the clustered germs
-    bad = (
-        np.any(rep_po.p_cover < rep_th.p_cover - 3 * se_cov)
-        or np.any(np.abs(rep_po.mean_count - rep_th.mean_count) > 3 * se_m1)
-        or np.any(rep_th.second_moment < rep_po.second_moment - 3 * se_m2)
-    )
+    # one family of claims per query: coverage lower for the clustered germs,
+    # first moments equal, second moments higher for the clustered germs
+    z_cov = _z_scores(rep_po.p_cover - rep_th.p_cover, se_cov)
+    z_m1 = _z_scores(rep_th.mean_count - rep_po.mean_count, se_m1)
+    z_m2 = _z_scores(rep_th.second_moment - rep_po.second_moment, se_m2)
+    verdict = decide([z_cov, z_m1, -z_m1, z_m2])
     analytic = 1.0 - float(np.exp(-lam * np.pi * r**2))
-    verdict = VIOLATION if bad else CONSISTENT
     details = {
         "poisson": rep_po.to_dict(),
         "thomas": rep_th.to_dict(),
@@ -280,10 +278,10 @@ def run_palm_poisson_check(params: dict, stream: RngStream) -> ScenarioResult:
     sampler = lambda gen: processes.sample_poisson(lam, w, gen)
     est, se = mixed_palm_estimate(sampler, f, g, n_reps, stream.split(0))
     expected = lam * box_a.volume + 1.0
-    ok = abs(est - expected) <= 3.0 * se
+    z = float(_z_scores(est - expected, se))
     return ScenarioResult(
         "palm-poisson-check",
-        CONSISTENT if ok else VIOLATION,
+        decide([z, -z]),
         [],
         None,
         {"estimate": est, "stderr": se, "expected": expected},
@@ -447,8 +445,8 @@ def run_ops_preservation(params: dict, stream: RngStream) -> ScenarioResult:
             p, processes.sample_poisson(1.0, w, gen)
         ),
     }
-    rows = []
-    verdicts = {}
+    rows, verdicts = [], {}
+    z_crit = bonferroni_z(3.0, len(transforms))  # one scenario rate, split over the ops
     for op_idx, (name, op) in enumerate(transforms.items()):
         extra = 1.0 * w.volume if name == "superpose_poisson" else 0.0
         factor = 0.5 if name == "thin_iid_half" else 1.0
@@ -458,17 +456,12 @@ def run_ops_preservation(params: dict, stream: RngStream) -> ScenarioResult:
         )
         sx = lambda gen, op=op: op(base_poisson(gen), gen)
         sy = lambda gen, op=op: op(base_ising(gen), gen)
-        rep = compare_on_boxes(sx, sy, boxes, suite, n_reps, stream.split(op_idx))
+        rep = compare_on_boxes(sx, sy, boxes, suite, n_reps, stream.split(op_idx), z_crit=z_crit)
         verdicts[name] = rep.verdict
         min_z = min(r.z for r in rep.records)
         rows.append([name, rep.verdict, min_z])
-    verdict = CONSISTENT
-    for v in verdicts.values():
-        if v != CONSISTENT:
-            verdict = v
-            break
     return ScenarioResult(
-        "ops-preservation", verdict, [], None, {"per_op": verdicts},
+        "ops-preservation", worst(verdicts.values()), [], None, {"per_op": verdicts},
         ["operation", "verdict", "min_z"], rows,
     )
 
@@ -482,14 +475,14 @@ def run_ripley_poisson(params: dict, stream: RngStream) -> ScenarioResult:
     reps = [processes.sample_poisson(lam, w, gen) for _ in range(n_reps)]
     k_hat, se = ripley_k(reps, r_grid, lam)
     ref = np.pi * r_grid**2
-    ok = bool(np.all(np.abs(k_hat - ref) <= 3.0 * se))
+    z = _z_scores(k_hat - ref, se)
     rows = [
         [float(r_grid[i]), float(k_hat[i]), float(se[i]), float(ref[i])]
         for i in range(r_grid.size)
     ]
     return ScenarioResult(
         "ripley-poisson",
-        CONSISTENT if ok else VIOLATION,
+        decide(np.concatenate([z, -z])),
         [],
         None,
         {"k_hat": k_hat.tolist(), "stderr": se.tolist(), "reference": ref.tolist()},

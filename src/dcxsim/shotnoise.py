@@ -11,6 +11,7 @@ from .geometry import (
     TORUS,
     AtomicMeasure,
     GridField,
+    NumericalError,
     PointPattern,
     Window,
     pairwise_distances,
@@ -102,7 +103,7 @@ def additive_sn(src: Source, h: ResponseKernel, queries: np.ndarray) -> np.ndarr
         return np.zeros(queries.shape[0])
     vals = h.value(pairwise_distances(w, locs, queries))
     if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite kernel value")
+        raise NumericalError("non-finite kernel value")
     return masses @ vals
 
 
@@ -136,7 +137,7 @@ def campbell_mean(h: ResponseKernel, mean_intensity: float, w: Window, y=None) -
             lambda r: surf * r ** (d - 1) * float(h.value(r)), 0.0, r_cut, limit=200
         )
         if not np.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
-            raise ValueError("quadrature non-convergence in campbell_mean")
+            raise NumericalError("quadrature non-convergence in campbell_mean")
         return mean_intensity * val
 
     def integrand(*u):
@@ -147,5 +148,5 @@ def campbell_mean(h: ResponseKernel, mean_intensity: float, w: Window, y=None) -
     opts = [{"limit": 200, "points": [-r_cut, 0.0, r_cut]} for _ in ranges]
     val, err = integrate.nquad(integrand, ranges, opts=opts)
     if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-        raise ValueError("quadrature non-convergence in campbell_mean")
+        raise NumericalError("quadrature non-convergence in campbell_mean")
     return mean_intensity * val

@@ -13,6 +13,7 @@ from .geometry import (
     AtomicMeasure,
     Box,
     GridField,
+    NumericalError,
     PointPattern,
     as_generator,
     pairwise_distances,
@@ -39,12 +40,13 @@ def ripley_k(
     Returns (K_hat, stderr) over the replications; for homogeneous Poisson in
     the plane K(r) = pi r^2.
     """
-    if len(reps) == 0:
-        raise ValueError("empty replication set")
+    for p in reps:
+        _require_torus(p)
+    if len(reps) < 2:
+        raise ValueError("need at least 2 replications")
     r_grid = np.asarray(r_grid, dtype=float)
     per_rep = np.zeros((len(reps), r_grid.size))
     for i, p in enumerate(reps):
-        _require_torus(p)
         if p.n < 2:
             continue
         d = np.sort(_pair_distances(p))
@@ -68,8 +70,10 @@ def pair_correlation(
     lam: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Box-kernel estimate of the pair correlation function g(r) on a torus."""
-    if len(reps) == 0:
-        raise ValueError("empty replication set")
+    for p in reps:
+        _require_torus(p)
+    if len(reps) < 2:
+        raise ValueError("need at least 2 replications")
     r_grid = np.asarray(r_grid, dtype=float)
     if bandwidth <= 0 or bandwidth >= r_grid.max():
         raise ValueError("need 0 < bandwidth < max r")
@@ -80,7 +84,6 @@ def pair_correlation(
     shell = _ball_volume(dim, hi) - _ball_volume(dim, lo)
     per_rep = np.zeros((len(reps), r_grid.size))
     for i, p in enumerate(reps):
-        _require_torus(p)
         if p.n < 2:
             continue
         d = np.sort(_pair_distances(p))
@@ -142,6 +145,8 @@ def mixed_palm_estimate(
 ) -> tuple[float, float]:
     """Self-normalized reweighting estimate of E g under the f-weighted law:
     E[(int f dLambda) g(Lambda)] / E[int f dLambda], with delta-method stderr."""
+    if n_reps < 2:
+        raise ValueError("need at least 2 replications")
     gen = as_generator(rng)
     weights = np.empty(n_reps)
     stats = np.empty(n_reps)
@@ -151,7 +156,7 @@ def mixed_palm_estimate(
         stats[i] = g(real)
     bbar = weights.mean()
     if bbar == 0.0:
-        raise ValueError("all weights zero in the sample")
+        raise NumericalError("all weights zero in the sample")
     a = weights * stats
     ratio = a.mean() / bbar
     cov = np.cov(np.stack([a, weights]), ddof=1)

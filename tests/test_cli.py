@@ -1,10 +1,12 @@
 import json
 import re
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from dcxsim import NumericalError
 from dcxsim.cli import main
 from dcxsim.scenarios import SCENARIOS
 
@@ -81,6 +83,18 @@ def test_invalid_parameter_is_config_error(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "sid, n_reps",
+    [("marked-basis", 1), ("palm-poisson-check", 1), ("ripley-poisson", 1), ("sinr-compare", 0)],
+)
+def test_too_few_replications_is_config_error(sid, n_reps, tmp_path):
+    path = _write_config(tmp_path, [{"id": sid, "n_reps": n_reps}])
+    result = CliRunner().invoke(main, ["run", str(path)])
+    assert result.exit_code == 2, result.output
+    for report in (tmp_path / "out").glob("*"):
+        assert "NaN" not in report.read_text()
+
+
 @pytest.mark.parametrize("sid", sorted(SCENARIOS))
 def test_every_scenario_round_trips(sid, tmp_path):
     path = _write_config(tmp_path, [dict(FAST_PARAMS[sid], id=sid)])
@@ -108,7 +122,7 @@ def test_exit_one_on_violation(tmp_path, monkeypatch):
     import dcxsim.cli as cli_mod
     from dcxsim.scenarios import ScenarioResult
 
-    def fake_run(sid, params, stream, workers=1):
+    def fake_run(sid, params, stream):
         return ScenarioResult(sid, "VIOLATION", [], None, {}, ["x"], [[1.0]])
 
     monkeypatch.setattr(cli_mod, "run_scenario", fake_run)
@@ -117,13 +131,12 @@ def test_exit_one_on_violation(tmp_path, monkeypatch):
     assert result.exit_code == 1
 
 
-def test_exit_three_on_runtime_failure(tmp_path, monkeypatch):
-    import numpy as np
-
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, NumericalError])
+def test_exit_three_on_runtime_failure(tmp_path, monkeypatch, error):
     import dcxsim.cli as cli_mod
 
-    def boom(sid, params, stream, workers=1):
-        raise np.linalg.LinAlgError("synthetic numeric failure")
+    def boom(sid, params, stream):
+        raise error("synthetic numeric failure")
 
     monkeypatch.setattr(cli_mod, "run_scenario", boom)
     path = _write_config(tmp_path, [{"id": "ripley-poisson"}])

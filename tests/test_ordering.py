@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from dcxsim.ordering import (
     bonferroni_z,
     compare_vectors,
     cx_compare_exact,
+    decide,
     lo_compare,
     make_suite,
     oracle_ginibre_radii,
@@ -139,6 +141,31 @@ def test_compare_vectors_stderr_at_large_offset(seed):
 def test_bonferroni_grows_with_suite_size():
     assert bonferroni_z(3.0, 1) == pytest.approx(3.0)
     assert bonferroni_z(3.0, 100) > 3.0
+
+
+@pytest.mark.parametrize("n_tests", [1, 8, 25])
+def test_decide_false_alarm_rate_on_null_z(n_tests):
+    # i.i.d. N(0, 1) families: VIOLATION at most sf(z_crit) of the time
+    gen = make_stream(21, n_tests).generator()
+    rate = np.mean([decide(z, 2.0) == VIOLATION for z in gen.standard_normal((4000, n_tests))])
+    alpha = sps.norm.sf(2.0)
+    assert rate <= alpha + 3 * np.sqrt(alpha / 4000)
+
+
+def test_compare_vectors_false_alarm_rate_on_equal_laws():
+    # equal laws: each of VIOLATION (suite) and INCONCLUSIVE (mean gate) fires
+    # in at most sf(z_crit) of the runs
+    n_runs, alpha = 300, sps.norm.sf(1.0)
+    stream = make_stream(22)
+    suite = make_suite("dcx", 3, 10, stream.split(10**6), scale=np.full(3, 5.0))
+    draw = _draw_iid_poisson(5.0, 3)
+    verdicts = [
+        compare_vectors(draw, draw, suite, 200, stream.split(i), z_crit=1.0).verdict
+        for i in range(n_runs)
+    ]
+    bound = alpha + 3 * np.sqrt(alpha * (1 - alpha) / n_runs)
+    assert verdicts.count(VIOLATION) / n_runs <= bound
+    assert verdicts.count(INCONCLUSIVE) / n_runs <= bound
 
 
 def test_lo_compare_directions():

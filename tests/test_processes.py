@@ -61,6 +61,21 @@ def test_ising_field_validation():
         processes.sample_ising_field(1.0, 2.0, 0.5, W, [4, 4], make_stream(0))
     with pytest.raises(ValueError):
         processes.sample_ising_field(2.0, 0.0, 1.5, W, [4, 4], make_stream(0))
+    with pytest.raises(ValueError):  # torus side not a whole multiple of the spacing
+        processes.sample_ising_field(2.0, 0.0, 0.5, W, [4, 4], make_stream(0), spacing=0.3)
+
+
+def test_ising_field_periodic_on_torus():
+    # points 0.12 apart across the wrap share a lattice cell w.p. 0.88, so
+    # their values agree w.p. 0.88 + 0.12 / 2 = 0.94 (0.5 without wrapping)
+    w = make_window([0, 0], [4, 4])
+    gen = make_stream(13).generator()
+    pts = np.array([[0.06, 2.0], [3.94, 2.0]])
+    agree = [
+        np.ptp(processes.sample_ising_field(2.0, 0.0, 0.5, w, [32, 32], gen).value_at(pts)) == 0
+        for _ in range(400)
+    ]
+    assert np.mean(agree) >= 0.85
 
 
 def test_levy_grid_lattice_layout():
