@@ -189,13 +189,16 @@ class GridField:
     def cell_volume(self) -> float:
         return float(np.prod(self.cell_lengths))
 
-    def midpoints(self) -> np.ndarray:
-        """(n_cells, d) cell midpoints in C order matching values.ravel()."""
-        axes = [
+    def axis_midpoints(self) -> list[np.ndarray]:
+        """Cell midpoints along each axis."""
+        return [
             self.window.lows[k] + (np.arange(self.cells_per_axis[k]) + 0.5) * self.cell_lengths[k]
             for k in range(self.window.dim)
         ]
-        mesh = np.meshgrid(*axes, indexing="ij")
+
+    def midpoints(self) -> np.ndarray:
+        """(n_cells, d) cell midpoints in C order matching values.ravel()."""
+        mesh = np.meshgrid(*self.axis_midpoints(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def value_at(self, points: np.ndarray) -> np.ndarray:
@@ -255,15 +258,28 @@ def mass_in(m: Union[GridField, AtomicMeasure], b: Box) -> float:
         return float(np.sum(m.masses[b.contains(m.locations)]))
     # grid field: per-axis overlap lengths factorize the integral
     t = m.values
-    for k in range(m.window.dim):
-        edges = m.window.lows[k] + np.arange(m.cells_per_axis[k] + 1) * m.cell_lengths[k]
-        ov = np.clip(
-            np.minimum(edges[1:], b.highs[k]) - np.maximum(edges[:-1], b.lows[k]),
-            0.0,
-            None,
-        )
+    for ov in cell_overlaps(m.window, m.cells_per_axis, b.lows, b.highs):
         t = np.tensordot(ov, t, axes=(0, 0))
     return float(t)
+
+
+def cell_overlaps(w: Window, cells_per_axis, lows, highs) -> list[np.ndarray]:
+    """Per axis k, the lengths of [edge_i, edge_i+1) ∩ [lows[..., k], highs[..., k])
+    over the k-th axis's grid cells, each of shape (cells_per_axis[k],) + lows.shape[:-1].
+
+    The volume of a grid cell inside a box is the product of its per-axis lengths.
+    """
+    lows = np.asarray(lows, dtype=float)
+    highs = np.asarray(highs, dtype=float)
+    out = []
+    for k in range(w.dim):
+        n = int(cells_per_axis[k])
+        edges = w.lows[k] + np.arange(n + 1) * (w.lengths[k] / n)
+        edges = edges.reshape((n + 1,) + (1,) * (lows.ndim - 1))
+        out.append(
+            np.maximum(np.minimum(edges[1:], highs[..., k]) - np.maximum(edges[:-1], lows[..., k]), 0.0)
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,14 @@ def thin_iid(p: PointPattern, retention: float, rng) -> PointPattern:
     return PointPattern(p.window, p.points[keep], marks)
 
 
+def thin_counts(counts: np.ndarray, retention: float, rng) -> np.ndarray:
+    """Box counts of an independent thinning, from the box counts of the
+    pattern: each count is thinned binomially."""
+    if not 0.0 <= retention <= 1.0:
+        raise ValueError("retention must be in [0, 1]")
+    return as_generator(rng).binomial(counts, retention)
+
+
 def thin_split(p: PointPattern, retention: float, rng) -> tuple[PointPattern, PointPattern]:
     """Thinning plus its complement from shared coin flips; superposing the two
     reconstructs p exactly."""

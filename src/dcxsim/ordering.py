@@ -5,6 +5,11 @@ A claim "X <= Y in class F" is tested by estimating E f(X) and E f(Y) for a
 randomized suite of functions f certified to lie in F.  Monte Carlo can only
 falsify an ordering, so passing verdicts are CONSISTENT rather than proven.
 
+Monte-Carlo estimates come from ``replicate``, which asks each side for one
+batch draw (gen, size) -> (size, k) per chunk; ``batched`` turns a
+per-replication draw into one, and the count-level samplers of
+``processes`` are batch draws already.
+
 Every Monte-Carlo verdict comes from ``decide``: a family of z-scores, signed
 so that negative values count against the claim (a two-sided test enters as
 z and -z), is a VIOLATION iff some z < -bonferroni_z(z_crit, len(z)).  One
@@ -317,17 +322,24 @@ def _run_chunks(worker, n_chunks: int) -> list:
     return [worker(ci) for ci in range(n_chunks)]
 
 
+def batched(draw: Callable[[np.random.Generator], np.ndarray]) -> Callable:
+    """Batch draw from a per-replication draw: ``size`` calls stacked into a
+    (size, k) array, in order from the one generator."""
+    return lambda gen, size: np.stack([np.atleast_1d(draw(gen)) for _ in range(size)])
+
+
 def replicate(
-    draws: Sequence[Callable[[np.random.Generator], np.ndarray]],
+    draws: Sequence[Callable[[np.random.Generator, int], np.ndarray]],
     reduce: Callable[[np.ndarray], np.ndarray],
     n_reps: int,
     stream: RngStream,
     chunk_size: int,
 ) -> list[Moments]:
-    """Moments of n_reps independent draws per side, one Moments per draw function.
+    """Moments of n_reps independent draws per side, one Moments per batch draw.
 
-    Each chunk stacks its draws into a (size, k) array and ``reduce`` maps it
-    to the rows whose moments are kept.  Chunk ci of side s draws from
+    Each chunk calls ``draw(gen, size)`` once for a (size, k) array of
+    independent replications, and ``reduce`` maps it to the rows whose
+    moments are kept.  Chunk ci of side s draws from
     ``stream.split(len(draws) * ci + s)`` and chunks merge in chunk order, so
     the result depends only on the stream and the chunk size.
     """
@@ -340,8 +352,7 @@ def replicate(
         out = []
         for s, draw in enumerate(draws):
             gen = stream.split(n_sides * ci + s).generator()
-            vals = np.stack([np.atleast_1d(draw(gen)) for _ in range(sizes[ci])])
-            out.append(Moments.of(reduce(vals)))
+            out.append(Moments.of(reduce(draw(gen, sizes[ci]))))
         return out
 
     parts = _run_chunks(worker, len(sizes))
@@ -360,8 +371,8 @@ def _z_scores(diff, se, degenerate=None) -> np.ndarray:
 
 
 def compare_vectors(
-    draw_x: Callable[[np.random.Generator], np.ndarray],
-    draw_y: Callable[[np.random.Generator], np.ndarray],
+    draw_x: Callable[[np.random.Generator, int], np.ndarray],
+    draw_y: Callable[[np.random.Generator, int], np.ndarray],
     suite: Sequence[TestFunction],
     n_reps: int,
     stream: RngStream,
@@ -370,7 +381,10 @@ def compare_vectors(
     z_crit: float = 3.0,
 ) -> OrderReport:
     """Independent MC estimates of E f(X) and E f(Y) per suite function, with
-    Welch z-scores against the claim X <= Y and a Bonferroni-corrected verdict."""
+    Welch z-scores against the claim X <= Y and a Bonferroni-corrected verdict.
+
+    draw_x and draw_y are batch draws (gen, size) -> (size, n); ``batched``
+    adapts a per-replication draw."""
     if len(suite) == 0:
         raise ValueError("empty test-function suite")
     if require_equal_means is None:
@@ -429,12 +443,13 @@ def compare_on_boxes(
     stream: RngStream,
     **kwargs,
 ) -> OrderReport:
-    """compare_vectors on the count vectors of pairwise-disjoint boxes."""
+    """compare_vectors on the count vectors of pairwise-disjoint boxes, from
+    point-pattern samplers."""
     if not boxes_disjoint(boxes):
         raise ValueError("boxes must be pairwise disjoint")
     return compare_vectors(
-        counts_on_boxes(sampler_x, boxes),
-        counts_on_boxes(sampler_y, boxes),
+        batched(counts_on_boxes(sampler_x, boxes)),
+        batched(counts_on_boxes(sampler_y, boxes)),
         suite,
         n_reps,
         stream,
@@ -476,7 +491,9 @@ def lo_compare(
     stream: RngStream,
 ) -> LoReport:
     """Test the claim U1 <= U2 in lower-orthant order:
-    P(U1 <= t) >= P(U2 <= t) jointly at every threshold vector t."""
+    P(U1 <= t) >= P(U2 <= t) jointly at every threshold vector t.
+
+    draw_u1 and draw_u2 are batch draws, as in compare_vectors."""
     thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
 
     def below(u: np.ndarray) -> np.ndarray:

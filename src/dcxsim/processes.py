@@ -1,4 +1,10 @@
-"""Samplers for the point-process and random-measure families under comparison."""
+"""Samplers for the point-process and random-measure families under comparison.
+
+The point samplers draw whole realizations and are the reference.  The
+box-count scenarios draw their count vectors directly with the count-level
+samplers (``make_poisson_counts``, ``make_ising_cox_counts``), which have
+the same law as a point sampler followed by ``count_in`` on each box.
+"""
 from __future__ import annotations
 
 from typing import Callable, Optional
@@ -15,6 +21,8 @@ from .geometry import (
     PointPattern,
     Window,
     as_generator,
+    boxes_disjoint,
+    cell_overlaps,
     pairwise_distances,
 )
 
@@ -59,6 +67,42 @@ def sample_mixed_poisson(mix: MassDistribution, w: Window, rng) -> PointPattern:
     return PointPattern(w, _uniform_points(w, n, gen))
 
 
+def _check_spins(mu1: float, mu2: float, p_plus: float) -> None:
+    if mu2 > mu1:
+        raise ValueError("need mu2 <= mu1")
+    if not 0.0 <= p_plus <= 1.0:
+        raise ValueError("p_plus must be a probability")
+
+
+def _lattice_size(w: Window, spacing: float) -> np.ndarray:
+    """Spin-lattice cells per axis; on a torus each side must be a whole
+    multiple of the spacing."""
+    n_lattice = np.rint(w.lengths / spacing).astype(int)
+    if w.topology == TORUS and np.any(np.abs(n_lattice * spacing - w.lengths) > 1e-9 * w.lengths):
+        raise ValueError("on a torus each window side must be a whole multiple of the spacing")
+    return n_lattice
+
+
+def _lattice_index(
+    w: Window, points: np.ndarray, shift: np.ndarray, spacing: float, n_lattice: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spin-lattice cell of each point along each axis, and the lattice size.
+
+    points (..., n, d) and the lattice shift (..., 1, d) broadcast.  On a torus
+    the lattice is periodic with n_lattice cells per axis; on a plain window it
+    is the cells the points meet, numbered from 0 along each axis.
+    """
+    if w.topology == TORUS:
+        return np.floor((points - w.lows - shift) / spacing).astype(int) % n_lattice, n_lattice
+    idx = np.floor((points - shift) / spacing).astype(int)
+    idx -= idx.min(axis=-2, keepdims=True)
+    return idx, idx.max(axis=-2) + 1
+
+
+# Lattice spacing of the spin-lattice field, shared by the point and the count path.
+ISING_SPACING = 1.0
+
+
 def sample_ising_field(
     mu1: float,
     mu2: float,
@@ -66,7 +110,7 @@ def sample_ising_field(
     w: Window,
     cells_per_axis,
     rng,
-    spacing: float = 1.0,
+    spacing: float = ISING_SPACING,
 ) -> GridField:
     """Randomly shifted lattice field taking mu1 w.p. p_plus else mu2, i.i.d. per
     lattice cell, resampled onto the requested grid at cell midpoints.
@@ -74,26 +118,99 @@ def sample_ising_field(
     On a torus the lattice is periodic (each side must be a whole multiple of
     the spacing), so the cell that wraps around the window has one spin.
     """
-    if mu2 > mu1:
-        raise ValueError("need mu2 <= mu1")
-    if not 0.0 <= p_plus <= 1.0:
-        raise ValueError("p_plus must be a probability")
-    n_lattice = np.rint(w.lengths / spacing).astype(int)
-    if w.topology == TORUS and np.any(np.abs(n_lattice * spacing - w.lengths) > 1e-9 * w.lengths):
-        raise ValueError("on a torus each window side must be a whole multiple of the spacing")
+    _check_spins(mu1, mu2, p_plus)
+    n_lattice = _lattice_size(w, spacing)
     gen = as_generator(rng)
     shift = gen.random(w.dim) * spacing
     field = GridField(w, cells_per_axis, np.zeros(tuple(np.atleast_1d(cells_per_axis))))
-    mids = field.midpoints()
-    if w.topology == TORUS:
-        lattice_idx = np.floor((mids - w.lows - shift) / spacing).astype(int) % n_lattice
-    else:
-        lattice_idx = np.floor((mids - shift) / spacing).astype(int)
-        lattice_idx -= lattice_idx.min(axis=0)
-        n_lattice = lattice_idx.max(axis=0) + 1
+    lattice_idx, n_lattice = _lattice_index(w, field.midpoints(), shift, spacing, n_lattice)
     spins = gen.random(tuple(n_lattice)) < p_plus
     vals = np.where(spins[tuple(lattice_idx.T)], mu1, mu2)
     return GridField(w, cells_per_axis, vals.reshape(field.values.shape))
+
+
+# ---------------------------------------------------------------------------
+# Count-level samplers: given its intensity L, a Cox process has independent
+# Poisson(L(B)) counts on disjoint boxes B, so box counts are drawn without
+# points.  Each sampler is a batch draw (gen, size) -> (size, len(boxes)) with
+# the law of the point samplers above followed by count_in on every box.
+
+def _preimage_overlaps(w: Window, cells_per_axis, boxes, translate) -> list[np.ndarray]:
+    """cell_overlaps of the grid with the pre-images B - translate of the boxes:
+    wrapped around a torus, clipped to a plain window (ops.displace drops the
+    points that leave it)."""
+    lows = np.array([b.lows for b in boxes])
+    highs = np.array([b.highs for b in boxes])
+    if not (boxes_disjoint(boxes) and w.contains(lows).all() and w.contains(highs).all()):
+        raise ValueError("boxes must be pairwise disjoint and lie in the window")
+    lows, highs = lows - translate, highs - translate
+    if w.topology != TORUS:
+        return cell_overlaps(w, cells_per_axis, lows, highs)
+    wrapped = w.lows + np.mod(lows - w.lows, w.lengths)
+    highs = wrapped + (highs - lows)
+    # the part of a wrapped box beyond the window's upper edge re-enters at its lower edge
+    upper = cell_overlaps(w, cells_per_axis, wrapped, highs)
+    lower = cell_overlaps(w, cells_per_axis, wrapped - w.lengths, highs - w.lengths)
+    return [a + b for a, b in zip(upper, lower)]
+
+
+def _occupancy(idx: np.ndarray, n_lat: int, ov: np.ndarray) -> np.ndarray:
+    """(size, n_lat, boxes) sums of the grid cells' box overlaps ov (cells, boxes)
+    over the cells that idx (size, cells) maps to each lattice cell."""
+    size = idx.shape[0]
+    flat = (idx + n_lat * np.arange(size)[:, None]).ravel()
+    sums = [np.bincount(flat, np.tile(col, size), size * n_lat) for col in ov.T]
+    return np.stack(sums, axis=-1).reshape(size, n_lat, -1)
+
+
+def make_poisson_counts(lam: float, w: Window, boxes, translate=0.0) -> Callable:
+    """Counts of the homogeneous Poisson process on the boxes (translated by
+    ``translate`` as ops.displace does): independent Poisson(lam |B - t|)."""
+    if lam <= 0:
+        raise ValueError("intensity must be positive")
+    ovs = _preimage_overlaps(w, np.ones(w.dim, dtype=int), boxes, translate)
+    means = lam * np.prod([ov[0] for ov in ovs], axis=0)
+    return lambda gen, size: gen.poisson(means, size=(size, means.size))
+
+
+def make_ising_cox_counts(
+    mu1: float,
+    mu2: float,
+    p_plus: float,
+    w: Window,
+    cells_per_axis,
+    boxes,
+    translate=0.0,
+) -> Callable:
+    """Counts of the spin-lattice Cox process (sample_ising_field at its default
+    spacing ISING_SPACING, then sample_cox) on the boxes, translated by
+    ``translate`` as ops.displace does.
+
+    A grid cell takes the spin of the lattice cell holding its midpoint, so
+    L(B) = sum over lattice cells l of value(l) * prod_k occ_k(l_k, B), where
+    occ_k(l, B) is the length along axis k of the grid cells mapped to l inside
+    B.  Only (size, lattice cells, boxes) arrays are built, never the grid.
+    """
+    _check_spins(mu1, mu2, p_plus)
+    n_lattice = _lattice_size(w, ISING_SPACING)
+    field = GridField(w, cells_per_axis, np.zeros(tuple(np.atleast_1d(cells_per_axis))))
+    axes = field.axis_midpoints()
+    # per-axis midpoints side by side, padded with each axis's last midpoint
+    rows = np.arange(max(a.size for a in axes))
+    table = np.stack([a[np.minimum(rows, a.size - 1)] for a in axes], axis=1)
+    ovs = _preimage_overlaps(w, field.cells_per_axis, boxes, translate)
+    letters = "ijklmnopqr"[: w.dim]
+    spec = f"s{letters}," + ",".join(f"s{c}b" for c in letters) + "->sb"
+
+    def draw(gen: np.random.Generator, size: int) -> np.ndarray:
+        shift = gen.random((size, 1, w.dim)) * ISING_SPACING
+        idx, n_lat = _lattice_index(w, table, shift, ISING_SPACING, n_lattice)
+        n_lat = np.max(np.reshape(n_lat, (-1, w.dim)), axis=0)
+        values = np.where(gen.random((size, *n_lat)) < p_plus, mu1, mu2)
+        occ = [_occupancy(idx[:, : ov.shape[0], k], n_lat[k], ov) for k, ov in enumerate(ovs)]
+        return gen.poisson(np.einsum(spec, values, *occ))
+
+    return draw
 
 
 def sample_levy_grid_basis(

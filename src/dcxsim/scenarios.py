@@ -10,12 +10,12 @@ import numpy as np
 from . import processes, wireless
 from .distributions import ClusterKernel, MassDistribution, constant, exponential
 from .geometry import Box, RngStream, Window, count_in, make_window, mass_in
-from .ops import displace, superpose, thin_iid
+from .ops import thin_counts
 from .ordering import (
     CONSISTENT,
     _z_scores,
+    batched,
     bonferroni_z,
-    compare_on_boxes,
     compare_vectors,
     decide,
     lo_compare,
@@ -66,6 +66,45 @@ def _order_csv(report) -> tuple[list, list]:
     return header, rows
 
 
+def _box_count_samplers(params: dict, w: Window, boxes, translate=0.0) -> tuple:
+    """lam_bar and the batch count samplers of the homogeneous Poisson process
+    and the spin-lattice Cox process of equal intensity lam_bar on the boxes,
+    both translated by ``translate``."""
+    mu1 = float(params.get("mu1", 2.0))
+    mu2 = float(params.get("mu2", 0.0))
+    p_plus = float(params.get("p_plus", 0.5))
+    cells = int(params.get("cells_per_axis", 32))
+    lam_bar = mu1 * p_plus + mu2 * (1.0 - p_plus)
+    return (
+        lam_bar,
+        processes.make_poisson_counts(lam_bar, w, boxes, translate),
+        processes.make_ising_cox_counts(
+            mu1, mu2, p_plus, w, [cells] * w.dim, boxes, translate=translate
+        ),
+    )
+
+
+def _ops_arms(params: dict, w: Window, boxes) -> tuple:
+    """lam_bar and, per operation of ops-preservation, the batch count samplers
+    of the operated Poisson and spin-lattice Cox processes.
+
+    Counts are operated on directly: independent thinning is binomial thinning
+    of the counts, superposing a unit Poisson process adds independent
+    Poisson(|B|) counts, and a translation by t counts the original process on
+    the pre-images B - t.
+    """
+    shift = np.asarray(params.get("shift", [0.35, 0.15]), dtype=float)
+    lam_bar, poisson, cox = _box_count_samplers(params, w, boxes)
+    unit = processes.make_poisson_counts(1.0, w, boxes)
+    thinned = lambda base: lambda gen, size: thin_counts(base(gen, size), 0.5, gen)
+    superposed = lambda base: lambda gen, size: base(gen, size) + unit(gen, size)
+    return lam_bar, {
+        "thin_iid_half": (thinned(poisson), thinned(cox)),
+        "displace_shift": _box_count_samplers(params, w, boxes, shift)[1:],
+        "superpose_poisson": (superposed(poisson), superposed(cox)),
+    }
+
+
 def _thomas_sampler_matching(lam: float, params: dict, w: Window) -> Callable:
     """Thomas sampler with total intensity lam."""
     cluster_size = float(params.get("cluster_size", 5.0))
@@ -77,29 +116,15 @@ def _thomas_sampler_matching(lam: float, params: dict, w: Window) -> Callable:
 # Scenario runners
 
 def run_ising_vs_poisson(params: dict, stream: RngStream) -> ScenarioResult:
-    mu1 = float(params.get("mu1", 2.0))
-    mu2 = float(params.get("mu2", 0.0))
-    p_plus = float(params.get("p_plus", 0.5))
     n_reps = int(params.get("n_reps", 20_000))
     suite_size = int(params.get("suite_size", 100))
     z_crit = float(params.get("z_crit", 3.0))
-    cells = int(params.get("cells_per_axis", 32))
     w = _window(params, [0.0, 0.0], [4.0, 4.0])
-    lam_bar = mu1 * p_plus + mu2 * (1.0 - p_plus)
     boxes = _quadrant_boxes(w)
-
-    def draw_poisson(gen):
-        return processes.sample_poisson(lam_bar, w, gen)
-
-    def draw_ising(gen):
-        f = processes.sample_ising_field(mu1, mu2, p_plus, w, [cells] * w.dim, gen)
-        return processes.sample_cox(f, gen)
-
+    lam_bar, draw_poisson, draw_ising = _box_count_samplers(params, w, boxes)
     scale = np.array([lam_bar * b.volume for b in boxes])
     suite = make_suite("dcx", len(boxes), suite_size, stream.split(10**6), scale=scale)
-    report = compare_on_boxes(
-        draw_poisson, draw_ising, boxes, suite, n_reps, stream, z_crit=z_crit
-    )
+    report = compare_vectors(draw_poisson, draw_ising, suite, n_reps, stream, z_crit=z_crit)
     header, rows = _order_csv(report)
     n_separated = int(sum(r.z > 3.0 for r in report.records))
     return ScenarioResult(
@@ -126,10 +151,9 @@ def run_ppcluster_family(params: dict, stream: RngStream) -> ScenarioResult:
     )
 
     def draw_at(c):
-        return lambda gen: processes.ppcluster_intensity_at(c, lam, kernel, w, queries, gen)
+        return batched(lambda gen: processes.ppcluster_intensity_at(c, lam, kernel, w, queries, gen))
 
     results, per_function, rows = [], [], []
-    mean_eq = None
     z_crit = bonferroni_z(3.0, len(pairs))  # one scenario rate, split over the pairs
     for k, (c_hi, c_lo) in enumerate(pairs):
         suite = make_suite(
@@ -141,7 +165,6 @@ def run_ppcluster_family(params: dict, stream: RngStream) -> ScenarioResult:
             draw_at(c_hi), draw_at(c_lo), suite, n_reps, stream.split(2 * k), z_crit=z_crit
         )
         per_function.extend(dict(r.to_dict(), c_pair=[c_hi, c_lo]) for r in rep.records)
-        mean_eq = rep.mean_equality
         # intensity variance at the first query, from the compared draws
         var_hi, var_lo = float(rep.var_x[0]), float(rep.var_y[0])
         results.append(
@@ -152,6 +175,7 @@ def run_ppcluster_family(params: dict, stream: RngStream) -> ScenarioResult:
                 "var_lo": var_lo,
                 "var_ratio": var_hi / var_lo,
                 "expected_ratio": c_lo / c_hi,
+                "mean_equality": rep.mean_equality,
             }
         )
         rows.append([c_hi, c_lo, rep.verdict, var_hi, var_lo, var_hi / var_lo, c_lo / c_hi])
@@ -159,7 +183,7 @@ def run_ppcluster_family(params: dict, stream: RngStream) -> ScenarioResult:
         "ppcluster-family",
         worst(r["verdict"] for r in results),
         per_function,
-        mean_eq,
+        None,
         {"pairs": results},
         ["c_hi", "c_lo", "verdict", "var_hi", "var_lo", "var_ratio", "expected_ratio"],
         rows,
@@ -347,8 +371,8 @@ def run_lo_extremal(params: dict, stream: RngStream) -> ScenarioResult:
     h = ResponseKernel("power_law", (beta,))
     poisson = lambda gen: processes.sample_poisson(lam, w, gen)
     thomas = _thomas_sampler_matching(lam, params, w)
-    draw_po = lambda gen: extremal_sn(poisson(gen), h, queries)
-    draw_th = lambda gen: extremal_sn(thomas(gen), h, queries)
+    draw_po = batched(lambda gen: extremal_sn(poisson(gen), h, queries))
+    draw_th = batched(lambda gen: extremal_sn(thomas(gen), h, queries))
     grid_1d = np.asarray(params.get("threshold_grid", np.linspace(0.1, 0.9, 5)), dtype=float)
     thresholds = np.array([[t1, t2] for t1 in grid_1d for t2 in grid_1d])
     # the clustered field has more uncovered space: claim U_thomas <= U_poisson (lo)
@@ -378,7 +402,7 @@ def run_levy_grid(params: dict, stream: RngStream) -> ScenarioResult:
         def inner(gen):
             m = processes.sample_levy_grid_basis(spacing, mass, w, gen)
             return np.array([mass_in(m, b) for b in boxes])
-        return inner
+        return batched(inner)
 
     atoms_per_box = (w.volume / spacing**w.dim) / len(boxes)
     suite = make_suite(
@@ -407,7 +431,7 @@ def run_marked_basis(params: dict, stream: RngStream) -> ScenarioResult:
             const, marked = processes.sample_marked_poisson_basis(lam, mark, w, gen)
             m = const if which == 0 else marked
             return np.array([mass_in(m, b) for b in boxes])
-        return inner
+        return batched(inner)
 
     scale = np.array([lam * mark_mean * b.volume for b in boxes])
     suite = make_suite("dcx", len(boxes), suite_size, stream.split(10**6), scale=scale)
@@ -420,43 +444,21 @@ def run_marked_basis(params: dict, stream: RngStream) -> ScenarioResult:
 
 
 def run_ops_preservation(params: dict, stream: RngStream) -> ScenarioResult:
-    mu1 = float(params.get("mu1", 2.0))
-    mu2 = float(params.get("mu2", 0.0))
-    p_plus = float(params.get("p_plus", 0.5))
     n_reps = int(params.get("n_reps", 10_000))
     suite_size = int(params.get("suite_size", 30))
-    cells = int(params.get("cells_per_axis", 32))
     w = _window(params, [0.0, 0.0], [4.0, 4.0])
-    lam_bar = mu1 * p_plus + mu2 * (1.0 - p_plus)
     boxes = _quadrant_boxes(w)
-    shift = np.asarray(params.get("shift", [0.35, 0.15]), dtype=float)
-
-    def base_poisson(gen):
-        return processes.sample_poisson(lam_bar, w, gen)
-
-    def base_ising(gen):
-        f = processes.sample_ising_field(mu1, mu2, p_plus, w, [cells] * w.dim, gen)
-        return processes.sample_cox(f, gen)
-
-    transforms = {
-        "thin_iid_half": lambda p, gen: thin_iid(p, 0.5, gen),
-        "displace_shift": lambda p, gen: displace(p, lambda x: x + shift),
-        "superpose_poisson": lambda p, gen: superpose(
-            p, processes.sample_poisson(1.0, w, gen)
-        ),
-    }
+    lam_bar, arms = _ops_arms(params, w, boxes)
     rows, verdicts = [], {}
-    z_crit = bonferroni_z(3.0, len(transforms))  # one scenario rate, split over the ops
-    for op_idx, (name, op) in enumerate(transforms.items()):
+    z_crit = bonferroni_z(3.0, len(arms))  # one scenario rate, split over the ops
+    for op_idx, (name, (sx, sy)) in enumerate(arms.items()):
         extra = 1.0 * w.volume if name == "superpose_poisson" else 0.0
         factor = 0.5 if name == "thin_iid_half" else 1.0
         scale = np.array([factor * lam_bar * b.volume + extra / len(boxes) for b in boxes])
         suite = make_suite(
             "dcx", len(boxes), suite_size, stream.split(10**6 + op_idx), scale=scale,
         )
-        sx = lambda gen, op=op: op(base_poisson(gen), gen)
-        sy = lambda gen, op=op: op(base_ising(gen), gen)
-        rep = compare_on_boxes(sx, sy, boxes, suite, n_reps, stream.split(op_idx), z_crit=z_crit)
+        rep = compare_vectors(sx, sy, suite, n_reps, stream.split(op_idx), z_crit=z_crit)
         verdicts[name] = rep.verdict
         min_z = min(r.z for r in rep.records)
         rows.append([name, rep.verdict, min_z])

@@ -9,7 +9,7 @@ import numpy as np
 
 from .distributions import MassDistribution
 from .geometry import PointPattern, RngStream, Window, pairwise_distances
-from .ordering import replicate
+from .ordering import batched, replicate
 from .shotnoise import ResponseKernel
 from .stats import coverage_field
 
@@ -110,7 +110,7 @@ def _sinr_estimate(
         own = np.asarray(layout.fading.sample(gen, size=layout.n_links), dtype=float)
         return float(np.all(own >= s))
 
-    (mom,) = replicate((draw,), lambda v: v, n_reps, stream, _CHUNK)
+    (mom,) = replicate((batched(draw),), lambda v: v, n_reps, stream, _CHUNK)
     return float(mom.mean[0]), float(mom.stderr[0])
 
 
@@ -185,7 +185,7 @@ def boolean_coverage(
         return coverage_field(PointPattern(p.window, p.points, radii), queries).astype(float)
 
     (mom,) = replicate(
-        (draw,), lambda v: np.hstack([v >= 1, v, v**2]), n_reps, stream, _CHUNK
+        (batched(draw),), lambda v: np.hstack([v >= 1, v, v**2]), n_reps, stream, _CHUNK
     )
     mean, se = mom.mean, mom.stderr
     return CoverageReport(

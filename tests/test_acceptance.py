@@ -15,7 +15,7 @@ from dcxsim import processes, wireless
 from dcxsim.ordering import (
     CONSISTENT,
     VIOLATION,
-    compare_on_boxes,
+    batched,
     compare_vectors,
     lo_compare,
     make_suite,
@@ -23,7 +23,7 @@ from dcxsim.ordering import (
     oracle_ising_exact,
     oracle_poisson_scaling,
 )
-from dcxsim.scenarios import SCENARIOS, run_ops_preservation
+from dcxsim.scenarios import SCENARIOS, _quadrant_boxes, run_ops_preservation
 from dcxsim.shotnoise import ResponseKernel, extremal_sn
 from dcxsim.stats import mixed_palm_estimate, ripley_k
 
@@ -111,21 +111,12 @@ def test_criterion_05_ripley_baseline_and_excess():
 
 
 def _ising_pair(mu1=2.0, mu2=0.0, p_plus=0.5, cells=32):
+    # box counts drawn at count level, with the law of field -> points -> count_in
     w = make_window([0, 0], [4, 4])
     lam_bar = mu1 * p_plus + mu2 * (1 - p_plus)
-    mids = (w.lows + w.highs) / 2
-    boxes = [
-        Box(w.lows, mids),
-        Box([mids[0], w.lows[1]], [w.highs[0], mids[1]]),
-        Box([w.lows[0], mids[1]], [mids[0], w.highs[1]]),
-        Box(mids, w.highs),
-    ]
-    draw_po = lambda gen: processes.sample_poisson(lam_bar, w, gen)
-
-    def draw_is(gen):
-        f = processes.sample_ising_field(mu1, mu2, p_plus, w, [cells, cells], gen)
-        return processes.sample_cox(f, gen)
-
+    boxes = _quadrant_boxes(w)
+    draw_po = processes.make_poisson_counts(lam_bar, w, boxes)
+    draw_is = processes.make_ising_cox_counts(mu1, mu2, p_plus, w, [cells, cells], boxes)
     return boxes, draw_po, draw_is, lam_bar
 
 
@@ -134,13 +125,9 @@ def test_criterion_06_box_count_dcx_comparison():
     stream = make_stream(SEED, 6)
     scale = np.array([lam_bar * b.volume for b in boxes])
     suite = make_suite("dcx", 4, 100, stream.split(10**6), scale=scale)
-    fwd = compare_on_boxes(
-        draw_po, draw_is, boxes, suite, 100_000, stream.split(0)
-    )
+    fwd = compare_vectors(draw_po, draw_is, suite, 100_000, stream.split(0))
     n_sep = sum(r.z > 3 for r in fwd.records)
-    rev = compare_on_boxes(
-        draw_is, draw_po, boxes, suite, 100_000, stream.split(1)
-    )
+    rev = compare_vectors(draw_is, draw_po, suite, 100_000, stream.split(1))
     ok = (
         fwd.verdict == CONSISTENT
         and fwd.mean_equality["passed"]
@@ -166,7 +153,7 @@ def test_criterion_07_cluster_intensity_family():
     for k, (c_hi, c_lo) in enumerate([(4.0, 1.0), (2.0, 0.5)]):
         suite = make_suite("dcx", 3, 40, stream.split(10**6 + k), scale=np.full(3, lam))
         rep = compare_vectors(
-            draw_at(c_hi), draw_at(c_lo), suite, n_reps, stream.split(k)
+            batched(draw_at(c_hi)), batched(draw_at(c_lo)), suite, n_reps, stream.split(k)
         )
         ok = ok and rep.verdict == CONSISTENT
     variances = {}
@@ -186,8 +173,8 @@ def test_criterion_08_extremal_lower_orthant():
     queries = np.array([[0.25, 0.25], [0.75, 0.75]])
     poisson = lambda gen: processes.sample_poisson(lam, W1, gen)
     thomas = processes.make_thomas_sampler(4.0, 5.0, 0.05, W1)
-    draw_po = lambda gen: extremal_sn(poisson(gen), h, queries)
-    draw_th = lambda gen: extremal_sn(thomas(gen), h, queries)
+    draw_po = batched(lambda gen: extremal_sn(poisson(gen), h, queries))
+    draw_th = batched(lambda gen: extremal_sn(thomas(gen), h, queries))
     grid = np.linspace(0.1, 0.9, 5)
     thresholds = np.array([[a, b] for a in grid for b in grid])
     rep = lo_compare(draw_th, draw_po, thresholds, 20_000, make_stream(SEED, 8))
@@ -299,3 +286,14 @@ def test_criterion_12_determinism_across_worker_counts(tmp_path):
         j8.pop("runtime_seconds")
         ok = ok and json.dumps(j1, sort_keys=True) == json.dumps(j8, sort_keys=True)
     assert _report(12, ok, "byte-identical reports at 1 and 8 worker threads, all scenarios")
+
+
+def test_ppcluster_reports_each_pair_mean_gate():
+    # each c pair carries its own mean-equality gate, one z per query
+    params = FAST_PARAMS["ppcluster-family"]
+    res = SCENARIOS["ppcluster-family"][1](params, make_stream(SEED, 1))
+    assert res.mean_equality is None
+    assert len(res.details["pairs"]) == 2
+    for pair in res.details["pairs"]:
+        gate = pair["mean_equality"]
+        assert len(gate["z"]) == 3 and isinstance(gate["passed"], bool)

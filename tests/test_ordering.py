@@ -12,6 +12,7 @@ from dcxsim.ordering import (
     VIOLATION,
     Moments,
     TestFunction,
+    batched,
     bonferroni_z,
     compare_vectors,
     cx_compare_exact,
@@ -57,7 +58,7 @@ def _draw_iid_poisson(lam, n):
     def draw(gen):
         return gen.poisson(lam, size=n).astype(float)
 
-    return draw
+    return batched(draw)
 
 
 def _draw_mixed_poisson(levels, n):
@@ -68,7 +69,7 @@ def _draw_mixed_poisson(levels, n):
         lam = levels[gen.integers(levels.size)]
         return gen.poisson(lam, size=n).astype(float)
 
-    return draw
+    return batched(draw)
 
 
 def test_compare_vectors_consistent_direction():
@@ -133,7 +134,7 @@ def test_compare_vectors_stderr_at_large_offset(seed):
     # X = Y = 1e8 + N(0, 1): the mean difference of a linear function has
     # stderr sqrt(2 / n) whatever the offset
     f = TestFunction(0, "lin_convex", "dcx", np.array([1.0]), phi="power", t=0.0, p=1.0)
-    draw = lambda gen: 1e8 + gen.standard_normal(1)
+    draw = batched(lambda gen: 1e8 + gen.standard_normal(1))
     rep = compare_vectors(draw, draw, [f], 20_000, make_stream(seed), require_equal_means=False)
     assert rep.records[0].stderr == pytest.approx(np.sqrt(2 / 20_000), rel=0.05)
 
@@ -170,8 +171,8 @@ def test_compare_vectors_false_alarm_rate_on_equal_laws():
 
 def test_lo_compare_directions():
     stream = make_stream(9)
-    draw_small = lambda gen: gen.exponential(1.0, size=2)
-    draw_big = lambda gen: gen.exponential(2.0, size=2)
+    draw_small = batched(lambda gen: gen.exponential(1.0, size=2))
+    draw_big = batched(lambda gen: gen.exponential(2.0, size=2))
     ts = np.array([[t, t] for t in np.linspace(0.2, 3.0, 5)])
     rep = lo_compare(draw_small, draw_big, ts, 20_000, stream)
     assert rep.verdict == CONSISTENT
@@ -226,4 +227,4 @@ def test_oracle_ising_validation():
 
 def test_empty_suite_rejected():
     with pytest.raises(ValueError):
-        compare_vectors(lambda g: np.zeros(2), lambda g: np.zeros(2), [], 10, make_stream(0))
+        compare_vectors(batched(lambda g: np.zeros(2)), batched(lambda g: np.zeros(2)), [], 10, make_stream(0))

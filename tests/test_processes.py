@@ -3,7 +3,9 @@ import pytest
 
 from dcxsim.distributions import ClusterKernel, CovarianceSpec, MassDistribution, constant, exponential
 from dcxsim.geometry import Box, GridField, count_in, make_stream, make_window
-from dcxsim import processes
+from dcxsim import ops, processes
+from dcxsim.ordering import CONSISTENT, batched, counts_on_boxes, decide, replicate
+from dcxsim.scenarios import _box_count_samplers, _ops_arms, _quadrant_boxes
 
 
 W = make_window([0.0, 0.0], [1.0, 1.0])
@@ -176,3 +178,73 @@ def test_ginibre_truncation_order():
 
     assert special.gammainc(m, 2.0) < 1e-12
     assert special.gammainc(m - 1, 2.0) >= 1e-12
+
+
+SHIFT = np.array([0.35, 0.15])  # the translation of ops-preservation
+POINT_OPS = {
+    "thin_iid_half": lambda p, gen: ops.thin_iid(p, 0.5, gen),
+    "displace_shift": lambda p, gen: ops.displace(p, lambda x: x + SHIFT),
+    "superpose_poisson": lambda p, gen: ops.superpose(
+        p, processes.sample_poisson(1.0, p.window, gen)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "topology, cells, dim, op",
+    [
+        ("torus", 32, 2, None),
+        ("torus", 32, 2, "displace_shift"),
+        ("plain", 32, 2, "displace_shift"),
+        ("torus", 33, 2, None),  # grid cell edges straddle the box edges
+        ("torus", 32, 2, "thin_iid_half"),
+        ("torus", 32, 2, "superpose_poisson"),
+        ("plain", 5, 3, None),
+    ],
+)
+def test_count_samplers_match_point_path_in_law(topology, cells, dim, op):
+    # the scenarios' count-level samplers against field -> points -> operation
+    # -> count_in: per box the mean and second moment, per pair of boxes the
+    # cross moment, for the Poisson and the Cox side, judged as one family
+    w = make_window(np.zeros(dim), np.full(dim, 4.0 if dim == 2 else 2.0), topology)
+    boxes = _quadrant_boxes(w)
+    params = {"cells_per_axis": cells}
+    if op is None:
+        count = _box_count_samplers(params, w, boxes)[1:]
+    else:
+        count = _ops_arms(params, w, boxes)[1][op]
+    base = [
+        lambda gen: processes.sample_poisson(1.0, w, gen),
+        lambda gen: processes.sample_cox(
+            processes.sample_ising_field(2.0, 0.0, 0.5, w, [cells] * dim, gen), gen
+        ),
+    ]
+    operate = POINT_OPS.get(op, lambda p, gen: p)
+    point = [
+        batched(counts_on_boxes(lambda gen, b=b: operate(b(gen), gen), boxes)) for b in base
+    ]
+    centre = count[1](make_stream(1).generator(), 1000).mean(axis=0)
+    iu = np.triu_indices(len(boxes), 1)
+
+    def reduce(x):
+        d = x - centre
+        return np.hstack([x, d**2, d[:, iu[0]] * d[:, iu[1]]])
+
+    n = 3000
+    moms = replicate((count[0], point[0], count[1], point[1]), reduce, n, make_stream(31), 2000)
+    z = [
+        (b.mean - a.mean) / np.sqrt((a.var + b.var) / n)
+        for a, b in (moms[:2], moms[2:])
+    ]
+    assert decide(np.concatenate(z + [-zz for zz in z])) == CONSISTENT
+
+
+def test_count_samplers_reject_bad_boxes():
+    w = make_window([0, 0], [4, 4])
+    overlapping = [Box([0, 0], [2, 2]), Box([1, 1], [3, 3])]
+    outside = [Box([3, 3], [5, 5])]
+    for boxes in (overlapping, outside):
+        with pytest.raises(ValueError):
+            processes.make_poisson_counts(1.0, w, boxes)
+        with pytest.raises(ValueError):
+            processes.make_ising_cox_counts(2.0, 0.0, 0.5, w, [8, 8], boxes)

@@ -10,7 +10,7 @@ from dcxsim.geometry import (
     make_stream,
     make_window,
 )
-from dcxsim.ordering import VIOLATION, compare_vectors, make_suite
+from dcxsim.ordering import VIOLATION, batched, compare_vectors, make_suite
 from dcxsim.processes import sample_cox, sample_ising_field, sample_poisson
 from dcxsim.shotnoise import ResponseKernel, additive_sn, campbell_mean, extremal_sn
 
@@ -119,10 +119,10 @@ def test_dcx_ordered_measures_give_ordered_additive_shot_noise():
     w = make_window([0.0, 0.0], [4.0, 4.0])
     h = ResponseKernel("gaussian", (0.5,))
     queries = np.array([[1.0, 1.0], [1.4, 1.3], [3.0, 2.5]])
-    draw_po = lambda gen: additive_sn(sample_poisson(1.0, w, gen), h, queries)
-    draw_cox = lambda gen: additive_sn(
+    draw_po = batched(lambda gen: additive_sn(sample_poisson(1.0, w, gen), h, queries))
+    draw_cox = batched(lambda gen: additive_sn(
         sample_cox(sample_ising_field(2.0, 0.0, 0.5, w, [32, 32], gen), gen), h, queries
-    )
+    ))
     stream = make_stream(12)
     suite = make_suite("dcx", 3, 30, stream.split(10**6), scale=np.full(3, campbell_mean(h, 1.0, w)))
     fwd = compare_vectors(draw_po, draw_cox, suite, 4000, stream.split(0))
