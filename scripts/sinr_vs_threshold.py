@@ -12,7 +12,7 @@ import numpy as np
 
 from dcxsim.distributions import constant, exponential
 from dcxsim.geometry import make_stream, make_window
-from dcxsim.processes import make_thomas_sampler, sample_poisson
+from dcxsim.processes import make_poisson_batch, make_thomas_batch
 from dcxsim.shotnoise import ResponseKernel
 from dcxsim.wireless import LinkLayout, sinr_success_rayleigh
 
@@ -28,8 +28,8 @@ def main() -> None:
     args = ap.parse_args()
 
     w = make_window([0, 0], [1, 1])
-    poisson = lambda gen: sample_poisson(args.lam, w, gen)
-    thomas = make_thomas_sampler(args.lam / 5.0, 5.0, 0.05, w)
+    poisson = make_poisson_batch(args.lam, w)
+    thomas = make_thomas_batch(args.lam / 5.0, 5.0, 0.05, w)
     stream = make_stream(args.seed)
 
     lines = ["threshold,p_poisson,stderr_poisson,p_thomas,stderr_thomas"]

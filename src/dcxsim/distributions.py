@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .geometry import NumericalError
 

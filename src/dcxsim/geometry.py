@@ -125,10 +125,15 @@ def pairwise_distances(w: Window, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance matrix (len(a), len(b)) under the window's topology."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    diff = np.abs(a[:, None, :] - b[None, :, :])
-    if w.topology == TORUS:
-        diff = np.minimum(diff, w.lengths - diff)
-    return np.sqrt(np.sum(diff**2, axis=2))
+    # one axis at a time: (len(a), len(b)) temporaries only, summed in axis order
+    sq = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        diff = np.abs(a[:, k, None] - b[None, :, k])
+        if w.topology == TORUS:
+            np.minimum(diff, w.lengths[k] - diff, out=diff)
+        diff *= diff
+        sq += diff
+    return np.sqrt(sq, out=sq)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +166,26 @@ class PointPattern:
     @property
     def n(self) -> int:
         return self.points.shape[0]
+
+
+@dataclass(frozen=True)
+class PatternBatch:
+    """``size`` point-pattern realizations as one ragged array: the points
+    (N, d) of every replication in replication order, and the number of
+    points of each replication, counts (size,).  Not validated: batch
+    samplers build it once per chunk."""
+
+    window: Window
+    points: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.counts.shape[0]
+
+    def replication(self) -> np.ndarray:
+        """(N,) replication index of each point."""
+        return np.repeat(np.arange(self.size), self.counts)
 
 
 @dataclass(frozen=True)

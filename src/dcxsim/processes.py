@@ -1,9 +1,12 @@
 """Samplers for the point-process and random-measure families under comparison.
 
-The point samplers draw whole realizations and are the reference.  The
-box-count scenarios draw their count vectors directly with the count-level
-samplers (``make_poisson_counts``, ``make_ising_cox_counts``), which have
-the same law as a point sampler followed by ``count_in`` on each box.
+The per-realization samplers are the reference for the law.  The scenarios
+draw a whole chunk at once with batch samplers (gen, size) of the same law:
+count-level samplers (``make_poisson_counts``, ``make_ising_cox_counts``)
+return (size, boxes) box counts, and ragged samplers (``make_poisson_batch``,
+``make_thomas_batch``) return a ``PatternBatch``: the points (N, d) of all
+realizations in replication order and the per-replication counts (size,),
+which ``shotnoise.ragged_sn`` reduces in one pass.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from .geometry import (
     TORUS,
     AtomicMeasure,
     GridField,
+    PatternBatch,
     PointPattern,
     Window,
     as_generator,
@@ -25,6 +29,7 @@ from .geometry import (
     cell_overlaps,
     pairwise_distances,
 )
+from .shotnoise import ragged_sn
 
 LGCP_CELL_CAP = 10_000
 
@@ -241,17 +246,17 @@ def sample_marked_poisson_basis(
     return AtomicMeasure(w, pts, const), AtomicMeasure(w, pts, marks)
 
 
-def _parent_points(
-    lam: float, w: Window, pad: float, gen: np.random.Generator
-) -> np.ndarray:
-    """Parents for cluster intensities: wrapped on torus, padded on plain windows."""
-    if w.topology == TORUS:
-        n = gen.poisson(lam * w.volume)
-        return _uniform_points(w, n, gen)
-    lows = w.lows - pad
-    lengths = w.lengths + 2 * pad
-    n = gen.poisson(lam * float(np.prod(lengths)))
-    return lows + gen.random((n, w.dim)) * lengths
+def _poisson_batch(
+    lam: float, w: Window, pad: float, gen: np.random.Generator, size: int
+) -> PatternBatch:
+    """``size`` independent Poisson(lam) patterns as one batch, on the window
+    padded by ``pad`` when it is plain: cluster parents, which then lie partly
+    outside it, while on a torus the clusters wrap."""
+    lows, lengths = w.lows, w.lengths
+    if w.topology != TORUS:
+        lows, lengths = lows - pad, lengths + 2 * pad
+    counts = gen.poisson(lam * float(np.prod(lengths)), size=size)
+    return PatternBatch(w, lows + gen.random((int(counts.sum()), w.dim)) * lengths, counts)
 
 
 def _kernel_values(
@@ -272,7 +277,7 @@ def sample_ppcluster_intensity(
         raise ValueError("c and lam must be positive")
     gen = as_generator(rng)
     pad = kernel.truncation_radius(w.dim)
-    parents = _parent_points(c * lam, w, pad, gen)
+    parents = _poisson_batch(c * lam, w, pad, gen, 1).points
     field = GridField(w, cells_per_axis, np.zeros(tuple(np.atleast_1d(cells_per_axis))))
     mids = field.midpoints()
     vals = _kernel_values(kernel, w, parents, mids).sum(axis=0) / c
@@ -288,7 +293,7 @@ def ppcluster_intensity_at(
     gen = as_generator(rng)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     pad = kernel.truncation_radius(w.dim)
-    parents = _parent_points(c * lam, w, pad, gen)
+    parents = _poisson_batch(c * lam, w, pad, gen, 1).points
     return _kernel_values(kernel, w, parents, queries).sum(axis=0) / c
 
 
@@ -371,7 +376,7 @@ def make_thomas_sampler(
 
     def parents(gen):
         pad = kernel.truncation_radius(w.dim)
-        pts = _parent_points(parent_lam, w, pad, gen)
+        pts = _poisson_batch(parent_lam, w, pad, gen, 1).points
         if w.topology == TORUS:
             return PointPattern(w, pts)
         # padded parents live outside the window; carry them in an enlarged one
@@ -383,6 +388,59 @@ def make_thomas_sampler(
         return sample_gnscp(parents, gamma, b_one, kernel, w, gen)
 
     return draw
+
+
+# ---------------------------------------------------------------------------
+# Ragged batch samplers: (gen, size) -> PatternBatch of ``size`` independent
+# realizations, with the law of the per-realization sampler named.
+
+def make_poisson_batch(lam: float, w: Window) -> Callable:
+    """Batch sampler of sample_poisson(lam, w)."""
+    if lam <= 0:
+        raise ValueError("intensity must be positive")
+    return lambda gen, size: _poisson_batch(lam, w, 0.0, gen, size)
+
+
+def make_thomas_batch(
+    parent_lam: float, cluster_size: float, sigma: float, w: Window
+) -> Callable:
+    """Batch sampler of make_thomas_sampler(parent_lam, cluster_size, sigma, w):
+    Poisson parents, Poisson(cluster_size) children per parent displaced by
+    Gaussian offsets; children wrap on a torus, while on a plain window the
+    parents are padded and children outside the window dropped."""
+    kernel = ClusterKernel("gaussian", (sigma,))
+    pad = kernel.truncation_radius(w.dim)
+
+    def draw(gen: np.random.Generator, size: int) -> PatternBatch:
+        parents = _poisson_batch(parent_lam, w, pad, gen, size)
+        n_child = gen.poisson(cluster_size, size=parents.points.shape[0])
+        children = np.repeat(parents.points, n_child, axis=0)
+        children += kernel.sample_offsets(gen, children.shape[0], w.dim)
+        rep = np.repeat(parents.replication(), n_child)
+        if w.topology == TORUS:
+            children = w.wrap(children)
+        else:
+            keep = w.contains(children)
+            children, rep = children[keep], rep[keep]
+        return PatternBatch(w, children, np.bincount(rep, minlength=size))
+
+    return draw
+
+
+def make_ppcluster_intensity_at(
+    c: float, lam: float, kernel: ClusterKernel, w: Window, queries: np.ndarray
+) -> Callable:
+    """Batch sampler (gen, size) -> (size, len(queries)) of
+    ppcluster_intensity_at: Poisson(c lam) parents, the kernel density summed
+    over each replication's parents, divided by c."""
+    if c <= 0 or lam <= 0:
+        raise ValueError("c and lam must be positive")
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    pad = kernel.truncation_radius(w.dim)
+    density = lambda d: kernel.density(d, w.dim)
+    return lambda gen, size: ragged_sn(
+        _poisson_batch(c * lam, w, pad, gen, size), queries, density
+    ) / c
 
 
 def sample_ginibre_radii(b_max: float, rng) -> PointPattern:

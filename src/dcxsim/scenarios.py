@@ -25,7 +25,7 @@ from .ordering import (
     oracle_poisson_scaling,
     worst,
 )
-from .shotnoise import ResponseKernel, extremal_sn
+from .shotnoise import ResponseKernel, ragged_sn
 from .stats import mixed_palm_estimate, ripley_k
 
 
@@ -105,11 +105,14 @@ def _ops_arms(params: dict, w: Window, boxes) -> tuple:
     }
 
 
-def _thomas_sampler_matching(lam: float, params: dict, w: Window) -> Callable:
-    """Thomas sampler with total intensity lam."""
+def _interferer_samplers(lam: float, params: dict, w: Window) -> tuple:
+    """Batch samplers of the Poisson and the Thomas process of total intensity lam."""
     cluster_size = float(params.get("cluster_size", 5.0))
     sigma = float(params.get("sigma", 0.05))
-    return processes.make_thomas_sampler(lam / cluster_size, cluster_size, sigma, w)
+    return (
+        processes.make_poisson_batch(lam, w),
+        processes.make_thomas_batch(lam / cluster_size, cluster_size, sigma, w),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +153,6 @@ def run_ppcluster_family(params: dict, stream: RngStream) -> ScenarioResult:
         params.get("queries", [[0.2, 0.2], [0.5, 0.5], [0.8, 0.6]]), dtype=float
     )
 
-    def draw_at(c):
-        return batched(lambda gen: processes.ppcluster_intensity_at(c, lam, kernel, w, queries, gen))
-
     results, per_function, rows = [], [], []
     z_crit = bonferroni_z(3.0, len(pairs))  # one scenario rate, split over the pairs
     for k, (c_hi, c_lo) in enumerate(pairs):
@@ -162,7 +162,9 @@ def run_ppcluster_family(params: dict, stream: RngStream) -> ScenarioResult:
         )
         # larger c is the less variable (dcx-smaller) member of the family
         rep = compare_vectors(
-            draw_at(c_hi), draw_at(c_lo), suite, n_reps, stream.split(2 * k), z_crit=z_crit
+            processes.make_ppcluster_intensity_at(c_hi, lam, kernel, w, queries),
+            processes.make_ppcluster_intensity_at(c_lo, lam, kernel, w, queries),
+            suite, n_reps, stream.split(2 * k), z_crit=z_crit,
         )
         per_function.extend(dict(r.to_dict(), c_pair=[c_hi, c_lo]) for r in rep.records)
         # intensity variance at the first query, from the compared draws
@@ -210,8 +212,7 @@ def run_sinr_compare(params: dict, stream: RngStream) -> ScenarioResult:
     n_reps = int(params.get("n_reps", 20_000))
     w = _window(params, [0.0, 0.0], [1.0, 1.0])
     layout = _sinr_layout(params, w)
-    poisson = lambda gen: processes.sample_poisson(lam, w, gen)
-    thomas = _thomas_sampler_matching(lam, params, w)
+    poisson, thomas = _interferer_samplers(lam, params, w)
     p_po, se_po = wireless.sinr_success_rayleigh(
         layout, poisson, n_reps, stream.split(0)
     )
@@ -252,8 +253,7 @@ def run_coverage_compare(params: dict, stream: RngStream) -> ScenarioResult:
     w = _window(params, [0.0, 0.0], [1.0, 1.0])
     queries = np.asarray(params.get("queries", [[0.5, 0.5]]), dtype=float)
     radius = constant(r)
-    poisson = lambda gen: processes.sample_poisson(lam, w, gen)
-    thomas = _thomas_sampler_matching(lam, params, w)
+    poisson, thomas = _interferer_samplers(lam, params, w)
     rep_po = wireless.boolean_coverage(
         poisson, radius, queries, n_reps, stream.split(0)
     )
@@ -369,14 +369,14 @@ def run_lo_extremal(params: dict, stream: RngStream) -> ScenarioResult:
     w = _window(params, [0.0, 0.0], [1.0, 1.0])
     queries = np.asarray(params.get("queries", [[0.25, 0.25], [0.75, 0.75]]), dtype=float)
     h = ResponseKernel("power_law", (beta,))
-    poisson = lambda gen: processes.sample_poisson(lam, w, gen)
-    thomas = _thomas_sampler_matching(lam, params, w)
-    draw_po = batched(lambda gen: extremal_sn(poisson(gen), h, queries))
-    draw_th = batched(lambda gen: extremal_sn(thomas(gen), h, queries))
+    poisson, thomas = _interferer_samplers(lam, params, w)
+    extremal = lambda sampler: lambda gen, size: ragged_sn(
+        sampler(gen, size), queries, h.value, "max"
+    )
     grid_1d = np.asarray(params.get("threshold_grid", np.linspace(0.1, 0.9, 5)), dtype=float)
     thresholds = np.array([[t1, t2] for t1 in grid_1d for t2 in grid_1d])
     # the clustered field has more uncovered space: claim U_thomas <= U_poisson (lo)
-    rep = lo_compare(draw_th, draw_po, thresholds, n_reps, stream)
+    rep = lo_compare(extremal(thomas), extremal(poisson), thresholds, n_reps, stream)
     rows = [
         [thresholds[i, 0], thresholds[i, 1], float(rep.cdf_1[i]), float(rep.cdf_2[i]),
          float(rep.stderr[i])]

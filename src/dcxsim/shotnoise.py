@@ -1,17 +1,23 @@
-"""Additive and extremal shot-noise fields over patterns, grids and atomic measures."""
+"""Additive and extremal shot-noise fields over patterns, grids and atomic measures.
+
+``additive_sn`` and ``extremal_sn`` reduce one realization.  ``ragged_sn``
+reduces a whole batch of realizations (a ``PatternBatch``) in one pass: the
+Monte-Carlo estimators use it, and the per-realization functions are its
+reference.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
-from scipy import integrate
 
 from .geometry import (
     TORUS,
     AtomicMeasure,
     GridField,
     NumericalError,
+    PatternBatch,
     PointPattern,
     Window,
     pairwise_distances,
@@ -116,6 +122,45 @@ def extremal_sn(p: PointPattern, h: ResponseKernel, queries: np.ndarray) -> np.n
     return vals.max(axis=0)
 
 
+def ragged_sn(
+    batch: PatternBatch,
+    queries: np.ndarray,
+    response: Callable[[np.ndarray], np.ndarray],
+    how: str = "sum",
+    weights: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Shot noise of every replication of a batch at the queries, (size, q).
+
+    For each query y, ``response`` maps the (N,) distances from the batch's
+    points to y to their contributions, multiplied by ``weights[:, j]`` when
+    per point-query weights (N, q) are given.  how="sum" adds the
+    contributions of each replication (additive shot noise, as additive_sn),
+    how="max" takes their maximum (extremal shot noise, as extremal_sn); a
+    replication without points gives 0.  Queries are reduced one at a time,
+    so no (N, q, d) array is built.
+    """
+    if how not in ("sum", "max"):
+        raise ValueError(f"unknown reduction {how!r}")
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    out = np.zeros((batch.size, queries.shape[0]))
+    if batch.points.shape[0] == 0:
+        return out
+    if how == "sum":
+        rep = batch.replication()
+    else:
+        filled = batch.counts > 0
+        starts = (np.cumsum(batch.counts) - batch.counts)[filled]
+    for j, y in enumerate(queries):
+        vals = response(pairwise_distances(batch.window, batch.points, y)[:, 0])
+        if weights is not None:
+            vals = vals * weights[:, j]
+        if how == "sum":
+            out[:, j] = np.bincount(rep, vals, batch.size)
+        else:
+            out[filled, j] = np.maximum.reduceat(vals, starts)
+    return out
+
+
 def campbell_mean(h: ResponseKernel, mean_intensity: float, w: Window, y=None) -> float:
     """mean_intensity * integral of h over the window by adaptive quadrature.
 
@@ -124,13 +169,12 @@ def campbell_mean(h: ResponseKernel, mean_intensity: float, w: Window, y=None) -
     """
     if w.topology != TORUS:
         raise ValueError("campbell_mean requires a torus window")
+    from scipy import integrate, special  # scipy.integrate is slow to import: only here
     half = w.lengths / 2.0
     r_cut = h.truncation_radius()
 
     if r_cut <= half.min():
         # kernel support fits in the inscribed ball: exact radial reduction
-        from scipy import special
-
         d = w.dim
         surf = 2 * np.pi ** (d / 2) / special.gamma(d / 2)
         val, err = integrate.quad(

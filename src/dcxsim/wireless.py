@@ -1,5 +1,10 @@
 """Network performance estimators driven by shot-noise interference:
-joint SINR coverage of a set of links and Boolean-model coverage counts."""
+joint SINR coverage of a set of links and Boolean-model coverage counts.
+
+The estimators take ragged batch samplers (gen, size) -> PatternBatch: a
+chunk's points (N, d) in replication order and its per-replication counts
+(size,).  Per-point marks (fading per receiver, grain radii) are drawn as
+(N, ...) arrays, and ``shotnoise.ragged_sn`` reduces the chunk in one pass."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,10 +13,9 @@ from typing import Callable
 import numpy as np
 
 from .distributions import MassDistribution
-from .geometry import PointPattern, RngStream, Window, pairwise_distances
-from .ordering import batched, replicate
-from .shotnoise import ResponseKernel
-from .stats import coverage_field
+from .geometry import RngStream, Window, pairwise_distances
+from .ordering import replicate
+from .shotnoise import ResponseKernel, ragged_sn
 
 # Replications per chunk; like the comparison chunk size in ordering, it fixes
 # the substream each replication draws from and must stay constant.
@@ -69,24 +73,6 @@ class LinkLayout:
         return gains
 
 
-def _interference(layout: LinkLayout, interferers: PointPattern, gen) -> np.ndarray:
-    """Fading-weighted interference power at each receiver; fading i.i.d. per
-    interferer-receiver pair."""
-    if interferers.n == 0:
-        return np.zeros(layout.n_links)
-    d = pairwise_distances(layout.window, interferers.points, layout.receivers)
-    fades = np.asarray(layout.fading.sample(gen, size=d.shape), dtype=float)
-    return (fades * layout.path_loss.value(d)).sum(axis=0)
-
-
-def _cross_interference(layout: LinkLayout, cross_gains: np.ndarray, gen) -> np.ndarray:
-    """Power received from the other links' emitters, independent fading per pair."""
-    if layout.n_links == 1:
-        return np.zeros(1)
-    fades = np.asarray(layout.fading.sample(gen, size=cross_gains.shape), dtype=float)
-    return (fades * cross_gains).sum(axis=0)
-
-
 def _sinr_estimate(
     layout: LinkLayout,
     interferer_sampler: Callable,
@@ -96,21 +82,28 @@ def _sinr_estimate(
 ) -> tuple[float, float]:
     gains = layout.direct_gains()
     cross_gains = layout.cross_gains()
+    fading, n = layout.fading, layout.n_links
 
-    def draw(gen) -> float:
-        interferers = interferer_sampler(gen)
-        w = np.asarray(layout.noise.sample(gen, size=layout.n_links), dtype=float)
-        i_pow = _cross_interference(layout, cross_gains, gen) + _interference(layout, interferers, gen)
-        s = layout.threshold * (w + i_pow) / gains
+    def draw(gen, size: int) -> np.ndarray:
+        interferers = interferer_sampler(gen, size)
+        noise = np.asarray(layout.noise.sample(gen, size=(size, n)), dtype=float)
+        # the other links' emitters (zero gain on the diagonal) and the
+        # interferers, with fading i.i.d. per emitter-receiver pair
+        cross = np.asarray(fading.sample(gen, size=(size, n, n)), dtype=float) * cross_gains
+        fades = np.asarray(fading.sample(gen, size=(interferers.points.shape[0], n)), dtype=float)
+        i_pow = cross.sum(axis=1) + ragged_sn(
+            interferers, layout.receivers, layout.path_loss.value, weights=fades
+        )
+        s = layout.threshold * (noise + i_pow) / gains
         if rayleigh:
             # conditional success probability given noise and interference:
             # product of the fading tails, a lower-variance estimator of the
             # same joint coverage probability
-            return float(np.prod(layout.fading.tail(s)))
-        own = np.asarray(layout.fading.sample(gen, size=layout.n_links), dtype=float)
-        return float(np.all(own >= s))
+            return np.prod(fading.tail(s), axis=1, keepdims=True)
+        own = np.asarray(fading.sample(gen, size=(size, n)), dtype=float)
+        return np.all(own >= s, axis=1, keepdims=True)
 
-    (mom,) = replicate((batched(draw),), lambda v: v, n_reps, stream, _CHUNK)
+    (mom,) = replicate((draw,), lambda v: v, n_reps, stream, _CHUNK)
     return float(mom.mean[0]), float(mom.stderr[0])
 
 
@@ -123,7 +116,8 @@ def sinr_success(
     """Joint success probability of all links, indicator estimator.
 
     Works for any fading law; every replication draws the interferer pattern,
-    noise, interference fading and own-link fading.
+    noise, interference fading and own-link fading.  interferer_sampler is a
+    batch sampler (gen, size) -> PatternBatch in the layout's window.
     """
     return _sinr_estimate(layout, interferer_sampler, n_reps, stream, False)
 
@@ -175,17 +169,20 @@ def boolean_coverage(
     stream: RngStream,
 ) -> CoverageReport:
     """Coverage count V(y) = number of balls (germ, i.i.d. radius) containing y;
-    estimates P(V >= 1), E V and E V^2 at each query with stderrs."""
+    estimates P(V >= 1), E V and E V^2 at each query with stderrs.
+
+    germ_sampler is a batch sampler (gen, size) -> PatternBatch; the count
+    is stats.coverage_field of each realization."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     nq = queries.shape[0]
 
-    def draw(gen):
-        p = germ_sampler(gen)
-        radii = np.atleast_1d(np.asarray(radius_dist.sample(gen, size=p.n), dtype=float))
-        return coverage_field(PointPattern(p.window, p.points, radii), queries).astype(float)
+    def draw(gen, size: int) -> np.ndarray:
+        germs = germ_sampler(gen, size)
+        radii = np.asarray(radius_dist.sample(gen, size=germs.points.shape[0]), dtype=float)
+        return ragged_sn(germs, queries, lambda d: d <= radii)
 
     (mom,) = replicate(
-        (batched(draw),), lambda v: np.hstack([v >= 1, v, v**2]), n_reps, stream, _CHUNK
+        (draw,), lambda v: np.hstack([v >= 1, v, v**2]), n_reps, stream, _CHUNK
     )
     mean, se = mom.mean, mom.stderr
     return CoverageReport(

@@ -15,16 +15,16 @@ from dcxsim import processes, wireless
 from dcxsim.ordering import (
     CONSISTENT,
     VIOLATION,
-    batched,
     compare_vectors,
     lo_compare,
     make_suite,
     oracle_ginibre_radii,
     oracle_ising_exact,
     oracle_poisson_scaling,
+    replicate,
 )
 from dcxsim.scenarios import SCENARIOS, _quadrant_boxes, run_ops_preservation
-from dcxsim.shotnoise import ResponseKernel, extremal_sn
+from dcxsim.shotnoise import ResponseKernel, ragged_sn
 from dcxsim.stats import mixed_palm_estimate, ripley_k
 
 SEED = 20260823
@@ -147,20 +147,21 @@ def test_criterion_07_cluster_intensity_family():
     n_reps = 100_000
 
     def draw_at(c):
-        return lambda gen: processes.ppcluster_intensity_at(c, lam, kernel, W1, queries, gen)
+        return processes.make_ppcluster_intensity_at(c, lam, kernel, W1, queries)
 
     ok = True
     for k, (c_hi, c_lo) in enumerate([(4.0, 1.0), (2.0, 0.5)]):
         suite = make_suite("dcx", 3, 40, stream.split(10**6 + k), scale=np.full(3, lam))
-        rep = compare_vectors(
-            batched(draw_at(c_hi)), batched(draw_at(c_lo)), suite, n_reps, stream.split(k)
-        )
+        rep = compare_vectors(draw_at(c_hi), draw_at(c_lo), suite, n_reps, stream.split(k))
         ok = ok and rep.verdict == CONSISTENT
     variances = {}
     for c in (4.0, 1.0, 2.0, 0.5):
-        gen = stream.split(10**6 + 100 + round(10 * c)).generator()
-        vals = np.array([draw_at(c)(gen)[0] for _ in range(n_reps)])
-        variances[c] = vals.var(ddof=1)
+        sub = stream.split(10**6 + 100 + round(10 * c))
+        # only the first query's variance is needed; the parents drawn from
+        # each substream do not depend on the queries
+        first = processes.make_ppcluster_intensity_at(c, lam, kernel, W1, queries[:1])
+        (mom,) = replicate((first,), lambda v: v, n_reps, sub, 2000)
+        variances[c] = float(mom.var[0])
     for c_hi, c_lo in [(4.0, 1.0), (2.0, 0.5)]:
         ratio = variances[c_hi] / variances[c_lo]
         ok = ok and abs(ratio - c_lo / c_hi) <= 0.1 * (c_lo / c_hi)
@@ -171,10 +172,10 @@ def test_criterion_08_extremal_lower_orthant():
     lam = 20.0
     h = ResponseKernel("power_law", (4.0,))
     queries = np.array([[0.25, 0.25], [0.75, 0.75]])
-    poisson = lambda gen: processes.sample_poisson(lam, W1, gen)
-    thomas = processes.make_thomas_sampler(4.0, 5.0, 0.05, W1)
-    draw_po = batched(lambda gen: extremal_sn(poisson(gen), h, queries))
-    draw_th = batched(lambda gen: extremal_sn(thomas(gen), h, queries))
+    poisson = processes.make_poisson_batch(lam, W1)
+    thomas = processes.make_thomas_batch(4.0, 5.0, 0.05, W1)
+    draw_po = lambda gen, size: ragged_sn(poisson(gen, size), queries, h.value, "max")
+    draw_th = lambda gen, size: ragged_sn(thomas(gen, size), queries, h.value, "max")
     grid = np.linspace(0.1, 0.9, 5)
     thresholds = np.array([[a, b] for a in grid for b in grid])
     rep = lo_compare(draw_th, draw_po, thresholds, 20_000, make_stream(SEED, 8))
@@ -193,8 +194,8 @@ def test_criterion_09_sinr_comparison():
         constant(0.01),
     )
     lam = 5.0
-    poisson = lambda gen: processes.sample_poisson(lam, W1, gen)
-    thomas = processes.make_thomas_sampler(1.0, 5.0, 0.05, W1)
+    poisson = processes.make_poisson_batch(lam, W1)
+    thomas = processes.make_thomas_batch(1.0, 5.0, 0.05, W1)
     stream = make_stream(SEED, 9)
     n_reps = 50_000
     p_po, se_po = wireless.sinr_success_rayleigh(layout, poisson, n_reps, stream.split(0))
@@ -211,8 +212,8 @@ def test_criterion_09_sinr_comparison():
 def test_criterion_10_boolean_coverage():
     lam, r = 20.0, 0.1
     queries = np.array([[0.5, 0.5]])
-    poisson = lambda gen: processes.sample_poisson(lam, W1, gen)
-    thomas = processes.make_thomas_sampler(4.0, 5.0, 0.05, W1)
+    poisson = processes.make_poisson_batch(lam, W1)
+    thomas = processes.make_thomas_batch(4.0, 5.0, 0.05, W1)
     stream = make_stream(SEED, 10)
     n_reps = 50_000
     rep_po = wireless.boolean_coverage(poisson, constant(r), queries, n_reps, stream.split(0))

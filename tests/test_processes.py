@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from dcxsim.distributions import ClusterKernel, CovarianceSpec, MassDistribution, constant, exponential
-from dcxsim.geometry import Box, GridField, count_in, make_stream, make_window
+from dcxsim.geometry import Box, GridField, count_in, make_stream, make_window, pairwise_distances
 from dcxsim import ops, processes
 from dcxsim.ordering import CONSISTENT, batched, counts_on_boxes, decide, replicate
 from dcxsim.scenarios import _box_count_samplers, _ops_arms, _quadrant_boxes
+from dcxsim.shotnoise import ResponseKernel, additive_sn, ragged_sn
 
 
 W = make_window([0.0, 0.0], [1.0, 1.0])
@@ -248,3 +249,74 @@ def test_count_samplers_reject_bad_boxes():
             processes.make_poisson_counts(1.0, w, boxes)
         with pytest.raises(ValueError):
             processes.make_ising_cox_counts(2.0, 0.0, 0.5, w, [8, 8], boxes)
+
+
+H_PROBE = ResponseKernel("gaussian", (0.04,))
+PROBES = np.array([[0.5, 0.5], [0.02, 0.97], [0.9, 0.3]])  # one near the corners
+STRIP = Box([0.9, 0.0], [1.0, 1.0])  # at the edge: sees wrapping and dropping
+
+
+def _close_pairs(w, pts) -> int:
+    """Pairs of points closer than 0.05: sees the cluster spread."""
+    return (np.count_nonzero(pairwise_distances(w, pts, pts) < 0.05) - len(pts)) // 2
+
+
+def _pattern_probe(p) -> np.ndarray:
+    return np.hstack(
+        [p.n, count_in(p, STRIP), _close_pairs(p.window, p.points), additive_sn(p, H_PROBE, PROBES)]
+    )
+
+
+def _batch_probe(batch) -> np.ndarray:
+    strip = np.bincount(batch.replication(), STRIP.contains(batch.points), batch.size)
+    split = np.split(batch.points, np.cumsum(batch.counts)[:-1])
+    pairs = [_close_pairs(batch.window, pts) for pts in split]
+    return np.column_stack([batch.counts, strip, pairs, ragged_sn(batch, PROBES, H_PROBE.value)])
+
+
+WP = make_window([0.0, 0.0], [1.0, 1.0], "plain")
+KERNEL = ClusterKernel("gaussian", (0.1,))
+BATCH_CASES = {
+    # name: (batch draw (gen, size) -> (size, k), per-realization draw gen -> (k,))
+    "poisson": (
+        lambda gen, size: _batch_probe(processes.make_poisson_batch(20.0, W)(gen, size)),
+        lambda gen: _pattern_probe(processes.sample_poisson(20.0, W, gen)),
+    ),
+    "thomas-torus": (
+        lambda gen, size: _batch_probe(processes.make_thomas_batch(4.0, 5.0, 0.05, W)(gen, size)),
+        lambda gen: _pattern_probe(processes.make_thomas_sampler(4.0, 5.0, 0.05, W)(gen)),
+    ),
+    "thomas-plain": (
+        lambda gen, size: _batch_probe(processes.make_thomas_batch(4.0, 5.0, 0.05, WP)(gen, size)),
+        lambda gen: _pattern_probe(processes.make_thomas_sampler(4.0, 5.0, 0.05, WP)(gen)),
+    ),
+    "ppcluster-c4": (
+        processes.make_ppcluster_intensity_at(4.0, 20.0, KERNEL, W, PROBES),
+        lambda gen: processes.ppcluster_intensity_at(4.0, 20.0, KERNEL, W, PROBES, gen),
+    ),
+    "ppcluster-c0.5": (
+        processes.make_ppcluster_intensity_at(0.5, 20.0, KERNEL, W, PROBES),
+        lambda gen: processes.ppcluster_intensity_at(0.5, 20.0, KERNEL, W, PROBES, gen),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batch_samplers_match_per_realization_samplers_in_law(case):
+    # per probe (the point count, the count in an edge strip, close pairs
+    # and shot noise at three queries, or the cluster intensity at the
+    # queries) the mean and the second moment, per pair of probes the cross
+    # moment, batch draw against per-realization draw, judged as one
+    # two-sided family
+    batch, single = BATCH_CASES[case]
+    centre = batch(make_stream(1).generator(), 1000).mean(axis=0)
+    iu = np.triu_indices(centre.size, 1)
+
+    def reduce(x):
+        d = x - centre
+        return np.hstack([x, d**2, d[:, iu[0]] * d[:, iu[1]]])
+
+    n = 4000
+    mom_b, mom_s = replicate((batch, batched(single)), reduce, n, make_stream(32), 2000)
+    z = (mom_s.mean - mom_b.mean) / np.sqrt((mom_b.var + mom_s.var) / n)
+    assert decide(np.concatenate([z, -z])) == CONSISTENT

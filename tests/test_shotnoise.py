@@ -3,16 +3,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcxsim.distributions import exponential
 from dcxsim.geometry import (
     AtomicMeasure,
     GridField,
+    PatternBatch,
     PointPattern,
     make_stream,
     make_window,
+    pairwise_distances,
 )
-from dcxsim.ordering import VIOLATION, batched, compare_vectors, make_suite
-from dcxsim.processes import sample_cox, sample_ising_field, sample_poisson
-from dcxsim.shotnoise import ResponseKernel, additive_sn, campbell_mean, extremal_sn
+from dcxsim.ordering import (
+    CONSISTENT,
+    VIOLATION,
+    batched,
+    compare_vectors,
+    decide,
+    make_suite,
+    replicate,
+)
+from dcxsim.processes import (
+    make_poisson_batch,
+    make_thomas_batch,
+    make_thomas_sampler,
+    sample_cox,
+    sample_ising_field,
+    sample_poisson,
+)
+from dcxsim.shotnoise import ResponseKernel, additive_sn, campbell_mean, extremal_sn, ragged_sn
+from dcxsim.stats import coverage_field
 
 W = make_window([0.0, 0.0], [1.0, 1.0])
 QUERIES = np.array([[0.5, 0.5], [0.1, 0.9]])
@@ -130,3 +149,99 @@ def test_dcx_ordered_measures_give_ordered_additive_shot_noise():
     assert any(r.z > 3 for r in fwd.records)
     rev = compare_vectors(draw_cox, draw_po, suite, 4000, stream.split(1))
     assert rev.verdict == VIOLATION
+
+
+def _batch_of(patterns) -> PatternBatch:
+    return PatternBatch(
+        patterns[0].window,
+        np.vstack([p.points for p in patterns]),
+        np.array([p.n for p in patterns]),
+    )
+
+
+def test_ragged_sn_equals_per_realization_reducers():
+    # the same realizations, one batch: sum, count and max agree with
+    # additive_sn, coverage_field and extremal_sn, and empty replications give 0
+    gen = make_stream(21).generator()
+    empty = PointPattern(W, np.empty((0, 2)))
+    pats = [empty] + [sample_poisson(3.0, W, gen) for _ in range(30)] + [empty, empty]
+    batch = _batch_of(pats)
+    h = ResponseKernel("power_law", (4.0,))
+    radii = gen.exponential(0.2, size=batch.points.shape[0])
+    total = ragged_sn(batch, QUERIES, h.value)
+    top = ragged_sn(batch, QUERIES, h.value, "max")
+    count = ragged_sn(batch, QUERIES, lambda d: d <= radii)
+    ends = np.cumsum(batch.counts)
+    for r, p in enumerate(pats):
+        grains = PointPattern(W, p.points, radii[ends[r] - p.n : ends[r]])
+        assert np.allclose(total[r], additive_sn(p, h, QUERIES), rtol=1e-12, atol=0)
+        assert np.array_equal(top[r], extremal_sn(p, h, QUERIES))
+        assert np.array_equal(count[r], coverage_field(grains, QUERIES))
+    for out in (total, top, count):
+        assert np.all(out[[0, -2, -1]] == 0.0)
+    none = PatternBatch(W, np.empty((0, 2)), np.zeros(4, dtype=int))
+    for how in ("sum", "max"):
+        assert np.array_equal(ragged_sn(none, QUERIES, h.value, how), np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        ragged_sn(batch, QUERIES, h.value, "mean")
+
+
+WP = make_window([0.0, 0.0], [1.0, 1.0], "plain")
+PL = ResponseKernel("power_law", (4.0,))
+FADING = exponential(1.0)
+RADIUS = exponential(0.1)
+
+
+def _interference_batch(gen, size):
+    # fading-weighted Poisson interference at the queries, fading i.i.d. per
+    # interferer-query pair, as the SINR estimators draw it
+    b = make_poisson_batch(5.0, W)(gen, size)
+    fades = FADING.sample(gen, size=(b.points.shape[0], QUERIES.shape[0]))
+    return ragged_sn(b, QUERIES, PL.value, weights=fades)
+
+
+def _interference_single(gen):
+    p = sample_poisson(5.0, W, gen)
+    fades = FADING.sample(gen, size=(p.n, QUERIES.shape[0]))
+    return (fades * PL.value(pairwise_distances(W, p.points, QUERIES))).sum(axis=0)
+
+
+def _coverage_batch(gen, size):
+    b = make_thomas_batch(4.0, 5.0, 0.05, W)(gen, size)
+    radii = RADIUS.sample(gen, size=b.points.shape[0])
+    return ragged_sn(b, QUERIES, lambda d: d <= radii)
+
+
+def _coverage_single(gen):
+    p = make_thomas_sampler(4.0, 5.0, 0.05, W)(gen)
+    return coverage_field(PointPattern(W, p.points, RADIUS.sample(gen, size=p.n)), QUERIES)
+
+
+REDUCTION_CASES = {
+    "sum-interference": (_interference_batch, _interference_single),
+    "count-coverage": (_coverage_batch, _coverage_single),
+    "max-extremal": (
+        lambda gen, size: ragged_sn(
+            make_thomas_batch(4.0, 5.0, 0.05, WP)(gen, size), QUERIES, PL.value, "max"
+        ),
+        lambda gen: extremal_sn(make_thomas_sampler(4.0, 5.0, 0.05, WP)(gen), PL, QUERIES),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REDUCTION_CASES))
+def test_ragged_reductions_match_per_realization_in_law(case):
+    # per query the mean and the second moment, and the cross moment of the
+    # two queries, of the batch draw against the per-realization draw,
+    # judged as one two-sided family
+    batch, single = REDUCTION_CASES[case]
+    centre = batch(make_stream(1).generator(), 1000).mean(axis=0)
+
+    def reduce(x):
+        d = x - centre
+        return np.column_stack([x, d**2, d[:, 0] * d[:, 1]])
+
+    n = 4000
+    mom_b, mom_s = replicate((batch, batched(single)), reduce, n, make_stream(33), 2000)
+    z = (mom_s.mean - mom_b.mean) / np.sqrt((mom_b.var + mom_s.var) / n)
+    assert decide(np.concatenate([z, -z])) == CONSISTENT

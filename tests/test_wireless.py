@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dcxsim.distributions import MassDistribution, constant, exponential
-from dcxsim.geometry import PointPattern, make_stream, make_window
-from dcxsim.processes import sample_poisson
+from dcxsim.geometry import PatternBatch, make_stream, make_window
+from dcxsim.processes import make_poisson_batch
 from dcxsim.shotnoise import ResponseKernel
 from dcxsim import wireless
 
@@ -17,8 +17,8 @@ def _layout(threshold=1.0, noise=0.0, n_links=1):
     return wireless.LinkLayout(W, tx, rx, threshold, PL, exponential(1.0), constant(noise))
 
 
-def _no_interferers(gen):
-    return PointPattern(W, np.empty((0, 2)))
+def _no_interferers(gen, size):
+    return PatternBatch(W, np.empty((0, 2)), np.zeros(size, dtype=int))
 
 
 def test_layout_validation():
@@ -36,17 +36,20 @@ def test_success_is_one_without_noise_or_interference():
 
 
 def test_rayleigh_closed_form_single_link():
+    # one link has no cross-link term: the success probability is the noise-only tail
     w0, t = 0.3, 2.0
     layout = _layout(threshold=t, noise=w0)
     g = layout.direct_gains()[0]
     p, se = wireless.sinr_success_rayleigh(layout, _no_interferers, 200, make_stream(2))
     assert se == pytest.approx(0.0, abs=1e-15)
     assert p == pytest.approx(float(np.exp(-t * w0 / g)))
+    p_ind, _ = wireless.sinr_success(layout, _no_interferers, 20_000, make_stream(2))
+    assert p_ind == pytest.approx(float(np.exp(-t * w0 / g)), abs=0.015)
 
 
 def test_success_decreases_with_threshold():
     lam = 5.0
-    sampler = lambda gen: sample_poisson(lam, W, gen)
+    sampler = make_poisson_batch(lam, W)
     p_lo, _ = wireless.sinr_success_rayleigh(_layout(threshold=10.0, noise=0.01), sampler, 4000, make_stream(3))
     p_hi, _ = wireless.sinr_success_rayleigh(_layout(threshold=1000.0, noise=0.01), sampler, 4000, make_stream(3))
     assert p_hi < p_lo
@@ -55,7 +58,7 @@ def test_success_decreases_with_threshold():
 
 def test_rayleigh_estimator_reduces_variance():
     layout = _layout(noise=0.01, n_links=2)
-    sampler = lambda gen: sample_poisson(5.0, W, gen)
+    sampler = make_poisson_batch(5.0, W)
     n = 8000
     p_i, se_i = wireless.sinr_success(layout, sampler, n, make_stream(4))
     p_r, se_r = wireless.sinr_success_rayleigh(layout, sampler, n, make_stream(4))
@@ -80,7 +83,7 @@ def test_rayleigh_requires_closed_form_tail():
 def test_boolean_coverage_poisson_matches_void_probability():
     lam, r = 20.0, 0.1
     rep = wireless.boolean_coverage(
-        lambda gen: sample_poisson(lam, W, gen),
+        make_poisson_batch(lam, W),
         constant(r),
         np.array([[0.5, 0.5]]),
         20_000,
@@ -98,3 +101,17 @@ def test_boolean_coverage_empty_germs():
     )
     assert rep.p_cover[0] == 0.0
     assert rep.mean_count[0] == 0.0
+
+
+def test_cross_link_interference_reaches_each_receiver():
+    # constant fading, no noise, no interferers: link j succeeds iff its gain
+    # beats T times the power every other emitter i sends to receiver j
+    tx = np.array([[0.1, 0.1], [0.5, 0.5]])
+    rx = np.array([[0.1, 0.2], [0.9, 0.9]])
+    for t in (0.4, 0.6, 2.0, 4.0):
+        layout = wireless.LinkLayout(W, tx, rx, t, PL, constant(1.0), constant(0.0))
+        sir = layout.direct_gains() / layout.cross_gains().sum(axis=0)
+        p, _ = wireless.sinr_success(layout, _no_interferers, 10, make_stream(7))
+        assert p == float(np.all(sir >= t))
+    # the two receivers' ratios differ, so a transposed sum would be seen
+    assert not np.allclose(sir, layout.direct_gains() / layout.cross_gains().sum(axis=1))
