@@ -45,6 +45,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool (YAML ``true`` loads as a bool, and bool
+    is a subclass of int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_config(config_path: str) -> dict:
     path = Path(config_path)
     if not path.is_file():
@@ -58,12 +64,14 @@ def _load_config(config_path: str) -> dict:
     for key in ("seed", "output_dir", "scenarios"):
         if key not in cfg:
             raise ConfigError(f"missing required config key: {key}")
-    if not isinstance(cfg["seed"], int):
+    if not _is_int(cfg["seed"]):
         raise ConfigError("config key 'seed' must be an integer")
+    if not isinstance(cfg["output_dir"], str):
+        raise ConfigError("config key 'output_dir' must be a string")
     if not isinstance(cfg["scenarios"], list) or not cfg["scenarios"]:
         raise ConfigError("config key 'scenarios' must be a non-empty list")
     workers = cfg.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise ConfigError("config key 'workers' must be a positive integer")
     for entry in cfg["scenarios"]:
         if not isinstance(entry, dict) or "id" not in entry:

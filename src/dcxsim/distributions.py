@@ -174,15 +174,15 @@ class ClusterKernel:
         total, _ = quad(lambda u: surf * u ** (dim - 1) * (r0 + u) ** (-beta), 0, np.inf)
         return (r0 + r) ** (-beta) / total
 
-    def truncation_radius(self, dim: int, rel_tol: float = 1e-6) -> float:
-        """Radius beyond which the density is below rel_tol times its peak."""
+    def truncation_radius(self, dim: int) -> float:
+        """Radius beyond which the density is below 1e-6 times its peak."""
         if self.kind == "gaussian":
             (sigma,) = self.params
-            return sigma * np.sqrt(-2.0 * np.log(rel_tol))
+            return sigma * np.sqrt(-2.0 * np.log(1e-6))
         if self.kind in ("uniform_ball", "indicator_ball"):
             return self.params[0]
         beta, r0 = self.params
-        return r0 * (rel_tol ** (-1.0 / beta) - 1.0)
+        return r0 * (1e-6 ** (-1.0 / beta) - 1.0)
 
     def sample_offsets(self, rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
         """n i.i.d. displacement vectors distributed per the kernel density."""
@@ -225,12 +225,12 @@ class CovarianceSpec:
         return cov
 
 
-def cholesky_with_jitter(cov: np.ndarray, jitter: float = 1e-10) -> np.ndarray:
-    """Dense Cholesky; one retry with diagonal jitter on failure."""
+def cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
+    """Dense Cholesky; one retry with 1e-10 added to the diagonal on failure."""
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         try:
-            return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
+            return np.linalg.cholesky(cov + 1e-10 * np.eye(cov.shape[0]))
         except np.linalg.LinAlgError as exc:
             raise NumericalError("covariance matrix is not PSD within jitter tolerance") from exc

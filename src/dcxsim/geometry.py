@@ -6,7 +6,7 @@ partition of a box counts every point exactly once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -108,18 +108,6 @@ def boxes_disjoint(boxes: Sequence[Box]) -> bool:
 
 # ---------------------------------------------------------------------------
 # Distances
-
-def distance(w: Window, x, y) -> float:
-    """Euclidean distance; on a torus, minimum over periodic images."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (w.contains(x).all() and w.contains(y).all()):
-        raise ValueError("point outside window")
-    diff = np.abs(x - y)
-    if w.topology == TORUS:
-        diff = np.minimum(diff, w.lengths - diff)
-    return float(np.sqrt(np.sum(diff**2)))
-
 
 def pairwise_distances(w: Window, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance matrix (len(a), len(b)) under the window's topology."""

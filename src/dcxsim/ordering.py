@@ -36,6 +36,9 @@ MEAN_EQUALITY_CLASSES = ("dcx", "cx")
 
 _EXP_ARG_CAP = 30.0
 
+# absolute tolerance of the exact stop-loss oracles
+ORACLE_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # Test functions
@@ -225,20 +228,9 @@ class OrderReport:
     records: list[FunctionRecord]
     verdict: str
     mean_equality: Optional[dict]
-    n_reps: int
-    z_crit: float
     # per-coordinate variances of X and Y; kept for callers, not reported
     var_x: np.ndarray
     var_y: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "n_reps": self.n_reps,
-            "z_crit": self.z_crit,
-            "mean_equality": self.mean_equality,
-            "per_function": [r.to_dict() for r in self.records],
-        }
 
 
 def bonferroni_z(z_crit: float, n_tests: int) -> float:
@@ -422,7 +414,7 @@ def compare_vectors(
     verdict = decide(z, z_crit)
     if verdict == CONSISTENT and require_equal_means and not means_equal:
         verdict = INCONCLUSIVE
-    return OrderReport(records, verdict, mean_eq, n_reps, z_crit, var_x[nf:], var_y[nf:])
+    return OrderReport(records, verdict, mean_eq, var_x[nf:], var_y[nf:])
 
 
 def counts_on_boxes(sampler: Callable, boxes: Sequence[Box]) -> Callable:
@@ -532,30 +524,25 @@ def _stop_loss(values: np.ndarray, probs: np.ndarray, t_grid: np.ndarray) -> np.
 
 
 def cx_compare_exact(
-    pmf_x: tuple[np.ndarray, np.ndarray],
-    pmf_y: tuple[np.ndarray, np.ndarray],
-    t_grid: Optional[np.ndarray] = None,
-    tol: float = 1e-9,
+    pmf_x: tuple[np.ndarray, np.ndarray], pmf_y: tuple[np.ndarray, np.ndarray]
 ) -> ExactCxReport:
-    """Exact stop-loss check of X <= Y in cx order (requires equal means).
+    """Exact stop-loss check of X <= Y in cx order (requires equal means), at
+    tolerance ORACLE_TOL.
 
-    The default t grid is every support point of both pmfs plus midpoints,
-    which is sufficient for piecewise-linear stop-loss transforms.
+    The t grid is every support point of both pmfs plus midpoints, which is
+    sufficient for piecewise-linear stop-loss transforms.
     """
     vx, px = (np.asarray(a, dtype=float) for a in pmf_x)
     vy, py = (np.asarray(a, dtype=float) for a in pmf_y)
     for p in (px, py):
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("pmf not normalized within 1e-12")
-    if t_grid is None:
-        support = np.unique(np.concatenate([vx, vy]))
-        mids = (support[:-1] + support[1:]) / 2.0
-        t_grid = np.concatenate([support, mids])
-    t_grid = np.asarray(t_grid, dtype=float)
+    support = np.unique(np.concatenate([vx, vy]))
+    t_grid = np.concatenate([support, (support[:-1] + support[1:]) / 2.0])
     viol = float(np.max(_stop_loss(vx, px, t_grid) - _stop_loss(vy, py, t_grid)))
     mean_x = float(vx @ px)
     mean_y = float(vy @ py)
-    passed = viol <= tol and abs(mean_x - mean_y) <= tol
+    passed = viol <= ORACLE_TOL and abs(mean_x - mean_y) <= ORACLE_TOL
     return ExactCxReport(max(viol, 0.0), mean_x, mean_y, passed)
 
 
@@ -573,13 +560,13 @@ def _poisson_pmf_truncated(mean: float, tail: float = 1e-12) -> tuple[np.ndarray
     return k.astype(float), np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
 
 
-def oracle_poisson_scaling(a: float, c: float, t_grid=None) -> ExactCxReport:
+def oracle_poisson_scaling(a: float, c: float) -> ExactCxReport:
     """Exact check that Poisson(c a) <= c * Poisson(a) in convex order (c >= 1)."""
     if a <= 0 or c < 1:
         raise ValueError("need a > 0 and c >= 1")
     kx, px = _poisson_pmf_truncated(c * a)
     ky, py = _poisson_pmf_truncated(a)
-    return cx_compare_exact((kx, px), (c * ky, py), t_grid)
+    return cx_compare_exact((kx, px), (c * ky, py))
 
 
 def _poisson_binomial_pmf(probs: np.ndarray) -> np.ndarray:
@@ -611,7 +598,7 @@ class GinibreOracleReport:
         return d
 
 
-def oracle_ginibre_radii(b: float, t_grid=None, tol: float = 1e-9) -> GinibreOracleReport:
+def oracle_ginibre_radii(b: float) -> GinibreOracleReport:
     """Exact check that the count sum_k Bern(P(Poisson(b) >= k)) of the
     stacked-radii construction is convex-smaller than Poisson(b); both means b."""
     if b <= 0:
@@ -621,10 +608,10 @@ def oracle_ginibre_radii(b: float, t_grid=None, tol: float = 1e-9) -> GinibreOra
     bern = special.pdtrc(k - 1, b)  # P(N_b >= k)
     pmf_x = _poisson_binomial_pmf(bern)
     ky, py = _poisson_pmf_truncated(b)
-    cx = cx_compare_exact((np.arange(pmf_x.size, dtype=float), pmf_x), (ky, py), t_grid, tol)
+    cx = cx_compare_exact((np.arange(pmf_x.size, dtype=float), pmf_x), (ky, py))
     mean_x = float(np.arange(pmf_x.size) @ pmf_x)
     mean_y = float(ky @ py)
-    passed = cx.passed and abs(mean_x - b) <= tol and abs(mean_y - b) <= tol
+    passed = cx.passed and abs(mean_x - b) <= ORACLE_TOL and abs(mean_y - b) <= ORACLE_TOL
     return GinibreOracleReport(cx, mean_x, mean_y, passed)
 
 
@@ -649,7 +636,7 @@ def oracle_ising_exact(
     p_plus: float,
     suite: Sequence[TestFunction],
     site_cells: Optional[Sequence[int]] = None,
-    tol: float = 1e-9,
+    tol: float = ORACLE_TOL,
 ) -> IsingOracleReport:
     """Exact enumeration check that the i.i.d.-spin lattice intensity field is
     larger than its constant mean field for every dcx suite function:

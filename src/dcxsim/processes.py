@@ -10,7 +10,7 @@ which ``shotnoise.ragged_sn`` reduces in one pass.
 """
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -456,9 +456,9 @@ def sample_ginibre_radii(b_max: float, rng) -> PointPattern:
     return PointPattern(w, kept.reshape(-1, 1))
 
 
-def ginibre_truncation_order(b_max: float, tail: float = 1e-12) -> int:
-    """Smallest m with P(Gamma(m, 1) <= b_max) < tail."""
+def ginibre_truncation_order(b_max: float) -> int:
+    """Smallest m with P(Gamma(m, 1) <= b_max) < 1e-12."""
     m = max(1, int(np.ceil(b_max)))
-    while special.gammainc(m, b_max) >= tail:
+    while special.gammainc(m, b_max) >= 1e-12:
         m += 1
     return m

@@ -21,7 +21,6 @@ from .ordering import (
     lo_compare,
     make_suite,
     oracle_ginibre_radii,
-    oracle_ising_exact,
     oracle_poisson_scaling,
     worst,
 )
@@ -42,6 +41,8 @@ class ScenarioResult:
 
 def _window(params: dict, lows, highs, topology="torus") -> Window:
     wspec = params.get("window", {})
+    if not isinstance(wspec, dict):
+        raise ValueError("scenario parameter 'window' must be a mapping")
     return make_window(
         wspec.get("lows", lows), wspec.get("highs", highs), wspec.get("topology", topology)
     )

@@ -161,7 +161,7 @@ def ragged_sn(
     return out
 
 
-def campbell_mean(h: ResponseKernel, mean_intensity: float, w: Window, y=None) -> float:
+def campbell_mean(h: ResponseKernel, mean_intensity: float, w: Window) -> float:
     """mean_intensity * integral of h over the window by adaptive quadrature.
 
     Torus windows only: the minimum-image distance from any query sweeps the

@@ -58,8 +58,7 @@ class LinkLayout:
     def direct_gains(self) -> np.ndarray:
         """Path gain of each link at its own receiver."""
         d = pairwise_distances(self.window, self.transmitters, self.receivers)
-        g = np.diag(d if d.ndim == 2 else np.atleast_2d(d))
-        gains = self.path_loss.value(g)
+        gains = self.path_loss.value(np.diag(d))
         if np.any(gains <= 0):
             raise ValueError("a direct link has zero path gain (beyond truncation)")
         return gains

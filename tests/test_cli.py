@@ -68,19 +68,29 @@ def test_unparseable_config(tmp_path):
 
 
 def test_non_integer_seed(tmp_path):
-    path = tmp_path / "cfg.yaml"
-    path.write_text(
-        yaml.safe_dump({"seed": "abc", "output_dir": str(tmp_path), "scenarios": [{"id": "ripley-poisson"}]})
-    )
+    # YAML true loads as a bool, an int subclass; it is no seed or worker count
+    for key, value in (("seed", "abc"), ("seed", True), ("workers", True)):
+        path = _write_config(tmp_path, [{"id": "ripley-poisson"}], extra={key: value})
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 2, (key, value)
+        assert key in result.output
+
+
+def test_non_string_output_dir_is_config_error(tmp_path):
+    path = _write_config(tmp_path, [{"id": "ripley-poisson"}], extra={"output_dir": 5})
     result = CliRunner().invoke(main, ["run", str(path)])
     assert result.exit_code == 2
-    assert "seed" in result.output
+    assert "output_dir" in result.output
 
 
 def test_invalid_parameter_is_config_error(tmp_path):
-    path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling", "a": -1.0}])
-    result = CliRunner().invoke(main, ["run", str(path)])
-    assert result.exit_code == 2
+    for entry in (
+        {"id": "oracle-poisson-scaling", "a": -1.0},
+        {"id": "levy-grid", "window": "abc"},
+    ):
+        path = _write_config(tmp_path, [entry])
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 2, entry
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,8 @@ from dcxsim.geometry import (
     Box,
     GridField,
     PointPattern,
-    Window,
     boxes_disjoint,
     count_in,
-    distance,
     make_stream,
     make_window,
     mass_in,
@@ -39,16 +37,11 @@ def test_wrap_and_contains():
 
 
 def test_torus_distance_min_image():
+    a, b = [[0.05, 0.5]], [[0.95, 0.5]]
     w = make_window([0, 0], [1, 1], TORUS)
-    assert distance(w, [0.05, 0.5], [0.95, 0.5]) == pytest.approx(0.1)
+    assert pairwise_distances(w, a, b)[0, 0] == pytest.approx(0.1)
     wp = make_window([0, 0], [1, 1], PLAIN)
-    assert distance(wp, [0.05, 0.5], [0.95, 0.5]) == pytest.approx(0.9)
-
-
-def test_distance_rejects_outside_point():
-    w = make_window([0, 0], [1, 1])
-    with pytest.raises(ValueError):
-        distance(w, [0.5, 0.5], [1.5, 0.5])
+    assert pairwise_distances(wp, a, b)[0, 0] == pytest.approx(0.9)
 
 
 @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=2, max_size=2))
@@ -57,7 +50,7 @@ def test_torus_distance_never_exceeds_plain(pts):
     a, b = (np.asarray(p) for p in pts)
     wt = make_window([0, 0], [1, 1], TORUS)
     wp = make_window([0, 0], [1, 1], PLAIN)
-    assert distance(wt, a, b) <= distance(wp, a, b) + 1e-12
+    assert pairwise_distances(wt, a, b)[0, 0] <= pairwise_distances(wp, a, b)[0, 0] + 1e-12
 
 
 def test_box_half_open_counting():

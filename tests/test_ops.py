@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcxsim.distributions import constant, exponential
-from dcxsim.geometry import Box, PointPattern, count_in, make_stream, make_window
+from dcxsim.geometry import PointPattern, make_stream, make_window
 from dcxsim import ops
 from dcxsim.processes import sample_poisson
 
@@ -30,13 +30,10 @@ def test_displace_drops_on_plain():
     assert q.n == 1
 
 
-def test_mark_iid_and_independent():
+def test_mark_iid():
     p = _pattern(2, 50)
     m = ops.mark_iid(p, exponential(2.0), make_stream(3))
     assert m.marks.shape == (50,)
-    kernel = lambda x: constant(float(x[0]))
-    mi = ops.mark_independent(p, kernel, make_stream(3))
-    assert np.allclose(mi.marks, p.points[:, 0])
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.integers(0, 40))
@@ -56,14 +53,6 @@ def test_thin_iid_matches_split_kept_part():
     assert np.array_equal(a.points, kept.points)
 
 
-def test_thin_independent_validates_probs():
-    p = _pattern(8, 10)
-    with pytest.raises(ValueError):
-        ops.thin_independent(p, lambda x: np.full(x.shape[0], 1.5), make_stream(0))
-    q = ops.thin_independent(p, lambda x: (x[:, 0] < 0.5).astype(float), make_stream(0))
-    assert np.all(q.points[:, 0] < 0.5)
-
-
 def test_superpose_window_and_marks_rules():
     p1 = _pattern(1, 5)
     p2 = _pattern(2, 3)
@@ -73,29 +62,6 @@ def test_superpose_window_and_marks_rules():
     other = PointPattern(make_window([0, 0], [2, 2]), np.array([[0.5, 0.5]]))
     with pytest.raises(ValueError):
         ops.superpose(p1, other)
-
-
-def test_project_marks():
-    p = _pattern(4, 6)
-    marked = ops.mark_iid(p, exponential(1.0), make_stream(5))
-    mw = make_window([0.0], [1e9], "plain")
-    proj = ops.project_marks(marked, mw)
-    assert proj.n == 6
-    assert proj.points.shape == (6, 1)
-    with pytest.raises(ValueError):
-        ops.project_marks(p, mw)
-
-
-def test_product_power_counts():
-    p = PointPattern(W, np.array([[0.1, 0.1], [0.2, 0.2], [0.7, 0.7]]))
-    boxes = [Box([0, 0], [0.5, 0.5]), Box([0.5, 0.5], [1, 1])]
-    m1 = ops.product_power_counts(p, boxes, 1)
-    assert np.array_equal(m1, [2.0, 1.0])
-    m2 = ops.product_power_counts(p, boxes, 2)
-    assert m2.shape == (2, 2)
-    assert m2[0, 1] == 2.0 and m2[0, 0] == 4.0
-    with pytest.raises(ValueError):
-        ops.product_power_counts(p, boxes, 4)
 
 
 def test_thinned_poisson_is_poisson():

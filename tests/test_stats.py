@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from dcxsim.distributions import exponential
 from dcxsim.geometry import Box, PointPattern, count_in, make_stream, make_window
-from dcxsim.ops import mark_iid
 from dcxsim.processes import make_thomas_sampler, sample_poisson
 from dcxsim import stats
 
@@ -37,30 +35,12 @@ def test_ripley_requires_torus():
         stats.ripley_k([p], np.array([0.1]), 1.0)
 
 
-def test_pair_correlation_poisson_near_one():
-    r_grid = np.array([0.1, 0.2])
-    g_hat, se = stats.pair_correlation(_poisson_reps(50.0, 2000, seed=23), r_grid, 0.04, 50.0)
-    assert np.all(np.abs(g_hat - 1.0) <= 4 * se)
-    with pytest.raises(ValueError):
-        stats.pair_correlation(_poisson_reps(5.0, 2, seed=1), r_grid, 0.5, 5.0)
-
-
 def test_coverage_field_counts():
     p = PointPattern(W, np.array([[0.5, 0.5], [0.52, 0.5]]), marks=np.array([0.1, 0.05]))
     v = stats.coverage_field(p, np.array([[0.5, 0.5], [0.9, 0.9]]))
     assert list(v) == [2, 0]
     with pytest.raises(ValueError):
         stats.coverage_field(PointPattern(W, np.array([[0.5, 0.5]])), np.array([[0.5, 0.5]]))
-
-
-def test_joint_pgf_zero_handling():
-    counts = np.array([[0, 1], [2, 0], [0, 0]])
-    # s = (0, 1): only rows with first count 0 contribute 1
-    assert stats.joint_pgf(counts, np.array([0.0, 1.0])) == pytest.approx(2 / 3)
-    assert stats.joint_pgf(counts, np.array([1.0, 1.0])) == pytest.approx(1.0)
-    assert stats.joint_pgf(counts, np.array([0.5, 0.5])) == pytest.approx(
-        (0.5 + 0.25 + 1.0) / 3
-    )
 
 
 def test_integrate_weight_dispatch():
@@ -93,9 +73,3 @@ def test_mixed_palm_rejects_zero_weights():
     with pytest.raises(ValueError):
         stats.mixed_palm_estimate(sampler, lambda pts: pts[:, 0], lambda p: 0.0, 10, make_stream(0))
 
-
-def test_rgg_typical_degree_poisson():
-    lam, r = 50.0, 0.1
-    reps = _poisson_reps(lam, 3000, seed=41)
-    deg, se = stats.rgg_typical_degree(reps, r, Box([0.2, 0.2], [0.8, 0.8]), lam)
-    assert abs(deg - lam * np.pi * r**2) <= 4 * se
