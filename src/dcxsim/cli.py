@@ -5,7 +5,8 @@ Config files are YAML with top-level keys:
   output_dir  directory for the emitted reports
   workers     optional positive integer, accepted for existing configs; it has
               no effect, since scenarios run their replications serially
-  scenarios   list of {id: <scenario id>, ...scenario parameters...}
+  scenarios   list of {id: <scenario id>, ...scenario parameters...}; a key
+              the scenario does not read is a configuration error
 
 Each scenario produces <output_dir>/<id>.json and <output_dir>/<id>.csv.
 Exit codes: 0 clean, 1 a verdict was VIOLATION/fail, 2 configuration error
@@ -78,6 +79,9 @@ def _load_config(config_path: str) -> dict:
             raise ConfigError("each scenario entry must be a mapping with an 'id' key")
         if entry["id"] not in SCENARIOS:
             raise ConfigError(f"unknown scenario id: {entry['id']}")
+        unknown = sorted(str(k) for k in set(entry) - {"id", *SCENARIOS[entry["id"]][2]})
+        if unknown:
+            raise ConfigError(f"unknown key(s) for scenario {entry['id']}: {', '.join(unknown)}")
     return cfg
 
 
@@ -154,7 +158,7 @@ def run_cmd(config_path: str):
 def list_scenarios_cmd():
     """Print the scenario ids with one-line descriptions."""
     width = max(len(sid) for sid in SCENARIOS)
-    for sid, (desc, _) in SCENARIOS.items():
+    for sid, (desc, _, _) in SCENARIOS.items():
         click.echo(f"{sid.ljust(width)}  {desc}")
 
 

@@ -1,8 +1,8 @@
 """Stochastic-order testing: certified test-function suites, paired Monte-Carlo
 comparisons, one verdict rule, and exact discrete oracles.
 
-A claim "X <= Y in class F" is tested by estimating E f(X) and E f(Y) for a
-randomized suite of functions f certified to lie in F.  Monte Carlo can only
+A claim "X <= Y in dcx order" is tested by estimating E f(X) and E f(Y) for
+a randomized suite of functions f certified to be dcx.  Monte Carlo can only
 falsify an ordering, so passing verdicts are CONSISTENT rather than proven.
 
 Monte-Carlo estimates come from ``replicate``, which asks each side for one
@@ -31,13 +31,13 @@ CONSISTENT = "CONSISTENT"
 VIOLATION = "VIOLATION"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-# classes whose order requires equal mean measures (linear test functions both ways)
-MEAN_EQUALITY_CLASSES = ("dcx", "cx")
-
 _EXP_ARG_CAP = 30.0
 
 # absolute tolerance of the exact stop-loss oracles
 ORACLE_TOL = 1e-9
+
+# Poisson tail mass the exact oracles leave beyond their truncated support
+POISSON_TAIL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -45,14 +45,11 @@ ORACLE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TestFunction:
-    """One certified member of an order-generating function class.
+    """One certified member of the dcx function class.
 
     families:
       lin_convex    phi(theta . x), phi in {exp, ((u - t)+)^p}; dcx and increasing
-      lin_concave   phi(theta . x), phi in {log1p, sqrt, min(., t)}; idcv
       pair_product  x_i * x_j; dcx on the non-negative orthant
-      pgf_up        prod s_j^{x_j}, s_j >= 1; idcx
-      pgf_down      prod s_j^{x_j}, 0 < s_j <= 1; ddcx
     """
 
     __test__ = False  # not a pytest collection target
@@ -64,7 +61,6 @@ class TestFunction:
     phi: str = ""
     t: float = 0.0
     p: float = 1.0
-    s: Optional[np.ndarray] = None
     shift: float = 0.0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -74,36 +70,16 @@ class TestFunction:
             if self.phi == "exp":
                 return np.exp(np.minimum(u - self.shift, _EXP_ARG_CAP * 3))
             return np.maximum(u - self.t, 0.0) ** self.p
-        if self.family == "lin_concave":
-            u = x @ self.theta
-            if self.phi == "log1p":
-                return np.log1p(u)
-            if self.phi == "sqrt":
-                return np.sqrt(u)
-            return np.minimum(u, self.t)
-        if self.family == "pair_product":
-            i, j = int(self.theta[0]), int(self.theta[1])
-            return x[:, i] * x[:, j]
-        # pgf families
-        return np.exp(x @ np.log(self.s))
+        i, j = int(self.theta[0]), int(self.theta[1])
+        return x[:, i] * x[:, j]
 
     def describe(self) -> str:
         if self.family == "lin_convex":
             return f"{self.family}/{self.phi}"
-        if self.family == "lin_concave":
-            return f"{self.family}/{self.phi}"
         return self.family
 
 
-_CLASS_FAMILIES = {
-    "dcx": ("lin_convex:exp", "lin_convex:power", "pair_product"),
-    "cx": ("lin_convex:exp", "lin_convex:power"),
-    "icx": ("lin_convex:exp", "lin_convex:power"),
-    "idcx": ("lin_convex:exp", "lin_convex:power", "pair_product", "pgf_up"),
-    "idcv": ("lin_concave:log1p", "lin_concave:sqrt", "lin_concave:cap"),
-    "icv": ("lin_concave:log1p", "lin_concave:sqrt", "lin_concave:cap"),
-    "ddcx": ("pgf_down",),
-}
+_DCX_FAMILIES = ("lin_convex:exp", "lin_convex:power", "pair_product")
 
 
 def make_suite(
@@ -113,22 +89,22 @@ def make_suite(
     rng,
     scale: Optional[np.ndarray] = None,
 ) -> list[TestFunction]:
-    """Randomized suite of `count` functions of the given class on R^n.
+    """Randomized suite of `count` dcx functions on R^n; `order_class` must be
+    "dcx".
 
     `scale` is a pilot estimate of the mean of the compared vectors; thresholds
     and exp-family weights are calibrated against it so arguments stay in a
     numerically benign range.
     """
-    if order_class not in _CLASS_FAMILIES:
+    if order_class != "dcx":
         raise ValueError(f"unknown order class {order_class!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     xbar = np.ones(n) if scale is None else np.maximum(np.asarray(scale, dtype=float), 1e-9)
-    families = _CLASS_FAMILIES[order_class]
     out: list[TestFunction] = []
     for fid in range(count):
-        fam = families[fid % len(families)]
+        fam = _DCX_FAMILIES[fid % len(_DCX_FAMILIES)]
         theta = gen.random(n)
         u_bar = float(theta @ xbar)
         if fam == "lin_convex:exp":
@@ -141,7 +117,7 @@ def make_suite(
             p = float(gen.choice([1.0, 2.0, 3.0]))
             t = float(gen.uniform(0.0, 1.2) * u_bar) if p > 1 or gen.random() < 0.5 else 0.0
             out.append(TestFunction(fid, "lin_convex", order_class, theta, phi="power", t=t, p=p))
-        elif fam == "pair_product":
+        else:  # pair_product
             i = int(gen.integers(n))
             j = int(gen.integers(n - 1)) if n > 1 else 0
             if n > 1 and j >= i:
@@ -149,50 +125,29 @@ def make_suite(
             out.append(
                 TestFunction(fid, "pair_product", order_class, np.array([i, j], dtype=float))
             )
-        elif fam == "lin_concave:cap":
-            t = float(gen.uniform(0.5, 1.5) * u_bar)
-            out.append(TestFunction(fid, "lin_concave", order_class, theta, phi="cap", t=t))
-        elif fam.startswith("lin_concave"):
-            phi = fam.split(":")[1]
-            out.append(TestFunction(fid, "lin_concave", order_class, theta, phi=phi))
-        elif fam == "pgf_up":
-            w = gen.random(n) * (0.5 / (1.0 + xbar))
-            out.append(TestFunction(fid, "pgf_up", order_class, theta, s=np.exp(w)))
-        else:  # pgf_down
-            s = gen.uniform(0.2, 1.0, size=n)
-            out.append(TestFunction(fid, "pgf_down", order_class, theta, s=s))
     return out
 
 
 def verify_dcx_numeric(
     f: TestFunction, probes: np.ndarray, delta: float, tol: float = 1e-9
 ) -> tuple[bool, float]:
-    """Finite-difference certificate for the declared class.
-
-    Checks all mixed second differences
+    """Finite-difference dcx certificate: all mixed second differences
       f(x + d e_i + d e_j) - f(x + d e_i) - f(x + d e_j) + f(x)
-    (sign per class) and, for monotone classes, the first differences.
-    Returns (passed, worst signed violation).
+    are non-negative.  Returns (passed, worst violation).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     n = probes.shape[1]
-    cls = f.declared_class
-    concave = cls in ("idcv", "icv")
-    monotone = {"idcx": 1, "icx": 1, "idcv": 1, "icv": 1, "ddcx": -1}.get(cls, 0)
     base = f(probes)
     scale = 1.0 + np.max(np.abs(base))
     worst = 0.0
     shifted = {i: f(probes + delta * np.eye(n)[i]) for i in range(n)}
     for i in range(n):
-        if monotone:
-            worst = min(worst, float(np.min(monotone * (shifted[i] - base))))
         for j in range(i, n):
             both = f(probes + delta * (np.eye(n)[i] + np.eye(n)[j]))
             mixed = both - shifted[i] - shifted[j] + base
-            signed = -mixed if concave else mixed
-            worst = min(worst, float(np.min(signed)))
+            worst = min(worst, float(np.min(mixed)))
     return worst >= -tol * scale, worst
 
 
@@ -370,7 +325,7 @@ def compare_vectors(
     n_reps: int,
     stream: RngStream,
     *,
-    require_equal_means: Optional[bool] = None,
+    require_equal_means: bool = True,
     z_crit: float = 3.0,
 ) -> OrderReport:
     """Independent MC estimates of E f(X) and E f(Y) per suite function, with
@@ -380,8 +335,6 @@ def compare_vectors(
     adapts a per-replication draw."""
     if len(suite) == 0:
         raise ValueError("empty test-function suite")
-    if require_equal_means is None:
-        require_equal_means = suite[0].declared_class in MEAN_EQUALITY_CLASSES
     nf = len(suite)
 
     def reduce(v: np.ndarray) -> np.ndarray:
@@ -546,16 +499,17 @@ def cx_compare_exact(
     return ExactCxReport(max(viol, 0.0), mean_x, mean_y, passed)
 
 
-def _poisson_isf(tail: float, mean: float) -> int:
-    """Smallest k with P(Poisson(mean) > k) <= tail."""
+def _poisson_support_end(mean: float) -> int:
+    """Last support point of the oracles' truncated Poisson(mean) pmf: two past
+    the smallest k with P(Poisson(mean) > k) <= POISSON_TAIL."""
     k = 0
-    while special.pdtrc(k, mean) > tail:
+    while special.pdtrc(k, mean) > POISSON_TAIL:
         k += 1
-    return k
+    return k + 2
 
 
-def _poisson_pmf_truncated(mean: float, tail: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    m = _poisson_isf(tail, mean) + 2
+def _poisson_pmf_truncated(mean: float) -> tuple[np.ndarray, np.ndarray]:
+    m = _poisson_support_end(mean)
     k = np.arange(m + 1)
     return k.astype(float), np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
 
@@ -603,7 +557,7 @@ def oracle_ginibre_radii(b: float) -> GinibreOracleReport:
     stacked-radii construction is convex-smaller than Poisson(b); both means b."""
     if b <= 0:
         raise ValueError("b must be positive")
-    m = _poisson_isf(1e-12, b) + 2
+    m = _poisson_support_end(b)
     k = np.arange(1, m + 1)
     bern = special.pdtrc(k - 1, b)  # P(N_b >= k)
     pmf_x = _poisson_binomial_pmf(bern)

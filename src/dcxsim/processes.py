@@ -343,8 +343,8 @@ def sample_gnscp(
 
     Given the parents and marks, the cluster union is exactly a Poisson pattern
     with the scaled-kernel superposition intensity, so no grid discretization
-    is involved.  Thomas (gaussian k1) and Matern cluster (uniform_ball k1)
-    are the b == 1, gamma == const, Poisson-parent special cases.
+    is involved.  The Thomas process (gaussian k1) is the b == 1,
+    gamma == const, Poisson-parent special case.
     """
     gen = as_generator(rng)
     parents = parent_sampler(gen)

@@ -391,6 +391,8 @@ def run_lo_extremal(params: dict, stream: RngStream) -> ScenarioResult:
 
 def run_levy_grid(params: dict, stream: RngStream) -> ScenarioResult:
     spacing = float(params.get("lattice_spacing", 1.0))
+    if spacing <= 0:
+        raise ValueError("lattice_spacing must be positive")
     n_reps = int(params.get("n_reps", 20_000))
     suite_size = int(params.get("suite_size", 60))
     w = _window(params, [0.0, 0.0], [4.0, 4.0])
@@ -494,54 +496,69 @@ def run_ripley_poisson(params: dict, stream: RngStream) -> ScenarioResult:
     )
 
 
-SCENARIOS: dict[str, tuple[str, Callable]] = {
+# id -> (description, runner, the scenario parameters the runner reads); the
+# CLI rejects any other key of a scenario entry
+SCENARIOS: dict[str, tuple[str, Callable, tuple[str, ...]]] = {
     "ising-vs-poisson": (
         "dcx comparison of box counts: homogeneous Poisson vs the spin-lattice Cox process",
         run_ising_vs_poisson,
+        ("n_reps", "suite_size", "z_crit", "window", "mu1", "mu2", "p_plus", "cells_per_axis"),
     ),
     "ppcluster-family": (
         "cluster-intensity family: dcx-decreasing in the parent-splitting parameter c",
         run_ppcluster_family,
+        ("lam", "sigma", "n_reps", "suite_size", "c_pairs", "window", "queries"),
     ),
     "sinr-compare": (
         "joint SINR success probability: Poisson vs clustered interferers",
         run_sinr_compare,
+        ("lam", "n_reps", "window", "T", "beta", "power", "noise", "emitters", "receivers",
+         "fading_mean", "cluster_size", "sigma"),
     ),
     "coverage-compare": (
         "Boolean-model coverage: Poisson vs clustered germs at equal intensity",
         run_coverage_compare,
+        ("lam", "r", "n_reps", "window", "queries", "cluster_size", "sigma"),
     ),
     "palm-poisson-check": (
         "reweighted-law identity: box-count expectation lam|A| + 1 under the size-biased law",
         run_palm_poisson_check,
+        ("lam", "n_reps", "window", "box_lows", "box_highs"),
     ),
     "ginibre-oracle": (
         "exact convex-order oracle for the stacked-radii count vs a Poisson count",
         run_ginibre_oracle,
+        ("b_values",),
     ),
     "oracle-poisson-scaling": (
         "exact convex-order oracle: Poisson(c a) vs c * Poisson(a)",
         run_oracle_poisson_scaling,
+        ("a_values", "c_values", "a", "c"),
     ),
     "lo-extremal": (
         "lower-orthant comparison of extremal shot-noise fields, clustered vs Poisson",
         run_lo_extremal,
+        ("lam", "beta", "n_reps", "window", "queries", "threshold_grid", "cluster_size", "sigma"),
     ),
     "levy-grid": (
         "lattice measures with i.i.d. masses: convex-ordered masses give dcx-ordered boxes",
         run_levy_grid,
+        ("lattice_spacing", "n_reps", "suite_size", "window"),
     ),
     "marked-basis": (
         "coupled Poisson support: constant masses vs i.i.d. random marks, dcx on box masses",
         run_marked_basis,
+        ("lam", "mark_mean", "n_reps", "suite_size", "window"),
     ),
     "ops-preservation": (
         "thinning, displacement and superposition applied to an ordered pair keep the verdict",
         run_ops_preservation,
+        ("n_reps", "suite_size", "window", "shift", "mu1", "mu2", "p_plus", "cells_per_axis"),
     ),
     "ripley-poisson": (
         "Ripley K baseline on the torus: homogeneous Poisson against pi r^2",
         run_ripley_poisson,
+        ("lam", "n_reps", "r_grid", "window"),
     ),
 }
 

@@ -31,10 +31,8 @@ class ResponseKernel:
     """Radially symmetric non-negative response g(distance), scaled by emitted_power.
 
     kinds:
-      indicator_ball  params = (radius,)         g(r) = P * 1[r <= radius]
       gaussian        params = (sigma,)          g(r) = P * exp(-r^2 / 2 sigma^2)
       power_law       params = (beta,)           g(r) = P / (1 + r)^beta
-      user_grid       params = (r1, g1, r2, g2, ...) linear interpolation, zero beyond
     """
 
     kind: str
@@ -43,22 +41,17 @@ class ResponseKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if self.kind not in ("indicator_ball", "gaussian", "power_law", "user_grid"):
+        if self.kind not in ("gaussian", "power_law"):
             raise ValueError(f"unknown response kernel kind {self.kind!r}")
         if self.emitted_power < 0:
             raise ValueError("emitted_power must be non-negative")
 
     def _profile(self, r: np.ndarray) -> np.ndarray:
-        if self.kind == "indicator_ball":
-            return (r <= self.params[0]).astype(float)
         if self.kind == "gaussian":
             (sigma,) = self.params
             return np.exp(-(r**2) / (2 * sigma**2))
-        if self.kind == "power_law":
-            (beta,) = self.params
-            return (1.0 + r) ** (-beta)
-        tab = np.asarray(self.params).reshape(-1, 2)
-        return np.interp(r, tab[:, 0], tab[:, 1], right=0.0)
+        (beta,) = self.params
+        return (1.0 + r) ** (-beta)
 
     def value(self, r) -> np.ndarray:
         """g(r) with contributions beyond the truncation radius dropped."""
@@ -68,16 +61,11 @@ class ResponseKernel:
 
     def truncation_radius(self) -> float:
         """Radius where the profile falls below TRUNCATION_REL_TOL of its peak."""
-        if self.kind == "indicator_ball":
-            return self.params[0]
         if self.kind == "gaussian":
             (sigma,) = self.params
             return sigma * float(np.sqrt(-2.0 * np.log(TRUNCATION_REL_TOL)))
-        if self.kind == "power_law":
-            (beta,) = self.params
-            return float(TRUNCATION_REL_TOL ** (-1.0 / beta) - 1.0)
-        tab = np.asarray(self.params).reshape(-1, 2)
-        return float(tab[-1, 0])
+        (beta,) = self.params
+        return float(TRUNCATION_REL_TOL ** (-1.0 / beta) - 1.0)
 
 
 Source = Union[PointPattern, AtomicMeasure, GridField]
@@ -178,7 +166,8 @@ def campbell_mean(h: ResponseKernel, mean_intensity: float, w: Window) -> float:
         d = w.dim
         surf = 2 * np.pi ** (d / 2) / special.gamma(d / 2)
         val, err = integrate.quad(
-            lambda r: surf * r ** (d - 1) * float(h.value(r)), 0.0, r_cut, limit=200
+            lambda r: surf * r ** (d - 1) * float(h.value(r)), 0.0, r_cut,
+            epsabs=0.0, epsrel=1e-10, limit=200,
         )
         if not np.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
             raise NumericalError("quadrature non-convergence in campbell_mean")

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ import yaml
 from click.testing import CliRunner
 
 from dcxsim import NumericalError
-from dcxsim.cli import main
+from dcxsim.cli import _load_config, main
+from dcxsim.geometry import make_stream
 from dcxsim.scenarios import SCENARIOS
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 FAST_PARAMS = {
     "ising-vs-poisson": {"n_reps": 400, "suite_size": 8},
@@ -87,10 +91,56 @@ def test_invalid_parameter_is_config_error(tmp_path):
     for entry in (
         {"id": "oracle-poisson-scaling", "a": -1.0},
         {"id": "levy-grid", "window": "abc"},
+        {"id": "levy-grid", "lattice_spacing": 0},
+        {"id": "ripley-poisson", "n_rep": 10},
     ):
         path = _write_config(tmp_path, [entry])
         result = CliRunner().invoke(main, ["run", str(path)])
         assert result.exit_code == 2, entry
+
+
+def test_unknown_key_is_rejected_before_any_scenario_runs(tmp_path):
+    path = _write_config(
+        tmp_path, [{"id": "ginibre-oracle"}, {"id": "ripley-poisson", "n_rep": 10}]
+    )
+    result = CliRunner().invoke(main, ["run", str(path)])
+    assert result.exit_code == 2
+    assert "n_rep" in result.output
+    assert not list((tmp_path / "out").glob("*.json"))
+
+
+class _RecordingParams(dict):
+    """A parameter mapping that records every key a runner looks up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("sid", sorted(SCENARIOS))
+def test_declared_keys_are_the_keys_read(sid):
+    params = _RecordingParams(FAST_PARAMS[sid])
+    SCENARIOS[sid][1](params, make_stream(7))
+    assert params.read == set(SCENARIOS[sid][2])
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.yaml")))
+def test_shipped_configs_load(config):
+    cfg = _load_config(str(CONFIGS / config))
+    if config == "all_scenarios.yaml":
+        assert [e["id"] for e in cfg["scenarios"]] == list(SCENARIOS)
 
 
 @pytest.mark.parametrize(

@@ -25,15 +25,12 @@ from dcxsim.ordering import (
     verify_dcx_numeric,
 )
 
-ALL_CLASSES = ["dcx", "idcx", "idcv", "ddcx", "cx", "icx", "icv"]
-
-
-@given(st.sampled_from(ALL_CLASSES), st.integers(0, 10**6))
+@given(st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
-def test_suite_members_certified_numerically(order_class, seed):
-    n = 1 if order_class in ("cx", "icx", "icv") else 3
+def test_suite_members_certified_numerically(seed):
+    n = 3
     stream = make_stream(seed)
-    suite = make_suite(order_class, n, 8, stream, scale=np.full(n, 3.0))
+    suite = make_suite("dcx", n, 8, stream, scale=np.full(n, 3.0))
     probes = stream.split(1).generator().random((15, n)) * 8.0
     for f in suite:
         ok, worst = verify_dcx_numeric(f, probes, delta=0.3)
@@ -41,15 +38,16 @@ def test_suite_members_certified_numerically(order_class, seed):
 
 
 def test_suite_validation():
-    with pytest.raises(ValueError):
-        make_suite("supermodular", 2, 5, make_stream(0))
+    for order_class in ("supermodular", "idcx", "cx"):
+        with pytest.raises(ValueError):
+            make_suite(order_class, 2, 5, make_stream(0))
     with pytest.raises(ValueError):
         make_suite("dcx", 2, 0, make_stream(0))
 
 
 def test_verify_rejects_misdeclared_function():
     # a concave profile declared convex must fail the certificate
-    f = TestFunction(0, "lin_concave", "dcx", np.array([1.0, 1.0]), phi="sqrt")
+    f = TestFunction(0, "lin_convex", "dcx", np.array([1.0, 1.0]), phi="power", p=0.5)
     ok, worst = verify_dcx_numeric(f, np.array([[1.0, 1.0]]), delta=0.5)
     assert not ok and worst < 0
 

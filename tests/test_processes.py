@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcxsim.distributions import ClusterKernel, CovarianceSpec, MassDistribution, constant, exponential
+from dcxsim.distributions import ClusterKernel, CovarianceSpec, constant, exponential
 from dcxsim.geometry import Box, GridField, count_in, make_stream, make_window, pairwise_distances
 from dcxsim import ops, processes
 from dcxsim.ordering import CONSISTENT, batched, counts_on_boxes, decide, replicate
@@ -40,11 +40,11 @@ def test_cox_exact_given_field():
 
 
 def test_mixed_poisson_overdispersed():
-    mix = MassDistribution("user_table", (5.0, 0.5, 35.0, 0.5))
+    mix = exponential(20.0)
     mean, var = _count_stats(lambda g: processes.sample_mixed_poisson(mix, W, g), 20_000)
     assert mean == pytest.approx(20.0, rel=0.03)
-    # var = E lam + Var lam = 20 + 225
-    assert var == pytest.approx(245.0, rel=0.1)
+    # var = E lam + Var lam = 20 + 400
+    assert var == pytest.approx(420.0, rel=0.1)
 
 
 def test_ising_field_values_and_mean():

@@ -38,20 +38,14 @@ QUERIES = np.array([[0.5, 0.5], [0.1, 0.9]])
 
 
 def test_kernel_shapes_and_truncation():
-    ball = ResponseKernel("indicator_ball", (0.2,), emitted_power=3.0)
-    assert float(ball.value(0.1)) == 3.0
-    assert float(ball.value(0.25)) == 0.0
     pl = ResponseKernel("power_law", (4.0,))
     assert float(pl.value(0.0)) == 1.0
     assert float(pl.value(1.0)) == pytest.approx(1 / 16)
     r = pl.truncation_radius()
     assert float(pl._profile(r)) == pytest.approx(1e-6, rel=1e-6)
-
-
-def test_user_grid_kernel_interpolates():
-    k = ResponseKernel("user_grid", (0.0, 1.0, 1.0, 0.5, 2.0, 0.0))
-    assert float(k.value(0.5)) == pytest.approx(0.75)
-    assert float(k.value(3.0)) == 0.0
+    for kind in ("indicator_ball", "user_grid"):
+        with pytest.raises(ValueError):
+            ResponseKernel(kind, (0.2,))
 
 
 def test_additive_sn_point_pattern():
@@ -64,8 +58,8 @@ def test_additive_sn_point_pattern():
 
 def test_additive_sn_marked_pattern_uses_marks_as_masses():
     p = PointPattern(W, np.array([[0.5, 0.5]]), marks=np.array([4.0]))
-    h = ResponseKernel("indicator_ball", (0.3,))
-    assert additive_sn(p, h, np.array([[0.5, 0.6]]))[0] == 4.0
+    h = ResponseKernel("gaussian", (0.1,))
+    assert additive_sn(p, h, np.array([[0.5, 0.6]]))[0] == pytest.approx(4.0 * np.exp(-0.5))
 
 
 def test_grid_field_equals_midpoint_atoms():
@@ -108,10 +102,12 @@ def test_extremal_never_exceeds_additive():
         assert np.all(extremal_sn(p, h, QUERIES) <= additive_sn(p, h, QUERIES) + 1e-12)
 
 
-def test_campbell_mean_indicator_ball():
-    h = ResponseKernel("indicator_ball", (0.2,), emitted_power=2.0)
+def test_campbell_mean_gaussian_closed_form():
+    # the kernel, cut where it falls to 1e-6 of its peak, integrates to
+    # P * 2 pi sigma^2 * (1 - 1e-6); quadrature must not reject a narrow kernel
+    h = ResponseKernel("gaussian", (0.05,), emitted_power=2.0)
     val = campbell_mean(h, 5.0, W)
-    assert val == pytest.approx(5.0 * 2.0 * np.pi * 0.04, rel=1e-9)
+    assert val == pytest.approx(5.0 * 2.0 * 2 * np.pi * 0.05**2 * (1 - 1e-6), rel=1e-9)
 
 
 def test_campbell_mean_matches_monte_carlo():
