@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from dcxsim.geometry import make_stream, make_window
-from dcxsim.processes import make_thomas_sampler, sample_poisson
+from dcxsim.processes import make_poisson_batch, make_thomas_batch
 from dcxsim.stats import ripley_k
 
 
@@ -26,13 +26,10 @@ def main() -> None:
 
     w = make_window([0, 0], [1, 1])
     r_grid = np.linspace(0.01, 0.2, 20)
-    gen = make_stream(args.seed).generator()
-    po = [sample_poisson(args.lam, w, gen) for _ in range(args.reps)]
-    thomas = make_thomas_sampler(args.lam / args.cluster_size, args.cluster_size, args.sigma, w)
-    th = [thomas(gen) for _ in range(args.reps)]
-
-    k_po, se_po = ripley_k(po, r_grid, args.lam)
-    k_th, se_th = ripley_k(th, r_grid, args.lam)
+    stream = make_stream(args.seed)
+    thomas = make_thomas_batch(args.lam / args.cluster_size, args.cluster_size, args.sigma, w)
+    k_po, se_po = ripley_k(make_poisson_batch(args.lam, w), r_grid, args.lam, args.reps, stream.split(0))
+    k_th, se_th = ripley_k(thomas, r_grid, args.lam, args.reps, stream.split(1))
     ref = np.pi * r_grid**2
 
     lines = ["r,k_poisson,stderr_poisson,k_thomas,stderr_thomas,pi_r_squared"]

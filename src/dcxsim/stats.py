@@ -1,8 +1,9 @@
 """Summary statistics of realizations: Ripley's K, Boolean-model coverage
-counts, and mixed-Palm (size-biased) reweighting."""
+counts, and mixed-Palm (size-biased) reweighting; the Ripley and Palm
+estimates reduce batch draws through ``ordering.replicate``."""
 from __future__ import annotations
 
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -11,39 +12,38 @@ from .geometry import (
     AtomicMeasure,
     GridField,
     NumericalError,
+    PatternBatch,
     PointPattern,
-    as_generator,
+    RngStream,
     pairwise_distances,
 )
+from .ordering import _CHUNK, replicate
 
 
 def ripley_k(
-    reps: Sequence[PointPattern], r_grid: np.ndarray, lam: float
+    draw: Callable, r_grid: np.ndarray, lam: float, n_reps: int, stream: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Plug-in Ripley K estimate on a torus with known intensity.
+    """Plug-in Ripley K estimate on a torus with known intensity, over n_reps
+    replications of the batch sampler draw (gen, size) -> PatternBatch.
 
-    Returns (K_hat, stderr) over the replications; for homogeneous Poisson in
-    the plane K(r) = pi r^2.
+    Returns (K_hat, stderr); for homogeneous Poisson in the plane K(r) = pi r^2.
     """
-    if any(p.window.topology != TORUS for p in reps):
-        raise ValueError("ripley_k requires a torus window")
-    if len(reps) < 2:
-        raise ValueError("need at least 2 replications")
     r_grid = np.asarray(r_grid, dtype=float)
-    per_rep = np.zeros((len(reps), r_grid.size))
-    for i, p in enumerate(reps):
-        if p.n < 2:
-            continue
-        # unordered pair distances, each pair once
-        d = pairwise_distances(p.window, p.points, p.points)[np.triu_indices(p.n, k=1)]
-        d.sort()
-        # ordered pairs = 2 * unordered
-        per_rep[i] = 2.0 * np.searchsorted(d, r_grid, side="right")
-    vol = reps[0].window.volume
-    per_rep /= lam**2 * vol
-    k_hat = per_rep.mean(axis=0)
-    stderr = per_rep.std(axis=0, ddof=1) / np.sqrt(len(reps))
-    return k_hat, stderr
+
+    def k_rows(batch: PatternBatch) -> np.ndarray:
+        w = batch.window
+        if w.topology != TORUS:
+            raise ValueError("ripley_k requires a torus window")
+        out = np.zeros((batch.size, r_grid.size))
+        for i, (n, end) in enumerate(zip(batch.counts, np.cumsum(batch.counts))):
+            pts = batch.points[end - n : end]
+            # unordered pair distances, each pair once; ordered pairs = 2 * unordered
+            d = np.sort(pairwise_distances(w, pts, pts)[np.triu_indices(n, k=1)])
+            out[i] = 2.0 * np.searchsorted(d, r_grid, side="right") / (lam**2 * w.volume)
+        return out
+
+    (mom,) = replicate((draw,), k_rows, n_reps, stream, _CHUNK)
+    return mom.mean, mom.stderr
 
 
 def coverage_field(p: PointPattern, queries: np.ndarray) -> np.ndarray:
@@ -75,28 +75,25 @@ def integrate_weight(real: Realization, f: Callable[[np.ndarray], np.ndarray]) -
 
 
 def mixed_palm_estimate(
-    sampler: Callable,
-    f: Callable[[np.ndarray], np.ndarray],
-    g: Callable[[Realization], float],
-    n_reps: int,
-    rng,
+    draw: Callable[[np.random.Generator, int], np.ndarray], n_reps: int, stream: RngStream
 ) -> tuple[float, float]:
     """Self-normalized reweighting estimate of E g under the f-weighted law:
-    E[(int f dLambda) g(Lambda)] / E[int f dLambda], with delta-method stderr."""
-    if n_reps < 2:
-        raise ValueError("need at least 2 replications")
-    gen = as_generator(rng)
-    weights = np.empty(n_reps)
-    stats = np.empty(n_reps)
-    for i in range(n_reps):
-        real = sampler(gen)
-        weights[i] = integrate_weight(real, f)
-        stats[i] = g(real)
-    bbar = weights.mean()
+    E[W g(Lambda)] / E[W] with W = int f dLambda, and its delta-method stderr.
+
+    ``draw`` is a batch draw (gen, size) -> (size, 2) of the columns W and g.
+    """
+
+    def reduce(wg: np.ndarray) -> np.ndarray:
+        a = wg[:, 0] * wg[:, 1]
+        return np.column_stack([wg[:, 0], a, wg[:, 0] + a])
+
+    (mom,) = replicate((draw,), reduce, n_reps, stream, _CHUNK)
+    bbar, abar = mom.mean[:2]
     if bbar == 0.0:
         raise NumericalError("all weights zero in the sample")
-    a = weights * stats
-    ratio = a.mean() / bbar
-    cov = np.cov(np.stack([a, weights]), ddof=1)
-    var = (cov[0, 0] - 2 * ratio * cov[0, 1] + ratio**2 * cov[1, 1]) / (bbar**2 * n_reps)
+    var_w, var_a, var_sum = mom.var
+    # Moments keeps per-column variances only: cov(W, Wg) by polarization
+    cov = (var_sum - var_w - var_a) / 2.0
+    ratio = abar / bbar
+    var = (var_a - 2 * ratio * cov + ratio**2 * var_w) / (bbar**2 * n_reps)
     return float(ratio), float(np.sqrt(max(var, 0.0)))

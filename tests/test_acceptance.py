@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from dcxsim.cli import main as cli_main
 from dcxsim.distributions import ClusterKernel, constant, exponential
-from dcxsim.geometry import Box, count_in, make_stream, make_window
+from dcxsim.geometry import Box, make_stream, make_window
 from dcxsim import processes, wireless
 from dcxsim.ordering import (
     CONSISTENT,
@@ -83,11 +83,10 @@ def test_criterion_04_palm_identity():
     t0 = time.perf_counter()
     lam = 5.0
     w = make_window([0, 0], [2, 2])
-    box_a = Box([0, 0], [1, 1])
-    f = lambda pts: box_a.contains(pts).astype(float)
-    g = lambda p: float(count_in(p, box_a))
+    # the weight int 1_A dN and the statistic are both the count N(A)
+    counts = processes.make_poisson_counts(lam, w, [Box([0, 0], [1, 1])])
     est, se = mixed_palm_estimate(
-        lambda gen: processes.sample_poisson(lam, w, gen), f, g, 100_000, make_stream(SEED, 4)
+        lambda gen, size: np.repeat(counts(gen, size), 2, axis=1), 100_000, make_stream(SEED, 4)
     )
     runtime = time.perf_counter() - t0
     ok = abs(est - 6.0) <= 3 * se and runtime < 30.0
@@ -95,16 +94,14 @@ def test_criterion_04_palm_identity():
 
 
 def test_criterion_05_ripley_baseline_and_excess():
-    gen = make_stream(SEED, 5).generator()
+    stream = make_stream(SEED, 5)
     lam = 50.0
     r_grid = np.array([0.02, 0.05, 0.1, 0.15])
-    reps = [processes.sample_poisson(lam, W1, gen) for _ in range(10_000)]
-    k_hat, se = ripley_k(reps, r_grid, lam)
+    k_hat, se = ripley_k(processes.make_poisson_batch(lam, W1), r_grid, lam, 10_000, stream.split(0))
     ref = np.pi * r_grid**2
     ok = bool(np.all(np.abs(k_hat - ref) <= 3 * se))
-    thomas = processes.make_thomas_sampler(10.0, 5.0, 0.05, W1)
-    reps_t = [thomas(gen) for _ in range(2000)]
-    k_t, se_t = ripley_k(reps_t, np.array([0.05]), lam)
+    thomas = processes.make_thomas_batch(10.0, 5.0, 0.05, W1)
+    k_t, se_t = ripley_k(thomas, np.array([0.05]), lam, 2000, stream.split(1))
     excess = float(k_t[0] - np.pi * 0.05**2)
     ok = ok and excess > 3 * float(se_t[0])
     assert _report(5, ok, f"Ripley K: Poisson within 3 sigma, clustered excess {excess:.4f}")

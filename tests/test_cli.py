@@ -89,10 +89,13 @@ def test_non_string_output_dir_is_config_error(tmp_path):
 
 def test_invalid_parameter_is_config_error(tmp_path):
     for entry in (
-        {"id": "oracle-poisson-scaling", "a": -1.0},
+        {"id": "oracle-poisson-scaling", "a_values": [-1.0]},
         {"id": "levy-grid", "window": "abc"},
         {"id": "levy-grid", "lattice_spacing": 0},
         {"id": "ripley-poisson", "n_rep": 10},
+        {"id": "ripley-poisson", "window": {"low": [0, 0], "highs": [2, 2]}},
+        {"id": "ising-vs-poisson", "z_crit": 1.0},
+        {"id": "palm-poisson-check", "box_highs": [3, 3]},
     ):
         path = _write_config(tmp_path, [entry])
         result = CliRunner().invoke(main, ["run", str(path)])
