@@ -6,7 +6,7 @@ Config files are YAML with top-level keys:
   workers     optional positive integer, accepted for existing configs; it has
               no effect, since scenarios run their replications serially
   scenarios   list of {id: <scenario id>, ...scenario parameters...}; a key
-              the scenario does not read is a configuration error
+              not in the scenario's SCENARIOS defaults is a configuration error
 
 Each scenario produces <output_dir>/<id>.json and <output_dir>/<id>.csv.
 Exit codes: 0 clean, 1 a verdict was VIOLATION/fail, 2 configuration error

@@ -97,7 +97,7 @@ class ClusterKernel:
         norm = (2 * np.pi * sigma**2) ** (dim / 2)
         return np.exp(-(r**2) / (2 * sigma**2)) / norm
 
-    def truncation_radius(self, dim: int) -> float:
+    def truncation_radius(self) -> float:
         """Radius beyond which the density is below 1e-6 times its peak."""
         (sigma,) = self.params
         return sigma * np.sqrt(-2.0 * np.log(1e-6))

@@ -325,7 +325,6 @@ def compare_vectors(
     n_reps: int,
     stream: RngStream,
     *,
-    require_equal_means: bool = True,
     z_crit: float = 3.0,
 ) -> OrderReport:
     """Independent MC estimates of E f(X) and E f(Y) per suite function, with
@@ -357,7 +356,7 @@ def compare_vectors(
     zm = _z_scores(diff_all[nf:], se_all[nf:], 0.0)
     means_equal = decide(np.concatenate([zm, -zm]), z_crit) == CONSISTENT
     mean_eq = {
-        "checked": require_equal_means,
+        "checked": True,
         "mean_x": mean_x[nf:].tolist(),
         "mean_y": mean_y[nf:].tolist(),
         "z": zm.tolist(),
@@ -365,7 +364,7 @@ def compare_vectors(
     }
 
     verdict = decide(z, z_crit)
-    if verdict == CONSISTENT and require_equal_means and not means_equal:
+    if verdict == CONSISTENT and not means_equal:
         verdict = INCONCLUSIVE
     return OrderReport(records, verdict, mean_eq, var_x[nf:], var_y[nf:])
 
@@ -589,25 +588,19 @@ def oracle_ising_exact(
     mu2: float,
     p_plus: float,
     suite: Sequence[TestFunction],
-    site_cells: Optional[Sequence[int]] = None,
     tol: float = ORACLE_TOL,
 ) -> IsingOracleReport:
     """Exact enumeration check that the i.i.d.-spin lattice intensity field is
     larger than its constant mean field for every dcx suite function:
-    f(mean, ..., mean) <= E f(values at the sites)."""
+    f(mean, ..., mean) <= E f(values at the sites), each site in its own
+    lattice cell."""
     if mu2 > mu1:
         raise ValueError("need mu2 <= mu1")
-    cells = list(range(n_sites)) if site_cells is None else list(site_cells)
-    if len(cells) != n_sites:
-        raise ValueError("site_cells must assign one lattice cell per site")
-    uniq = sorted(set(cells))
-    if len(uniq) > 12:
-        raise ValueError("at most 12 distinct lattice cells can be enumerated")
-    cell_index = {c: i for i, c in enumerate(uniq)}
-    site_idx = np.array([cell_index[c] for c in cells])
-    configs = np.array(list(itertools.product([0, 1], repeat=len(uniq))), dtype=float)
+    if n_sites > 12:
+        raise ValueError("at most 12 sites can be enumerated")
+    configs = np.array(list(itertools.product([0, 1], repeat=n_sites)), dtype=float)
     weights = np.prod(np.where(configs == 1, p_plus, 1.0 - p_plus), axis=1)
-    values = np.where(configs[:, site_idx] == 1, mu1, mu2)
+    values = np.where(configs == 1, mu1, mu2)
     mean_field = np.full((1, n_sites), mu1 * p_plus + mu2 * (1.0 - p_plus))
     worst = 0.0
     for f in suite:

@@ -115,20 +115,20 @@ def sample_ising_field(
     w: Window,
     cells_per_axis,
     rng,
-    spacing: float = ISING_SPACING,
 ) -> GridField:
-    """Randomly shifted lattice field taking mu1 w.p. p_plus else mu2, i.i.d. per
-    lattice cell, resampled onto the requested grid at cell midpoints.
+    """Randomly shifted lattice field of spacing ISING_SPACING taking mu1 w.p.
+    p_plus else mu2, i.i.d. per lattice cell, resampled onto the requested grid
+    at cell midpoints.
 
     On a torus the lattice is periodic (each side must be a whole multiple of
     the spacing), so the cell that wraps around the window has one spin.
     """
     _check_spins(mu1, mu2, p_plus)
-    n_lattice = _lattice_size(w, spacing)
+    n_lattice = _lattice_size(w, ISING_SPACING)
     gen = as_generator(rng)
-    shift = gen.random(w.dim) * spacing
+    shift = gen.random(w.dim) * ISING_SPACING
     field = GridField(w, cells_per_axis, np.zeros(tuple(np.atleast_1d(cells_per_axis))))
-    lattice_idx, n_lattice = _lattice_index(w, field.midpoints(), shift, spacing, n_lattice)
+    lattice_idx, n_lattice = _lattice_index(w, field.midpoints(), shift, ISING_SPACING, n_lattice)
     spins = gen.random(tuple(n_lattice)) < p_plus
     vals = np.where(spins[tuple(lattice_idx.T)], mu1, mu2)
     return GridField(w, cells_per_axis, vals.reshape(field.values.shape))
@@ -187,9 +187,8 @@ def make_ising_cox_counts(
     boxes,
     translate=0.0,
 ) -> Callable:
-    """Counts of the spin-lattice Cox process (sample_ising_field at its default
-    spacing ISING_SPACING, then sample_cox) on the boxes, translated by
-    ``translate`` as ops.displace does.
+    """Counts of the spin-lattice Cox process (sample_ising_field, then
+    sample_cox) on the boxes, translated by ``translate`` as ops.displace does.
 
     A grid cell takes the spin of the lattice cell holding its midpoint, so
     L(B) = sum over lattice cells l of value(l) * prod_k occ_k(l_k, B), where
@@ -276,7 +275,7 @@ def sample_ppcluster_intensity(
     if c <= 0 or lam <= 0:
         raise ValueError("c and lam must be positive")
     gen = as_generator(rng)
-    pad = kernel.truncation_radius(w.dim)
+    pad = kernel.truncation_radius()
     parents = _poisson_batch(c * lam, w, pad, gen, 1).points
     field = GridField(w, cells_per_axis, np.zeros(tuple(np.atleast_1d(cells_per_axis))))
     mids = field.midpoints()
@@ -292,7 +291,7 @@ def ppcluster_intensity_at(
         raise ValueError("c and lam must be positive")
     gen = as_generator(rng)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    pad = kernel.truncation_radius(w.dim)
+    pad = kernel.truncation_radius()
     parents = _poisson_batch(c * lam, w, pad, gen, 1).points
     return _kernel_values(kernel, w, parents, queries).sum(axis=0) / c
 
@@ -375,7 +374,7 @@ def make_thomas_sampler(
     b_one = MassDistribution("constant", (1.0,))
 
     def parents(gen):
-        pad = kernel.truncation_radius(w.dim)
+        pad = kernel.truncation_radius()
         pts = _poisson_batch(parent_lam, w, pad, gen, 1).points
         if w.topology == TORUS:
             return PointPattern(w, pts)
@@ -409,7 +408,7 @@ def make_thomas_batch(
     Gaussian offsets; children wrap on a torus, while on a plain window the
     parents are padded and children outside the window dropped."""
     kernel = ClusterKernel("gaussian", (sigma,))
-    pad = kernel.truncation_radius(w.dim)
+    pad = kernel.truncation_radius()
 
     def draw(gen: np.random.Generator, size: int) -> PatternBatch:
         parents = _poisson_batch(parent_lam, w, pad, gen, size)
@@ -436,7 +435,7 @@ def make_ppcluster_intensity_at(
     if c <= 0 or lam <= 0:
         raise ValueError("c and lam must be positive")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    pad = kernel.truncation_radius(w.dim)
+    pad = kernel.truncation_radius()
     density = lambda d: kernel.density(d, w.dim)
     return lambda gen, size: ragged_sn(
         _poisson_batch(c * lam, w, pad, gen, size), queries, density

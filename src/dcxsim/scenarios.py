@@ -39,15 +39,15 @@ class ScenarioResult:
     csv_rows: list = field(default_factory=list)
 
 
-def _window(params: dict, lows, highs, topology="torus") -> Window:
-    wspec = params.get("window", {})
+def _window(p: dict, lows, highs) -> Window:
+    wspec = p["window"]
     if not isinstance(wspec, dict):
         raise ValueError("scenario parameter 'window' must be a mapping")
     unknown = sorted(set(wspec) - {"lows", "highs", "topology"})
     if unknown:
         raise ValueError(f"unknown window keys {unknown}")
     return make_window(
-        wspec.get("lows", lows), wspec.get("highs", highs), wspec.get("topology", topology)
+        wspec.get("lows", lows), wspec.get("highs", highs), wspec.get("topology", "torus")
     )
 
 
@@ -62,22 +62,29 @@ def _quadrant_boxes(w: Window) -> list[Box]:
     return boxes
 
 
-def _order_csv(report) -> tuple[list, list]:
-    header = ["id", "family", "mean_x", "mean_y", "diff", "stderr", "z"]
-    rows = [
-        [r.fid, r.family, r.mean_x, r.mean_y, r.diff, r.stderr, r.z] for r in report.records
-    ]
-    return header, rows
+def _suite_compare(p: dict, draws, scale, suite_stream, stream, z_crit: float = 3.0):
+    """compare_vectors of the two batch draws on a dcx suite of p["suite_size"]
+    functions calibrated to ``scale``, the mean of the compared vectors."""
+    suite = make_suite("dcx", len(scale), int(p["suite_size"]), suite_stream, scale=scale)
+    return compare_vectors(*draws, suite, int(p["n_reps"]), stream, z_crit=z_crit)
 
 
-def _box_count_samplers(params: dict, w: Window, boxes, translate=0.0) -> tuple:
+def _order_result(sid: str, report, details: dict) -> ScenarioResult:
+    """The result of a scenario decided by one suite comparison, one CSV row
+    per suite function."""
+    rows = [[r.fid, r.family, r.mean_x, r.mean_y, r.diff, r.stderr, r.z] for r in report.records]
+    return ScenarioResult(
+        sid, report.verdict, [r.to_dict() for r in report.records], report.mean_equality,
+        details, ["id", "family", "mean_x", "mean_y", "diff", "stderr", "z"], rows,
+    )
+
+
+def _box_count_samplers(p: dict, w: Window, boxes, translate=0.0) -> tuple:
     """lam_bar and the batch count samplers of the homogeneous Poisson process
     and the spin-lattice Cox process of equal intensity lam_bar on the boxes,
     both translated by ``translate``."""
-    mu1 = float(params.get("mu1", 2.0))
-    mu2 = float(params.get("mu2", 0.0))
-    p_plus = float(params.get("p_plus", 0.5))
-    cells = int(params.get("cells_per_axis", 32))
+    mu1, mu2, p_plus = float(p["mu1"]), float(p["mu2"]), float(p["p_plus"])
+    cells = int(p["cells_per_axis"])
     lam_bar = mu1 * p_plus + mu2 * (1.0 - p_plus)
     return (
         lam_bar,
@@ -88,7 +95,7 @@ def _box_count_samplers(params: dict, w: Window, boxes, translate=0.0) -> tuple:
     )
 
 
-def _ops_arms(params: dict, w: Window, boxes) -> tuple:
+def _ops_arms(p: dict, w: Window, boxes) -> tuple:
     """lam_bar and, per operation of ops-preservation, the batch count samplers
     of the operated Poisson and spin-lattice Cox processes.
 
@@ -97,77 +104,59 @@ def _ops_arms(params: dict, w: Window, boxes) -> tuple:
     Poisson(|B|) counts, and a translation by t counts the original process on
     the pre-images B - t.
     """
-    shift = np.asarray(params.get("shift", [0.35, 0.15]), dtype=float)
-    lam_bar, poisson, cox = _box_count_samplers(params, w, boxes)
+    shift = np.asarray(p["shift"], dtype=float)
+    lam_bar, poisson, cox = _box_count_samplers(p, w, boxes)
     unit = processes.make_poisson_counts(1.0, w, boxes)
     thinned = lambda base: lambda gen, size: thin_counts(base(gen, size), 0.5, gen)
     superposed = lambda base: lambda gen, size: base(gen, size) + unit(gen, size)
     return lam_bar, {
         "thin_iid_half": (thinned(poisson), thinned(cox)),
-        "displace_shift": _box_count_samplers(params, w, boxes, shift)[1:],
+        "displace_shift": _box_count_samplers(p, w, boxes, shift)[1:],
         "superpose_poisson": (superposed(poisson), superposed(cox)),
     }
 
 
-def _interferer_samplers(lam: float, params: dict, w: Window) -> tuple:
+def _interferer_samplers(p: dict, w: Window) -> tuple:
     """Batch samplers of the Poisson and the Thomas process of total intensity lam."""
-    cluster_size = float(params.get("cluster_size", 5.0))
-    sigma = float(params.get("sigma", 0.05))
+    lam, cluster_size = float(p["lam"]), float(p["cluster_size"])
     return (
         processes.make_poisson_batch(lam, w),
-        processes.make_thomas_batch(lam / cluster_size, cluster_size, sigma, w),
+        processes.make_thomas_batch(lam / cluster_size, cluster_size, float(p["sigma"]), w),
     )
 
 
 # ---------------------------------------------------------------------------
-# Scenario runners
+# Scenario runners: each reads the merged parameters of run_scenario
 
-def run_ising_vs_poisson(params: dict, stream: RngStream) -> ScenarioResult:
-    n_reps = int(params.get("n_reps", 20_000))
-    suite_size = int(params.get("suite_size", 100))
-    w = _window(params, [0.0, 0.0], [4.0, 4.0])
+def run_ising_vs_poisson(p: dict, stream: RngStream) -> ScenarioResult:
+    w = _window(p, [0.0, 0.0], [4.0, 4.0])
     boxes = _quadrant_boxes(w)
-    lam_bar, draw_poisson, draw_ising = _box_count_samplers(params, w, boxes)
+    lam_bar, *draws = _box_count_samplers(p, w, boxes)
     scale = np.array([lam_bar * b.volume for b in boxes])
-    suite = make_suite("dcx", len(boxes), suite_size, stream.split(10**6), scale=scale)
-    report = compare_vectors(draw_poisson, draw_ising, suite, n_reps, stream)
-    header, rows = _order_csv(report)
+    report = _suite_compare(p, draws, scale, stream.split(10**6), stream)
     n_separated = int(sum(r.z > 3.0 for r in report.records))
-    return ScenarioResult(
-        "ising-vs-poisson",
-        report.verdict,
-        [r.to_dict() for r in report.records],
-        report.mean_equality,
-        {"lam_bar": lam_bar, "n_strictly_separated": n_separated},
-        header,
-        rows,
+    return _order_result(
+        "ising-vs-poisson", report, {"lam_bar": lam_bar, "n_strictly_separated": n_separated}
     )
 
 
-def run_ppcluster_family(params: dict, stream: RngStream) -> ScenarioResult:
-    lam = float(params.get("lam", 20.0))
-    sigma = float(params.get("sigma", 0.1))
-    n_reps = int(params.get("n_reps", 20_000))
-    suite_size = int(params.get("suite_size", 40))
-    pairs = [tuple(p) for p in params.get("c_pairs", [(4.0, 1.0), (2.0, 0.5)])]
-    w = _window(params, [0.0, 0.0], [1.0, 1.0])
-    kernel = ClusterKernel("gaussian", (sigma,))
-    queries = np.asarray(
-        params.get("queries", [[0.2, 0.2], [0.5, 0.5], [0.8, 0.6]]), dtype=float
-    )
+def run_ppcluster_family(p: dict, stream: RngStream) -> ScenarioResult:
+    lam = float(p["lam"])
+    pairs = p["c_pairs"]
+    w = _window(p, [0.0, 0.0], [1.0, 1.0])
+    kernel = ClusterKernel("gaussian", (p["sigma"],))
+    queries = np.asarray(p["queries"], dtype=float)
 
     results, per_function, rows = [], [], []
     z_crit = bonferroni_z(3.0, len(pairs))  # one scenario rate, split over the pairs
     for k, (c_hi, c_lo) in enumerate(pairs):
-        suite = make_suite(
-            "dcx", queries.shape[0], suite_size, stream.split(10**6 + k),
-            scale=np.full(queries.shape[0], lam),
-        )
         # larger c is the less variable (dcx-smaller) member of the family
-        rep = compare_vectors(
-            processes.make_ppcluster_intensity_at(c_hi, lam, kernel, w, queries),
-            processes.make_ppcluster_intensity_at(c_lo, lam, kernel, w, queries),
-            suite, n_reps, stream.split(2 * k), z_crit=z_crit,
+        draws = [
+            processes.make_ppcluster_intensity_at(c, lam, kernel, w, queries) for c in (c_hi, c_lo)
+        ]
+        rep = _suite_compare(
+            p, draws, np.full(queries.shape[0], lam), stream.split(10**6 + k),
+            stream.split(2 * k), z_crit,
         )
         per_function.extend(dict(r.to_dict(), c_pair=[c_hi, c_lo]) for r in rep.records)
         # intensity variance at the first query, from the compared draws
@@ -195,27 +184,23 @@ def run_ppcluster_family(params: dict, stream: RngStream) -> ScenarioResult:
     )
 
 
-def _sinr_layout(params: dict, w: Window) -> wireless.LinkLayout:
-    t = float(params.get("T", 1.0))
-    beta = float(params.get("beta", 4.0))
-    power = float(params.get("power", 1.0))
-    noise = float(params.get("noise", 0.01))
-    tx = np.asarray(params.get("emitters", [[0.3, 0.3], [0.7, 0.7]]), dtype=float)
-    rx = np.asarray(params.get("receivers", [[0.3, 0.35], [0.7, 0.75]]), dtype=float)
+def _sinr_layout(p: dict, w: Window) -> wireless.LinkLayout:
     return wireless.LinkLayout(
-        w, tx, rx, t,
-        ResponseKernel("power_law", (beta,), emitted_power=power),
-        exponential(float(params.get("fading_mean", 1.0))),
-        constant(noise),
+        w,
+        np.asarray(p["emitters"], dtype=float),
+        np.asarray(p["receivers"], dtype=float),
+        float(p["T"]),
+        ResponseKernel("power_law", (float(p["beta"]),), emitted_power=float(p["power"])),
+        exponential(float(p["fading_mean"])),
+        constant(float(p["noise"])),
     )
 
 
-def run_sinr_compare(params: dict, stream: RngStream) -> ScenarioResult:
-    lam = float(params.get("lam", 5.0))
-    n_reps = int(params.get("n_reps", 20_000))
-    w = _window(params, [0.0, 0.0], [1.0, 1.0])
-    layout = _sinr_layout(params, w)
-    poisson, thomas = _interferer_samplers(lam, params, w)
+def run_sinr_compare(p: dict, stream: RngStream) -> ScenarioResult:
+    n_reps = int(p["n_reps"])
+    w = _window(p, [0.0, 0.0], [1.0, 1.0])
+    layout = _sinr_layout(p, w)
+    poisson, thomas = _interferer_samplers(p, w)
     p_po, se_po = wireless.sinr_success_rayleigh(
         layout, poisson, n_reps, stream.split(0)
     )
@@ -249,14 +234,14 @@ def run_sinr_compare(params: dict, stream: RngStream) -> ScenarioResult:
     )
 
 
-def run_coverage_compare(params: dict, stream: RngStream) -> ScenarioResult:
-    lam = float(params.get("lam", 20.0))
-    r = float(params.get("r", 0.1))
-    n_reps = int(params.get("n_reps", 20_000))
-    w = _window(params, [0.0, 0.0], [1.0, 1.0])
-    queries = np.asarray(params.get("queries", [[0.5, 0.5]]), dtype=float)
+def run_coverage_compare(p: dict, stream: RngStream) -> ScenarioResult:
+    lam = float(p["lam"])
+    r = float(p["r"])
+    n_reps = int(p["n_reps"])
+    w = _window(p, [0.0, 0.0], [1.0, 1.0])
+    queries = np.asarray(p["queries"], dtype=float)
     radius = constant(r)
-    poisson, thomas = _interferer_samplers(lam, params, w)
+    poisson, thomas = _interferer_samplers(p, w)
     rep_po = wireless.boolean_coverage(
         poisson, radius, queries, n_reps, stream.split(0)
     )
@@ -295,15 +280,15 @@ def run_coverage_compare(params: dict, stream: RngStream) -> ScenarioResult:
     )
 
 
-def run_palm_poisson_check(params: dict, stream: RngStream) -> ScenarioResult:
-    lam = float(params.get("lam", 5.0))
-    n_reps = int(params.get("n_reps", 20_000))
-    w = _window(params, [0.0, 0.0], [2.0, 2.0])
-    box_a = Box(params.get("box_lows", [0.0, 0.0]), params.get("box_highs", [1.0, 1.0]))
+def run_palm_poisson_check(p: dict, stream: RngStream) -> ScenarioResult:
+    lam = float(p["lam"])
+    w = _window(p, [0.0, 0.0], [2.0, 2.0])
+    box_a = Box(p["box_lows"], p["box_highs"])
     # weight and statistic are both the count N(A)
     counts = processes.make_poisson_counts(lam, w, [box_a])
     est, se = mixed_palm_estimate(
-        lambda gen, size: np.repeat(counts(gen, size), 2, axis=1), n_reps, stream.split(0)
+        lambda gen, size: np.repeat(counts(gen, size), 2, axis=1), int(p["n_reps"]),
+        stream.split(0),
     )
     expected = lam * box_a.volume + 1.0
     z = float(_z_scores(est - expected, se))
@@ -318,8 +303,8 @@ def run_palm_poisson_check(params: dict, stream: RngStream) -> ScenarioResult:
     )
 
 
-def run_ginibre_oracle(params: dict, stream: RngStream) -> ScenarioResult:
-    b_values = [float(b) for b in params.get("b_values", [0.5, 1.0, 2.0, 5.0])]
+def run_ginibre_oracle(p: dict, stream: RngStream) -> ScenarioResult:
+    b_values = [float(b) for b in p["b_values"]]
     rows, reports = [], []
     passed = True
     for b in b_values:
@@ -338,9 +323,9 @@ def run_ginibre_oracle(params: dict, stream: RngStream) -> ScenarioResult:
     )
 
 
-def run_oracle_poisson_scaling(params: dict, stream: RngStream) -> ScenarioResult:
-    a_values = [float(a) for a in params.get("a_values", [0.5, 1.0, 2.0])]
-    c_values = [float(c) for c in params.get("c_values", [1.5, 2.0, 3.0])]
+def run_oracle_poisson_scaling(p: dict, stream: RngStream) -> ScenarioResult:
+    a_values = [float(a) for a in p["a_values"]]
+    c_values = [float(c) for c in p["c_values"]]
     rows, reports = [], []
     passed = True
     violation = 0.0
@@ -362,21 +347,18 @@ def run_oracle_poisson_scaling(params: dict, stream: RngStream) -> ScenarioResul
     )
 
 
-def run_lo_extremal(params: dict, stream: RngStream) -> ScenarioResult:
-    lam = float(params.get("lam", 20.0))
-    beta = float(params.get("beta", 4.0))
-    n_reps = int(params.get("n_reps", 20_000))
-    w = _window(params, [0.0, 0.0], [1.0, 1.0])
-    queries = np.asarray(params.get("queries", [[0.25, 0.25], [0.75, 0.75]]), dtype=float)
-    h = ResponseKernel("power_law", (beta,))
-    poisson, thomas = _interferer_samplers(lam, params, w)
+def run_lo_extremal(p: dict, stream: RngStream) -> ScenarioResult:
+    w = _window(p, [0.0, 0.0], [1.0, 1.0])
+    queries = np.asarray(p["queries"], dtype=float)
+    h = ResponseKernel("power_law", (float(p["beta"]),))
+    poisson, thomas = _interferer_samplers(p, w)
     extremal = lambda sampler: lambda gen, size: ragged_sn(
         sampler(gen, size), queries, h.value, "max"
     )
-    grid_1d = np.asarray(params.get("threshold_grid", np.linspace(0.1, 0.9, 5)), dtype=float)
+    grid_1d = np.asarray(p["threshold_grid"], dtype=float)
     thresholds = np.array([[t1, t2] for t1 in grid_1d for t2 in grid_1d])
     # the clustered field has more uncovered space: claim U_thomas <= U_poisson (lo)
-    rep = lo_compare(extremal(thomas), extremal(poisson), thresholds, n_reps, stream)
+    rep = lo_compare(extremal(thomas), extremal(poisson), thresholds, int(p["n_reps"]), stream)
     rows = [
         [thresholds[i, 0], thresholds[i, 1], float(rep.cdf_1[i]), float(rep.cdf_2[i]),
          float(rep.stderr[i])]
@@ -388,13 +370,11 @@ def run_lo_extremal(params: dict, stream: RngStream) -> ScenarioResult:
     )
 
 
-def run_levy_grid(params: dict, stream: RngStream) -> ScenarioResult:
-    spacing = float(params.get("lattice_spacing", 1.0))
+def run_levy_grid(p: dict, stream: RngStream) -> ScenarioResult:
+    spacing = float(p["lattice_spacing"])
     if spacing <= 0:
         raise ValueError("lattice_spacing must be positive")
-    n_reps = int(params.get("n_reps", 20_000))
-    suite_size = int(params.get("suite_size", 60))
-    w = _window(params, [0.0, 0.0], [4.0, 4.0])
+    w = _window(p, [0.0, 0.0], [4.0, 4.0])
     boxes = _quadrant_boxes(w)
     # equal-mean masses: a sum of two Exp(1/2) is convex-smaller than one Exp(1)
     mass_x = MassDistribution("sum_of_exponentials", (0.5, 0.5))
@@ -407,24 +387,17 @@ def run_levy_grid(params: dict, stream: RngStream) -> ScenarioResult:
         return batched(inner)
 
     atoms_per_box = (w.volume / spacing**w.dim) / len(boxes)
-    suite = make_suite(
-        "dcx", len(boxes), suite_size, stream.split(10**6),
-        scale=np.full(len(boxes), atoms_per_box),
+    rep = _suite_compare(
+        p, (draw(mass_x), draw(mass_y)), np.full(len(boxes), atoms_per_box),
+        stream.split(10**6), stream,
     )
-    rep = compare_vectors(draw(mass_x), draw(mass_y), suite, n_reps, stream)
-    header, rows = _order_csv(rep)
-    return ScenarioResult(
-        "levy-grid", rep.verdict, [r.to_dict() for r in rep.records],
-        rep.mean_equality, {"atoms_per_box": atoms_per_box}, header, rows,
-    )
+    return _order_result("levy-grid", rep, {"atoms_per_box": atoms_per_box})
 
 
-def run_marked_basis(params: dict, stream: RngStream) -> ScenarioResult:
-    lam = float(params.get("lam", 10.0))
-    mark_mean = float(params.get("mark_mean", 1.0))
-    n_reps = int(params.get("n_reps", 20_000))
-    suite_size = int(params.get("suite_size", 60))
-    w = _window(params, [0.0, 0.0], [1.0, 1.0])
+def run_marked_basis(p: dict, stream: RngStream) -> ScenarioResult:
+    lam = float(p["lam"])
+    mark_mean = float(p["mark_mean"])
+    w = _window(p, [0.0, 0.0], [1.0, 1.0])
     boxes = _quadrant_boxes(w)
     mark = exponential(mark_mean)
 
@@ -436,31 +409,23 @@ def run_marked_basis(params: dict, stream: RngStream) -> ScenarioResult:
         return batched(inner)
 
     scale = np.array([lam * mark_mean * b.volume for b in boxes])
-    suite = make_suite("dcx", len(boxes), suite_size, stream.split(10**6), scale=scale)
-    rep = compare_vectors(draw(0), draw(1), suite, n_reps, stream)
-    header, rows = _order_csv(rep)
-    return ScenarioResult(
-        "marked-basis", rep.verdict, [r.to_dict() for r in rep.records],
-        rep.mean_equality, {}, header, rows,
-    )
+    rep = _suite_compare(p, (draw(0), draw(1)), scale, stream.split(10**6), stream)
+    return _order_result("marked-basis", rep, {})
 
 
-def run_ops_preservation(params: dict, stream: RngStream) -> ScenarioResult:
-    n_reps = int(params.get("n_reps", 10_000))
-    suite_size = int(params.get("suite_size", 30))
-    w = _window(params, [0.0, 0.0], [4.0, 4.0])
+def run_ops_preservation(p: dict, stream: RngStream) -> ScenarioResult:
+    w = _window(p, [0.0, 0.0], [4.0, 4.0])
     boxes = _quadrant_boxes(w)
-    lam_bar, arms = _ops_arms(params, w, boxes)
+    lam_bar, arms = _ops_arms(p, w, boxes)
     rows, verdicts = [], {}
     z_crit = bonferroni_z(3.0, len(arms))  # one scenario rate, split over the ops
-    for op_idx, (name, (sx, sy)) in enumerate(arms.items()):
+    for op_idx, (name, draws) in enumerate(arms.items()):
         extra = 1.0 * w.volume if name == "superpose_poisson" else 0.0
         factor = 0.5 if name == "thin_iid_half" else 1.0
         scale = np.array([factor * lam_bar * b.volume + extra / len(boxes) for b in boxes])
-        suite = make_suite(
-            "dcx", len(boxes), suite_size, stream.split(10**6 + op_idx), scale=scale,
+        rep = _suite_compare(
+            p, draws, scale, stream.split(10**6 + op_idx), stream.split(op_idx), z_crit
         )
-        rep = compare_vectors(sx, sy, suite, n_reps, stream.split(op_idx), z_crit=z_crit)
         verdicts[name] = rep.verdict
         min_z = min(r.z for r in rep.records)
         rows.append([name, rep.verdict, min_z])
@@ -470,12 +435,13 @@ def run_ops_preservation(params: dict, stream: RngStream) -> ScenarioResult:
     )
 
 
-def run_ripley_poisson(params: dict, stream: RngStream) -> ScenarioResult:
-    lam = float(params.get("lam", 50.0))
-    n_reps = int(params.get("n_reps", 1000))
-    r_grid = np.asarray(params.get("r_grid", [0.02, 0.05, 0.1, 0.15]), dtype=float)
-    w = _window(params, [0.0, 0.0], [1.0, 1.0])
-    k_hat, se = ripley_k(processes.make_poisson_batch(lam, w), r_grid, lam, n_reps, stream.split(0))
+def run_ripley_poisson(p: dict, stream: RngStream) -> ScenarioResult:
+    lam = float(p["lam"])
+    r_grid = np.asarray(p["r_grid"], dtype=float)
+    w = _window(p, [0.0, 0.0], [1.0, 1.0])
+    k_hat, se = ripley_k(
+        processes.make_poisson_batch(lam, w), r_grid, lam, int(p["n_reps"]), stream.split(0)
+    )
     ref = np.pi * r_grid**2
     z = _z_scores(k_hat - ref, se)
     rows = [
@@ -493,74 +459,89 @@ def run_ripley_poisson(params: dict, stream: RngStream) -> ScenarioResult:
     )
 
 
-# id -> (description, runner, the scenario parameters the runner reads); the
-# CLI rejects any other key of a scenario entry
-SCENARIOS: dict[str, tuple[str, Callable, tuple[str, ...]]] = {
+# Defaults shared by scenarios: the spin-lattice Cox process, and the Thomas
+# interferers or germs (children per parent, Gaussian spread)
+_SPINS = {"mu1": 2.0, "mu2": 0.0, "p_plus": 0.5, "cells_per_axis": 32}
+_THOMAS = {"cluster_size": 5.0, "sigma": 0.05}
+
+# id -> (description, runner, defaults).  The defaults are every parameter the
+# runner reads, as plain config values; the CLI rejects any other key of a
+# scenario entry.
+SCENARIOS: dict[str, tuple[str, Callable, dict]] = {
     "ising-vs-poisson": (
         "dcx comparison of box counts: homogeneous Poisson vs the spin-lattice Cox process",
         run_ising_vs_poisson,
-        ("n_reps", "suite_size", "window", "mu1", "mu2", "p_plus", "cells_per_axis"),
+        {"n_reps": 20_000, "suite_size": 100, "window": {}, **_SPINS},
     ),
     "ppcluster-family": (
         "cluster-intensity family: dcx-decreasing in the parent-splitting parameter c",
         run_ppcluster_family,
-        ("lam", "sigma", "n_reps", "suite_size", "c_pairs", "window", "queries"),
+        {"lam": 20.0, "sigma": 0.1, "n_reps": 20_000, "suite_size": 40,
+         "c_pairs": [[4.0, 1.0], [2.0, 0.5]], "window": {},
+         "queries": [[0.2, 0.2], [0.5, 0.5], [0.8, 0.6]]},
     ),
     "sinr-compare": (
         "joint SINR success probability: Poisson vs clustered interferers",
         run_sinr_compare,
-        ("lam", "n_reps", "window", "T", "beta", "power", "noise", "emitters", "receivers",
-         "fading_mean", "cluster_size", "sigma"),
+        {"lam": 5.0, "n_reps": 20_000, "window": {}, "T": 1.0, "beta": 4.0, "power": 1.0,
+         "noise": 0.01, "emitters": [[0.3, 0.3], [0.7, 0.7]],
+         "receivers": [[0.3, 0.35], [0.7, 0.75]], "fading_mean": 1.0, **_THOMAS},
     ),
     "coverage-compare": (
         "Boolean-model coverage: Poisson vs clustered germs at equal intensity",
         run_coverage_compare,
-        ("lam", "r", "n_reps", "window", "queries", "cluster_size", "sigma"),
+        {"lam": 20.0, "r": 0.1, "n_reps": 20_000, "window": {}, "queries": [[0.5, 0.5]],
+         **_THOMAS},
     ),
     "palm-poisson-check": (
         "reweighted-law identity: box-count expectation lam|A| + 1 under the size-biased law",
         run_palm_poisson_check,
-        ("lam", "n_reps", "window", "box_lows", "box_highs"),
+        {"lam": 5.0, "n_reps": 20_000, "window": {}, "box_lows": [0.0, 0.0],
+         "box_highs": [1.0, 1.0]},
     ),
     "ginibre-oracle": (
         "exact convex-order oracle for the stacked-radii count vs a Poisson count",
         run_ginibre_oracle,
-        ("b_values",),
+        {"b_values": [0.5, 1.0, 2.0, 5.0]},
     ),
     "oracle-poisson-scaling": (
         "exact convex-order oracle: Poisson(c a) vs c * Poisson(a)",
         run_oracle_poisson_scaling,
-        ("a_values", "c_values"),
+        {"a_values": [0.5, 1.0, 2.0], "c_values": [1.5, 2.0, 3.0]},
     ),
     "lo-extremal": (
         "lower-orthant comparison of extremal shot-noise fields, clustered vs Poisson",
         run_lo_extremal,
-        ("lam", "beta", "n_reps", "window", "queries", "threshold_grid", "cluster_size", "sigma"),
+        {"lam": 20.0, "beta": 4.0, "n_reps": 20_000, "window": {},
+         "queries": [[0.25, 0.25], [0.75, 0.75]],
+         "threshold_grid": np.linspace(0.1, 0.9, 5).tolist(), **_THOMAS},
     ),
     "levy-grid": (
         "lattice measures with i.i.d. masses: convex-ordered masses give dcx-ordered boxes",
         run_levy_grid,
-        ("lattice_spacing", "n_reps", "suite_size", "window"),
+        {"lattice_spacing": 1.0, "n_reps": 20_000, "suite_size": 60, "window": {}},
     ),
     "marked-basis": (
         "coupled Poisson support: constant masses vs i.i.d. random marks, dcx on box masses",
         run_marked_basis,
-        ("lam", "mark_mean", "n_reps", "suite_size", "window"),
+        {"lam": 10.0, "mark_mean": 1.0, "n_reps": 20_000, "suite_size": 60, "window": {}},
     ),
     "ops-preservation": (
         "thinning, displacement and superposition applied to an ordered pair keep the verdict",
         run_ops_preservation,
-        ("n_reps", "suite_size", "window", "shift", "mu1", "mu2", "p_plus", "cells_per_axis"),
+        {"n_reps": 10_000, "suite_size": 30, "window": {}, "shift": [0.35, 0.15], **_SPINS},
     ),
     "ripley-poisson": (
         "Ripley K baseline on the torus: homogeneous Poisson against pi r^2",
         run_ripley_poisson,
-        ("lam", "n_reps", "r_grid", "window"),
+        {"lam": 50.0, "n_reps": 1000, "r_grid": [0.02, 0.05, 0.1, 0.15], "window": {}},
     ),
 }
 
 
 def run_scenario(scenario_id: str, params: dict, stream: RngStream) -> ScenarioResult:
+    """Run a scenario on its SCENARIOS defaults overridden by ``params``."""
     if scenario_id not in SCENARIOS:
         raise KeyError(f"unknown scenario {scenario_id!r}")
-    return SCENARIOS[scenario_id][1](params, stream)
+    _, runner, defaults = SCENARIOS[scenario_id]
+    return runner({**defaults, **params}, stream)

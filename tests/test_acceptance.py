@@ -23,7 +23,7 @@ from dcxsim.ordering import (
     oracle_poisson_scaling,
     replicate,
 )
-from dcxsim.scenarios import SCENARIOS, _quadrant_boxes, run_ops_preservation
+from dcxsim.scenarios import SCENARIOS, _quadrant_boxes, run_scenario
 from dcxsim.shotnoise import ResponseKernel, ragged_sn
 from dcxsim.stats import mixed_palm_estimate, ripley_k
 
@@ -233,8 +233,8 @@ def test_criterion_10_boolean_coverage():
 
 
 def test_criterion_11_operation_preservation():
-    res = run_ops_preservation(
-        {"n_reps": 10_000, "suite_size": 30}, make_stream(SEED, 11)
+    res = run_scenario(
+        "ops-preservation", {"n_reps": 10_000, "suite_size": 30}, make_stream(SEED, 11)
     )
     ok = res.verdict == CONSISTENT and all(
         v == CONSISTENT for v in res.details["per_op"].values()
@@ -289,7 +289,7 @@ def test_criterion_12_determinism_across_worker_counts(tmp_path):
 def test_ppcluster_reports_each_pair_mean_gate():
     # each c pair carries its own mean-equality gate, one z per query
     params = FAST_PARAMS["ppcluster-family"]
-    res = SCENARIOS["ppcluster-family"][1](params, make_stream(SEED, 1))
+    res = run_scenario("ppcluster-family", params, make_stream(SEED, 1))
     assert res.mean_equality is None
     assert len(res.details["pairs"]) == 2
     for pair in res.details["pairs"]:

@@ -134,9 +134,29 @@ class _RecordingParams(dict):
 
 @pytest.mark.parametrize("sid", sorted(SCENARIOS))
 def test_declared_keys_are_the_keys_read(sid):
-    params = _RecordingParams(FAST_PARAMS[sid])
-    SCENARIOS[sid][1](params, make_stream(7))
-    assert params.read == set(SCENARIOS[sid][2])
+    # the runner reads every default, and nothing else, from the merged mapping
+    _, runner, defaults = SCENARIOS[sid]
+    params = _RecordingParams({**defaults, **FAST_PARAMS[sid]})
+    runner(params, make_stream(7))
+    assert params.read == set(defaults)
+
+
+@pytest.mark.parametrize("sid", sorted(SCENARIOS))
+def test_defaults_written_into_the_config_change_no_report(sid, tmp_path):
+    # every default is a plain config value: spelled out in YAML, it gives the
+    # reports of the run that leaves the keys out
+    reports = []
+    for name, entry in (("implicit", {}), ("explicit", SCENARIOS[sid][2])):
+        (tmp_path / name).mkdir()
+        path = _write_config(tmp_path / name, [dict(entry, **FAST_PARAMS[sid], id=sid)])
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code in (0, 1), result.output
+        out = tmp_path / name / "out"
+        report = json.loads((out / f"{sid}.json").read_text())
+        for key in ("params_echo", "runtime_seconds"):
+            report.pop(key)
+        reports.append((report, (out / f"{sid}.csv").read_bytes()))
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.yaml")))

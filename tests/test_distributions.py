@@ -81,7 +81,7 @@ def test_kernel_offsets_match_density():
 
 def test_truncation_radius_bounds_density():
     k = ClusterKernel("gaussian", (0.2,))
-    r = k.truncation_radius(2)
+    r = k.truncation_radius()
     assert float(k.density(r, 2)) <= 1e-6 * float(k.density(0.0, 2)) * (1 + 1e-9)
 
 

@@ -5,7 +5,7 @@ from dcxsim.distributions import ClusterKernel, CovarianceSpec, constant, expone
 from dcxsim.geometry import Box, GridField, count_in, make_stream, make_window, pairwise_distances
 from dcxsim import ops, processes
 from dcxsim.ordering import CONSISTENT, batched, counts_on_boxes, decide, replicate
-from dcxsim.scenarios import _box_count_samplers, _ops_arms, _quadrant_boxes
+from dcxsim.scenarios import SCENARIOS, _box_count_samplers, _ops_arms, _quadrant_boxes
 from dcxsim.shotnoise import ResponseKernel, additive_sn, ragged_sn
 
 
@@ -64,8 +64,9 @@ def test_ising_field_validation():
         processes.sample_ising_field(1.0, 2.0, 0.5, W, [4, 4], make_stream(0))
     with pytest.raises(ValueError):
         processes.sample_ising_field(2.0, 0.0, 1.5, W, [4, 4], make_stream(0))
+    w = make_window([0, 0], [4.5, 4.5])
     with pytest.raises(ValueError):  # torus side not a whole multiple of the spacing
-        processes.sample_ising_field(2.0, 0.0, 0.5, W, [4, 4], make_stream(0), spacing=0.3)
+        processes.sample_ising_field(2.0, 0.0, 0.5, w, [4, 4], make_stream(0))
 
 
 def test_ising_field_periodic_on_torus():
@@ -209,7 +210,7 @@ def test_count_samplers_match_point_path_in_law(topology, cells, dim, op):
     # cross moment, for the Poisson and the Cox side, judged as one family
     w = make_window(np.zeros(dim), np.full(dim, 4.0 if dim == 2 else 2.0), topology)
     boxes = _quadrant_boxes(w)
-    params = {"cells_per_axis": cells}
+    params = dict(SCENARIOS["ops-preservation"][2], cells_per_axis=cells)
     if op is None:
         count = _box_count_samplers(params, w, boxes)[1:]
     else:
