@@ -26,7 +26,7 @@ import numpy as np
 import yaml
 
 from .geometry import make_stream
-from .scenarios import SCENARIOS, ScenarioResult, run_scenario
+from .scenarios import SCENARIOS, ScenarioResult, check_params, run_scenario
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -79,9 +79,10 @@ def _load_config(config_path: str) -> dict:
             raise ConfigError("each scenario entry must be a mapping with an 'id' key")
         if entry["id"] not in SCENARIOS:
             raise ConfigError(f"unknown scenario id: {entry['id']}")
-        unknown = sorted(str(k) for k in set(entry) - {"id", *SCENARIOS[entry["id"]][2]})
-        if unknown:
-            raise ConfigError(f"unknown key(s) for scenario {entry['id']}: {', '.join(unknown)}")
+        try:
+            check_params(entry["id"], set(entry) - {"id"})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return cfg
 
 

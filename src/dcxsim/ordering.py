@@ -6,9 +6,9 @@ a randomized suite of functions f certified to be dcx.  Monte Carlo can only
 falsify an ordering, so passing verdicts are CONSISTENT rather than proven.
 
 Monte-Carlo estimates come from ``replicate``, which asks each side for one
-batch draw (gen, size) -> (size, k) per chunk; ``batched`` turns a
-per-replication draw into one, and the count-level samplers of
-``processes`` are batch draws already.
+batch draw (gen, size) -> (size, k) per chunk.  The scenarios pass the batch
+samplers of ``processes``; ``batched`` turns a per-replication draw into one
+for the reference paths (``compare_on_boxes`` and the law tests).
 
 Every Monte-Carlo verdict comes from ``decide``: a family of z-scores, signed
 so that negative values count against the claim (a two-sided test enters as
@@ -330,8 +330,8 @@ def compare_vectors(
     """Independent MC estimates of E f(X) and E f(Y) per suite function, with
     Welch z-scores against the claim X <= Y and a Bonferroni-corrected verdict.
 
-    draw_x and draw_y are batch draws (gen, size) -> (size, n); ``batched``
-    adapts a per-replication draw."""
+    draw_x and draw_y are batch draws (gen, size) -> (size, n), each side
+    drawn from its own substreams, so the two sides are independent."""
     if len(suite) == 0:
         raise ValueError("empty test-function suite")
     nf = len(suite)

@@ -3,7 +3,9 @@
 The per-realization samplers are the reference for the law.  The scenarios
 draw a whole chunk at once with batch samplers (gen, size) of the same law:
 count-level samplers (``make_poisson_counts``, ``make_ising_cox_counts``)
-return (size, boxes) box counts, and ragged samplers (``make_poisson_batch``,
+return (size, boxes) box counts, box-mass samplers
+(``make_levy_grid_masses``, ``make_marked_poisson_masses``) return (size,
+boxes) box masses, and ragged samplers (``make_poisson_batch``,
 ``make_thomas_batch``) return a ``PatternBatch``: the points (N, d) of all
 realizations in replication order and the per-replication counts (size,),
 which ``shotnoise.ragged_sn`` reduces in one pass.
@@ -217,19 +219,22 @@ def make_ising_cox_counts(
     return draw
 
 
+def lattice_points(spacing: float, w: Window) -> np.ndarray:
+    """(atoms, d) lattice atoms inside w: the centres of the cells of side
+    ``spacing`` laid from the window's lower corner."""
+    if spacing <= 0:
+        raise ValueError("lattice spacing must be positive")
+    axes = [np.arange(w.lows[k] + spacing / 2, w.highs[k], spacing) for k in range(w.dim)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 def sample_levy_grid_basis(
     lattice_spacing: float, mass: MassDistribution, w: Window, rng
 ) -> AtomicMeasure:
     """Atoms on a deterministic lattice inside w with i.i.d. non-negative masses."""
-    if lattice_spacing <= 0:
-        raise ValueError("lattice spacing must be positive")
+    locs = lattice_points(lattice_spacing, w)
     gen = as_generator(rng)
-    axes = [
-        np.arange(w.lows[k] + lattice_spacing / 2, w.highs[k], lattice_spacing)
-        for k in range(w.dim)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    locs = np.stack([m.ravel() for m in mesh], axis=1)
     masses = np.asarray(mass.sample(gen, size=locs.shape[0]), dtype=float)
     return AtomicMeasure(w, locs, masses)
 
@@ -237,12 +242,46 @@ def sample_levy_grid_basis(
 def sample_marked_poisson_basis(
     lam: float, mark: MassDistribution, w: Window, rng
 ) -> tuple[AtomicMeasure, AtomicMeasure]:
-    """Coupled pair on one Poisson support: constant masses E(Z) vs i.i.d. marks Z."""
+    """One Poisson support carrying constant masses E(Z) and i.i.d. marks Z.
+
+    The law reference of ``make_marked_poisson_masses``; the program draws
+    each side on its own and never uses the shared support.
+    """
     gen = as_generator(rng)
     pts = _uniform_points(w, gen.poisson(lam * w.volume), gen)
     marks = np.asarray(mark.sample(gen, size=pts.shape[0]), dtype=float)
     const = np.full(pts.shape[0], mark.mean())
     return AtomicMeasure(w, pts, const), AtomicMeasure(w, pts, marks)
+
+
+# ---------------------------------------------------------------------------
+# Box-mass samplers: batch draws (gen, size) -> (size, len(boxes)) with the
+# law of a per-realization random measure followed by mass_in on every box.
+
+def make_levy_grid_masses(
+    lattice_spacing: float, mass: MassDistribution, w: Window, boxes
+) -> Callable:
+    """Box masses of sample_levy_grid_basis: the lattice is fixed, so one
+    (atoms, boxes) incidence matrix sums a (size, atoms) mass draw per box."""
+    locs = lattice_points(lattice_spacing, w)
+    incidence = np.column_stack([b.contains(locs) for b in boxes]).astype(float)
+    return lambda gen, size: mass.sample(gen, size=(size, locs.shape[0])) @ incidence
+
+
+def make_marked_poisson_masses(lam: float, mark: MassDistribution, w: Window, boxes) -> Callable:
+    """Box masses of a homogeneous Poisson process with i.i.d. marks ``mark``
+    on pairwise-disjoint boxes: Poisson box counts N, then N marks per box
+    summed by one bincount.  With ``constant(E Z)`` marks this is N E Z, the
+    constant side of sample_marked_poisson_basis; with Z its marked side."""
+    counts = make_poisson_counts(lam, w, boxes)
+
+    def draw(gen: np.random.Generator, size: int) -> np.ndarray:
+        n = counts(gen, size)
+        marks = mark.sample(gen, size=int(n.sum()))
+        cell = np.repeat(np.arange(n.size), n.ravel())
+        return np.bincount(cell, marks, n.size).reshape(n.shape)
+
+    return draw
 
 
 def _poisson_batch(

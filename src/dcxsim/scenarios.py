@@ -9,12 +9,11 @@ import numpy as np
 
 from . import processes, wireless
 from .distributions import ClusterKernel, MassDistribution, constant, exponential
-from .geometry import Box, RngStream, Window, make_window, mass_in
+from .geometry import Box, RngStream, Window, make_window
 from .ops import thin_counts
 from .ordering import (
     CONSISTENT,
     _z_scores,
-    batched,
     bonferroni_z,
     compare_vectors,
     decide,
@@ -372,24 +371,14 @@ def run_lo_extremal(p: dict, stream: RngStream) -> ScenarioResult:
 
 def run_levy_grid(p: dict, stream: RngStream) -> ScenarioResult:
     spacing = float(p["lattice_spacing"])
-    if spacing <= 0:
-        raise ValueError("lattice_spacing must be positive")
     w = _window(p, [0.0, 0.0], [4.0, 4.0])
     boxes = _quadrant_boxes(w)
     # equal-mean masses: a sum of two Exp(1/2) is convex-smaller than one Exp(1)
-    mass_x = MassDistribution("sum_of_exponentials", (0.5, 0.5))
-    mass_y = exponential(1.0)
-
-    def draw(mass):
-        def inner(gen):
-            m = processes.sample_levy_grid_basis(spacing, mass, w, gen)
-            return np.array([mass_in(m, b) for b in boxes])
-        return batched(inner)
-
+    masses = (MassDistribution("sum_of_exponentials", (0.5, 0.5)), exponential(1.0))
+    draws = [processes.make_levy_grid_masses(spacing, m, w, boxes) for m in masses]
     atoms_per_box = (w.volume / spacing**w.dim) / len(boxes)
     rep = _suite_compare(
-        p, (draw(mass_x), draw(mass_y)), np.full(len(boxes), atoms_per_box),
-        stream.split(10**6), stream,
+        p, draws, np.full(len(boxes), atoms_per_box), stream.split(10**6), stream
     )
     return _order_result("levy-grid", rep, {"atoms_per_box": atoms_per_box})
 
@@ -399,17 +388,11 @@ def run_marked_basis(p: dict, stream: RngStream) -> ScenarioResult:
     mark_mean = float(p["mark_mean"])
     w = _window(p, [0.0, 0.0], [1.0, 1.0])
     boxes = _quadrant_boxes(w)
-    mark = exponential(mark_mean)
-
-    def draw(which):
-        def inner(gen):
-            const, marked = processes.sample_marked_poisson_basis(lam, mark, w, gen)
-            m = const if which == 0 else marked
-            return np.array([mass_in(m, b) for b in boxes])
-        return batched(inner)
-
+    # Poisson atoms carrying the mean mark E Z vs i.i.d. exponential marks Z
+    marks = (constant(mark_mean), exponential(mark_mean))
+    draws = [processes.make_marked_poisson_masses(lam, m, w, boxes) for m in marks]
     scale = np.array([lam * mark_mean * b.volume for b in boxes])
-    rep = _suite_compare(p, (draw(0), draw(1)), scale, stream.split(10**6), stream)
+    rep = _suite_compare(p, draws, scale, stream.split(10**6), stream)
     return _order_result("marked-basis", rep, {})
 
 
@@ -465,8 +448,7 @@ _SPINS = {"mu1": 2.0, "mu2": 0.0, "p_plus": 0.5, "cells_per_axis": 32}
 _THOMAS = {"cluster_size": 5.0, "sigma": 0.05}
 
 # id -> (description, runner, defaults).  The defaults are every parameter the
-# runner reads, as plain config values; the CLI rejects any other key of a
-# scenario entry.
+# runner reads, as plain config values; check_params rejects any other key.
 SCENARIOS: dict[str, tuple[str, Callable, dict]] = {
     "ising-vs-poisson": (
         "dcx comparison of box counts: homogeneous Poisson vs the spin-lattice Cox process",
@@ -522,7 +504,7 @@ SCENARIOS: dict[str, tuple[str, Callable, dict]] = {
         {"lattice_spacing": 1.0, "n_reps": 20_000, "suite_size": 60, "window": {}},
     ),
     "marked-basis": (
-        "coupled Poisson support: constant masses vs i.i.d. random marks, dcx on box masses",
+        "Poisson atoms with constant masses vs i.i.d. random marks, dcx on box masses",
         run_marked_basis,
         {"lam": 10.0, "mark_mean": 1.0, "n_reps": 20_000, "suite_size": 60, "window": {}},
     ),
@@ -539,9 +521,18 @@ SCENARIOS: dict[str, tuple[str, Callable, dict]] = {
 }
 
 
+def check_params(scenario_id: str, params) -> None:
+    """Raise ValueError for a key of ``params`` that is not one of the
+    scenario's SCENARIOS defaults."""
+    unknown = sorted(str(k) for k in set(params) - set(SCENARIOS[scenario_id][2]))
+    if unknown:
+        raise ValueError(f"unknown key(s) for scenario {scenario_id}: {', '.join(unknown)}")
+
+
 def run_scenario(scenario_id: str, params: dict, stream: RngStream) -> ScenarioResult:
     """Run a scenario on its SCENARIOS defaults overridden by ``params``."""
     if scenario_id not in SCENARIOS:
         raise KeyError(f"unknown scenario {scenario_id!r}")
+    check_params(scenario_id, params)
     _, runner, defaults = SCENARIOS[scenario_id]
     return runner({**defaults, **params}, stream)

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from dcxsim import NumericalError
 from dcxsim.cli import _load_config, main
 from dcxsim.geometry import make_stream
-from dcxsim.scenarios import SCENARIOS
+from dcxsim.scenarios import SCENARIOS, run_scenario
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -110,6 +110,12 @@ def test_unknown_key_is_rejected_before_any_scenario_runs(tmp_path):
     assert result.exit_code == 2
     assert "n_rep" in result.output
     assert not list((tmp_path / "out").glob("*.json"))
+
+
+def test_run_scenario_rejects_unknown_keys():
+    # a misspelt key must not run the scenario on its defaults
+    with pytest.raises(ValueError, match="n_rep"):
+        run_scenario("ripley-poisson", {"n_rep": 10}, make_stream(7))
 
 
 class _RecordingParams(dict):

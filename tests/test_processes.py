@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from dcxsim.distributions import ClusterKernel, CovarianceSpec, constant, exponential
-from dcxsim.geometry import Box, GridField, count_in, make_stream, make_window, pairwise_distances
+from dcxsim.distributions import (
+    ClusterKernel, CovarianceSpec, MassDistribution, constant, exponential,
+)
+from dcxsim.geometry import (
+    Box, GridField, count_in, make_stream, make_window, mass_in, pairwise_distances,
+)
 from dcxsim import ops, processes
 from dcxsim.ordering import CONSISTENT, batched, counts_on_boxes, decide, replicate
 from dcxsim.scenarios import SCENARIOS, _box_count_samplers, _ops_arms, _quadrant_boxes
@@ -238,6 +242,54 @@ def test_count_samplers_match_point_path_in_law(topology, cells, dim, op):
         (b.mean - a.mean) / np.sqrt((a.var + b.var) / n)
         for a, b in (moms[:2], moms[2:])
     ]
+    assert decide(np.concatenate(z + [-zz for zz in z])) == CONSISTENT
+
+
+# disjoint boxes holding 8, 6, 4 and 1 atoms of the lattice of spacing 0.5,
+# so that the boxes differ in law and a misplaced incidence column shows
+MASS_BOXES = [
+    Box([0.0, 0.0], [1.0, 2.0]),
+    Box([1.0, 0.0], [2.5, 1.0]),
+    Box([2.0, 1.0], [3.0, 2.0]),
+    Box([2.5, 0.0], [3.0, 0.5]),
+]
+
+
+@pytest.mark.parametrize("topology", ["torus", "plain"])
+def test_box_mass_samplers_match_measure_path_in_law(topology):
+    # the scenarios' box-mass samplers against random measure -> mass_in: per
+    # box the mean and second moment, per pair of boxes the cross moment, for
+    # both lattice masses and both marked sides, judged as one family.  The
+    # mark mean 2.5 tells the constant side N E Z apart from the count N.
+    w = make_window([0.0, 0.0], [3.0, 2.0], topology)
+    mark = exponential(2.5)
+    lattice = [MassDistribution("sum_of_exponentials", (0.5, 0.5)), exponential(1.0)]
+    batch = [processes.make_levy_grid_masses(0.5, m, w, MASS_BOXES) for m in lattice] + [
+        processes.make_marked_poisson_masses(3.0, m, w, MASS_BOXES)
+        for m in (constant(mark.mean()), mark)
+    ]
+    measures = [
+        lambda gen, m=m: processes.sample_levy_grid_basis(0.5, m, w, gen) for m in lattice
+    ] + [
+        lambda gen, side=side: processes.sample_marked_poisson_basis(3.0, mark, w, gen)[side]
+        for side in (0, 1)
+    ]
+    single = [
+        batched(lambda gen, m=m: np.array([mass_in(m(gen), b) for b in MASS_BOXES]))
+        for m in measures
+    ]
+    iu = np.triu_indices(len(MASS_BOXES), 1)
+    n = 2000
+    z = []
+    for k, (b, s) in enumerate(zip(batch, single)):
+        centre = b(make_stream(1).generator(), 1000).mean(axis=0)
+
+        def reduce(x):
+            d = x - centre
+            return np.hstack([x, d**2, d[:, iu[0]] * d[:, iu[1]]])
+
+        mom_b, mom_s = replicate((b, s), reduce, n, make_stream(34, k), 2000)
+        z.append((mom_s.mean - mom_b.mean) / np.sqrt((mom_b.var + mom_s.var) / n))
     assert decide(np.concatenate(z + [-zz for zz in z])) == CONSISTENT
 
 
