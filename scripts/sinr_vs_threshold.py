@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from dcxsim.distributions import constant, exponential
+from dcxsim.distributions import exponential
 from dcxsim.geometry import make_stream, make_window
 from dcxsim.processes import make_poisson_batch, make_thomas_batch
 from dcxsim.shotnoise import ResponseKernel
@@ -41,7 +41,7 @@ def main() -> None:
             float(t),
             ResponseKernel("power_law", (args.beta,)),
             exponential(1.0),
-            constant(args.noise),
+            args.noise,
         )
         p_po, se_po = sinr_success_rayleigh(layout, poisson, args.reps, stream.split(2 * k))
         p_th, se_th = sinr_success_rayleigh(layout, thomas, args.reps, stream.split(2 * k + 1))

@@ -6,7 +6,9 @@ Config files are YAML with top-level keys:
   workers     optional positive integer, accepted for existing configs; it has
               no effect, since scenarios run their replications serially
   scenarios   list of {id: <scenario id>, ...scenario parameters...}; a key
-              not in the scenario's SCENARIOS defaults is a configuration error
+              not in the scenario's SCENARIOS defaults, or a window key other
+              than lows, highs and topology, is a configuration error, found
+              before any scenario runs
 
 Each scenario produces <output_dir>/<id>.json and <output_dir>/<id>.csv.
 Exit codes: 0 clean, 1 a verdict was VIOLATION/fail, 2 configuration error
@@ -80,7 +82,7 @@ def _load_config(config_path: str) -> dict:
         if entry["id"] not in SCENARIOS:
             raise ConfigError(f"unknown scenario id: {entry['id']}")
         try:
-            check_params(entry["id"], set(entry) - {"id"})
+            check_params(entry["id"], {k: v for k, v in entry.items() if k != "id"})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     return cfg

@@ -8,6 +8,10 @@ import numpy as np
 
 from .geometry import NumericalError
 
+# relative level, against the peak, below which cluster and response kernels
+# are cut off
+TRUNCATION_REL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class MassDistribution:
@@ -76,36 +80,28 @@ def exponential(mean: float) -> MassDistribution:
 
 @dataclass(frozen=True)
 class ClusterKernel:
-    """Radially symmetric probability-density kernel on R^d.
+    """Gaussian probability-density kernel of standard deviation sigma per axis on R^d."""
 
-    kinds:
-      gaussian       params = (sigma,)
-    """
-
-    kind: str
-    params: Tuple[float, ...]
+    sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if self.kind != "gaussian":
-            raise ValueError(f"unknown cluster kernel kind {self.kind!r}")
+        object.__setattr__(self, "sigma", float(self.sigma))
+        if not self.sigma > 0:
+            raise ValueError("cluster kernel sigma must be positive")
 
     def density(self, r, dim: int) -> np.ndarray:
         """Kernel density evaluated at distance r; integrates to 1 over R^dim."""
         r = np.asarray(r, dtype=float)
-        (sigma,) = self.params
-        norm = (2 * np.pi * sigma**2) ** (dim / 2)
-        return np.exp(-(r**2) / (2 * sigma**2)) / norm
+        norm = (2 * np.pi * self.sigma**2) ** (dim / 2)
+        return np.exp(-(r**2) / (2 * self.sigma**2)) / norm
 
     def truncation_radius(self) -> float:
-        """Radius beyond which the density is below 1e-6 times its peak."""
-        (sigma,) = self.params
-        return sigma * np.sqrt(-2.0 * np.log(1e-6))
+        """Radius beyond which the density is below TRUNCATION_REL_TOL of its peak."""
+        return self.sigma * np.sqrt(-2.0 * np.log(TRUNCATION_REL_TOL))
 
     def sample_offsets(self, rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
         """n i.i.d. displacement vectors distributed per the kernel density."""
-        (sigma,) = self.params
-        return rng.normal(0.0, sigma, size=(n, dim))
+        return rng.normal(0.0, self.sigma, size=(n, dim))
 
 
 @dataclass(frozen=True)

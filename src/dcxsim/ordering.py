@@ -14,7 +14,7 @@ Every Monte-Carlo verdict comes from ``decide``: a family of z-scores, signed
 so that negative values count against the claim (a two-sided test enters as
 z and -z), is a VIOLATION iff some z < -bonferroni_z(z_crit, len(z)).  One
 family fires falsely with probability at most sf(z_crit), 1.35e-3 at the
-default z_crit = 3.  ``worst`` combines the verdicts of sub-comparisons.
+default z_crit = Z_CRIT.  ``worst`` combines the verdicts of sub-comparisons.
 """
 from __future__ import annotations
 
@@ -30,6 +30,10 @@ from .geometry import Box, RngStream, boxes_disjoint, count_in
 CONSISTENT = "CONSISTENT"
 VIOLATION = "VIOLATION"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+# the false-alarm rate of every verdict: a family fires falsely with
+# probability at most sf(Z_CRIT) = 1.35e-3
+Z_CRIT = 3.0
 
 _EXP_ARG_CAP = 30.0
 
@@ -56,7 +60,6 @@ class TestFunction:
 
     fid: int
     family: str
-    declared_class: str
     theta: np.ndarray
     phi: str = ""
     t: float = 0.0
@@ -110,21 +113,17 @@ def make_suite(
         if fam == "lin_convex:exp":
             target = gen.uniform(0.5, 2.5)
             theta = theta * (target / max(u_bar, 1e-12))
-            out.append(
-                TestFunction(fid, "lin_convex", order_class, theta, phi="exp", shift=target)
-            )
+            out.append(TestFunction(fid, "lin_convex", theta, phi="exp", shift=target))
         elif fam == "lin_convex:power":
             p = float(gen.choice([1.0, 2.0, 3.0]))
             t = float(gen.uniform(0.0, 1.2) * u_bar) if p > 1 or gen.random() < 0.5 else 0.0
-            out.append(TestFunction(fid, "lin_convex", order_class, theta, phi="power", t=t, p=p))
+            out.append(TestFunction(fid, "lin_convex", theta, phi="power", t=t, p=p))
         else:  # pair_product
             i = int(gen.integers(n))
             j = int(gen.integers(n - 1)) if n > 1 else 0
             if n > 1 and j >= i:
                 j += 1
-            out.append(
-                TestFunction(fid, "pair_product", order_class, np.array([i, j], dtype=float))
-            )
+            out.append(TestFunction(fid, "pair_product", np.array([i, j], dtype=float)))
     return out
 
 
@@ -193,7 +192,7 @@ def bonferroni_z(z_crit: float, n_tests: int) -> float:
     return float(-special.ndtri(special.ndtr(-z_crit) / max(n_tests, 1)))
 
 
-def decide(z, z_crit: float = 3.0) -> str:
+def decide(z, z_crit: float = Z_CRIT) -> str:
     """VIOLATION iff some z < -bonferroni_z(z_crit, len(z)); negative z count against the claim."""
     return VIOLATION if np.any(np.ravel(z) < -bonferroni_z(z_crit, np.size(z))) else CONSISTENT
 
@@ -203,8 +202,8 @@ def worst(verdicts) -> str:
     return max(verdicts, key=(CONSISTENT, INCONCLUSIVE, VIOLATION).index, default=CONSISTENT)
 
 
-# Rows per chunk of the suite and lower-orthant comparisons.  Chunk ci of side
-# s draws from stream.split(n_sides * ci + s), so the chunk size fixes which
+# Replications per chunk of every Monte-Carlo estimate.  Chunk ci of side s
+# draws from stream.split(n_sides * ci + s), so the chunk size fixes which
 # random numbers each replication sees and must stay constant.
 _CHUNK = 2000
 
@@ -260,9 +259,9 @@ class Moments:
         return np.sqrt(self.var / self.n)
 
 
-def _chunk_sizes(n_reps: int, chunk_size: int) -> list[int]:
-    full, rem = divmod(n_reps, chunk_size)
-    return [chunk_size] * full + ([rem] if rem else [])
+def _chunk_sizes(n_reps: int) -> list[int]:
+    full, rem = divmod(n_reps, _CHUNK)
+    return [_CHUNK] * full + ([rem] if rem else [])
 
 
 def _run_chunks(worker, n_chunks: int) -> list:
@@ -281,19 +280,18 @@ def replicate(
     reduce: Callable[[np.ndarray], np.ndarray],
     n_reps: int,
     stream: RngStream,
-    chunk_size: int,
 ) -> list[Moments]:
     """Moments of n_reps independent draws per side, one Moments per batch draw.
 
-    Each chunk calls ``draw(gen, size)`` once for a (size, k) array of
-    independent replications, and ``reduce`` maps it to the rows whose
-    moments are kept.  Chunk ci of side s draws from
-    ``stream.split(len(draws) * ci + s)`` and chunks merge in chunk order, so
-    the result depends only on the stream and the chunk size.
+    Each chunk of _CHUNK replications (the last one holds the remainder)
+    calls ``draw(gen, size)`` once for a (size, k) array of independent
+    replications, and ``reduce`` maps it to the rows whose moments are kept.
+    Chunk ci of side s draws from ``stream.split(len(draws) * ci + s)`` and
+    chunks merge in chunk order, so the result depends only on the stream.
     """
     if n_reps < 2:
         raise ValueError("need at least 2 replications")
-    sizes = _chunk_sizes(n_reps, chunk_size)
+    sizes = _chunk_sizes(n_reps)
     n_sides = len(draws)
 
     def worker(ci: int) -> list[Moments]:
@@ -325,7 +323,7 @@ def compare_vectors(
     n_reps: int,
     stream: RngStream,
     *,
-    z_crit: float = 3.0,
+    z_crit: float = Z_CRIT,
 ) -> OrderReport:
     """Independent MC estimates of E f(X) and E f(Y) per suite function, with
     Welch z-scores against the claim X <= Y and a Bonferroni-corrected verdict.
@@ -340,7 +338,7 @@ def compare_vectors(
         # suite values first, then the coordinates for the mean-equality gate
         return np.column_stack([f(v) for f in suite] + [v])
 
-    mom_x, mom_y = replicate((draw_x, draw_y), reduce, n_reps, stream, _CHUNK)
+    mom_x, mom_y = replicate((draw_x, draw_y), reduce, n_reps, stream)
     mean_x, mean_y = mom_x.mean, mom_y.mean
     var_x, var_y = mom_x.var, mom_y.var
     se_all = np.sqrt((var_x + var_y) / n_reps)
@@ -444,7 +442,7 @@ def lo_compare(
     def below(u: np.ndarray) -> np.ndarray:
         return np.all(u[:, None, :] <= thresholds[None, :, :], axis=2)
 
-    mom_1, mom_2 = replicate((draw_u1, draw_u2), below, n_reps, stream, _CHUNK)
+    mom_1, mom_2 = replicate((draw_u1, draw_u2), below, n_reps, stream)
     p1, p2 = mom_1.mean, mom_2.mean
     se = np.sqrt(p1 * (1 - p1) / n_reps + p2 * (1 - p2) / n_reps)
     return LoReport(thresholds, p1, p2, se, decide(_z_scores(p1 - p2, se)))
@@ -588,12 +586,11 @@ def oracle_ising_exact(
     mu2: float,
     p_plus: float,
     suite: Sequence[TestFunction],
-    tol: float = ORACLE_TOL,
 ) -> IsingOracleReport:
     """Exact enumeration check that the i.i.d.-spin lattice intensity field is
     larger than its constant mean field for every dcx suite function:
-    f(mean, ..., mean) <= E f(values at the sites), each site in its own
-    lattice cell."""
+    f(mean, ..., mean) <= E f(values at the sites) within ORACLE_TOL, each
+    site in its own lattice cell."""
     if mu2 > mu1:
         raise ValueError("need mu2 <= mu1")
     if n_sites > 12:
@@ -607,4 +604,4 @@ def oracle_ising_exact(
         ef = float(weights @ f(values))
         f0 = float(f(mean_field)[0])
         worst = min(worst, ef - f0)
-    return IsingOracleReport(worst, len(suite), worst >= -tol)
+    return IsingOracleReport(worst, len(suite), worst >= -ORACLE_TOL)

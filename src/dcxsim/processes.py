@@ -408,7 +408,7 @@ def make_thomas_sampler(
     parent_lam: float, cluster_size: float, sigma: float, w: Window
 ) -> Callable[[np.random.Generator], PointPattern]:
     """Thomas process of total intensity parent_lam * cluster_size."""
-    kernel = ClusterKernel("gaussian", (sigma,))
+    kernel = ClusterKernel(sigma)
     gamma = MassDistribution("constant", (cluster_size,))
     b_one = MassDistribution("constant", (1.0,))
 
@@ -446,7 +446,7 @@ def make_thomas_batch(
     Poisson parents, Poisson(cluster_size) children per parent displaced by
     Gaussian offsets; children wrap on a torus, while on a plain window the
     parents are padded and children outside the window dropped."""
-    kernel = ClusterKernel("gaussian", (sigma,))
+    kernel = ClusterKernel(sigma)
     pad = kernel.truncation_radius()
 
     def draw(gen: np.random.Generator, size: int) -> PatternBatch:

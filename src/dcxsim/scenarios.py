@@ -13,6 +13,7 @@ from .geometry import Box, RngStream, Window, make_window
 from .ops import thin_counts
 from .ordering import (
     CONSISTENT,
+    Z_CRIT,
     _z_scores,
     bonferroni_z,
     compare_vectors,
@@ -39,12 +40,9 @@ class ScenarioResult:
 
 
 def _window(p: dict, lows, highs) -> Window:
+    """The scenario's window: its default lows and highs on a torus, with the
+    keys of p["window"] (checked by check_params) overriding them."""
     wspec = p["window"]
-    if not isinstance(wspec, dict):
-        raise ValueError("scenario parameter 'window' must be a mapping")
-    unknown = sorted(set(wspec) - {"lows", "highs", "topology"})
-    if unknown:
-        raise ValueError(f"unknown window keys {unknown}")
     return make_window(
         wspec.get("lows", lows), wspec.get("highs", highs), wspec.get("topology", "torus")
     )
@@ -61,7 +59,7 @@ def _quadrant_boxes(w: Window) -> list[Box]:
     return boxes
 
 
-def _suite_compare(p: dict, draws, scale, suite_stream, stream, z_crit: float = 3.0):
+def _suite_compare(p: dict, draws, scale, suite_stream, stream, z_crit: float = Z_CRIT):
     """compare_vectors of the two batch draws on a dcx suite of p["suite_size"]
     functions calibrated to ``scale``, the mean of the compared vectors."""
     suite = make_suite("dcx", len(scale), int(p["suite_size"]), suite_stream, scale=scale)
@@ -143,11 +141,11 @@ def run_ppcluster_family(p: dict, stream: RngStream) -> ScenarioResult:
     lam = float(p["lam"])
     pairs = p["c_pairs"]
     w = _window(p, [0.0, 0.0], [1.0, 1.0])
-    kernel = ClusterKernel("gaussian", (p["sigma"],))
+    kernel = ClusterKernel(p["sigma"])
     queries = np.asarray(p["queries"], dtype=float)
 
     results, per_function, rows = [], [], []
-    z_crit = bonferroni_z(3.0, len(pairs))  # one scenario rate, split over the pairs
+    z_crit = bonferroni_z(Z_CRIT, len(pairs))  # one scenario rate, split over the pairs
     for k, (c_hi, c_lo) in enumerate(pairs):
         # larger c is the less variable (dcx-smaller) member of the family
         draws = [
@@ -191,7 +189,7 @@ def _sinr_layout(p: dict, w: Window) -> wireless.LinkLayout:
         float(p["T"]),
         ResponseKernel("power_law", (float(p["beta"]),), emitted_power=float(p["power"])),
         exponential(float(p["fading_mean"])),
-        constant(float(p["noise"])),
+        float(p["noise"]),
     )
 
 
@@ -239,14 +237,9 @@ def run_coverage_compare(p: dict, stream: RngStream) -> ScenarioResult:
     n_reps = int(p["n_reps"])
     w = _window(p, [0.0, 0.0], [1.0, 1.0])
     queries = np.asarray(p["queries"], dtype=float)
-    radius = constant(r)
     poisson, thomas = _interferer_samplers(p, w)
-    rep_po = wireless.boolean_coverage(
-        poisson, radius, queries, n_reps, stream.split(0)
-    )
-    rep_th = wireless.boolean_coverage(
-        thomas, radius, queries, n_reps, stream.split(1)
-    )
+    rep_po = wireless.boolean_coverage(poisson, r, queries, n_reps, stream.split(0))
+    rep_th = wireless.boolean_coverage(thomas, r, queries, n_reps, stream.split(1))
     se_cov = np.hypot(rep_po.p_cover_stderr, rep_th.p_cover_stderr)
     se_m1 = np.hypot(rep_po.mean_count_stderr, rep_th.mean_count_stderr)
     se_m2 = np.hypot(rep_po.second_moment_stderr, rep_th.second_moment_stderr)
@@ -401,7 +394,7 @@ def run_ops_preservation(p: dict, stream: RngStream) -> ScenarioResult:
     boxes = _quadrant_boxes(w)
     lam_bar, arms = _ops_arms(p, w, boxes)
     rows, verdicts = [], {}
-    z_crit = bonferroni_z(3.0, len(arms))  # one scenario rate, split over the ops
+    z_crit = bonferroni_z(Z_CRIT, len(arms))  # one scenario rate, split over the ops
     for op_idx, (name, draws) in enumerate(arms.items()):
         extra = 1.0 * w.volume if name == "superpose_poisson" else 0.0
         factor = 0.5 if name == "thin_iid_half" else 1.0
@@ -522,11 +515,18 @@ SCENARIOS: dict[str, tuple[str, Callable, dict]] = {
 
 
 def check_params(scenario_id: str, params) -> None:
-    """Raise ValueError for a key of ``params`` that is not one of the
-    scenario's SCENARIOS defaults."""
+    """Raise ValueError for a key of the mapping ``params`` that is not one of
+    the scenario's SCENARIOS defaults, for a ``window`` that is not a mapping,
+    and for a ``window`` key other than lows, highs and topology."""
     unknown = sorted(str(k) for k in set(params) - set(SCENARIOS[scenario_id][2]))
     if unknown:
         raise ValueError(f"unknown key(s) for scenario {scenario_id}: {', '.join(unknown)}")
+    wspec = params.get("window", {})
+    if not isinstance(wspec, dict):
+        raise ValueError("scenario parameter 'window' must be a mapping")
+    unknown = sorted(str(k) for k in set(wspec) - {"lows", "highs", "topology"})
+    if unknown:
+        raise ValueError(f"unknown window keys {unknown}")
 
 
 def run_scenario(scenario_id: str, params: dict, stream: RngStream) -> ScenarioResult:

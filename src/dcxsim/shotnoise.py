@@ -12,6 +12,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
+from .distributions import TRUNCATION_REL_TOL
 from .geometry import (
     TORUS,
     AtomicMeasure,
@@ -22,8 +23,6 @@ from .geometry import (
     Window,
     pairwise_distances,
 )
-
-TRUNCATION_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)

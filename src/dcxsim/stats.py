@@ -17,7 +17,7 @@ from .geometry import (
     RngStream,
     pairwise_distances,
 )
-from .ordering import _CHUNK, replicate
+from .ordering import replicate
 
 
 def ripley_k(
@@ -42,7 +42,7 @@ def ripley_k(
             out[i] = 2.0 * np.searchsorted(d, r_grid, side="right") / (lam**2 * w.volume)
         return out
 
-    (mom,) = replicate((draw,), k_rows, n_reps, stream, _CHUNK)
+    (mom,) = replicate((draw,), k_rows, n_reps, stream)
     return mom.mean, mom.stderr
 
 
@@ -87,7 +87,7 @@ def mixed_palm_estimate(
         a = wg[:, 0] * wg[:, 1]
         return np.column_stack([wg[:, 0], a, wg[:, 0] + a])
 
-    (mom,) = replicate((draw,), reduce, n_reps, stream, _CHUNK)
+    (mom,) = replicate((draw,), reduce, n_reps, stream)
     bbar, abar = mom.mean[:2]
     if bbar == 0.0:
         raise NumericalError("all weights zero in the sample")

@@ -3,8 +3,9 @@ joint SINR coverage of a set of links and Boolean-model coverage counts.
 
 The estimators take ragged batch samplers (gen, size) -> PatternBatch: a
 chunk's points (N, d) in replication order and its per-replication counts
-(size,).  Per-point marks (fading per receiver, grain radii) are drawn as
-(N, ...) arrays, and ``shotnoise.ragged_sn`` reduces the chunk in one pass."""
+(size,).  Fading is drawn as (N, links) arrays, and ``shotnoise.ragged_sn``
+reduces the chunk in one pass; noise power and grain radius are fixed
+numbers.  The chunks are those of ``ordering.replicate``."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -17,18 +18,14 @@ from .geometry import RngStream, Window, pairwise_distances
 from .ordering import replicate
 from .shotnoise import ResponseKernel, ragged_sn
 
-# Replications per chunk; like the comparison chunk size in ordering, it fixes
-# the substream each replication draws from and must stay constant.
-_CHUNK = 1000
-
 
 @dataclass(frozen=True)
 class LinkLayout:
     """Fixed transmitter/receiver pairs sharing a window with interferers.
 
-    Link i succeeds when F_i * g(|x_i - y_i|) >= threshold * (W_i + I_i),
-    with F_i the own-link fading, W_i the noise power and I_i the fading-
-    weighted shot-noise interference at receiver y_i.
+    Link i succeeds when F_i * g(|x_i - y_i|) >= threshold * (W + I_i),
+    with F_i the own-link fading, W >= 0 the fixed noise power at every
+    receiver and I_i the fading-weighted shot-noise interference at y_i.
     """
 
     window: Window
@@ -37,7 +34,7 @@ class LinkLayout:
     threshold: float
     path_loss: ResponseKernel
     fading: MassDistribution
-    noise: MassDistribution
+    noise: float
 
     def __post_init__(self):
         tx = np.atleast_2d(np.asarray(self.transmitters, dtype=float))
@@ -48,6 +45,8 @@ class LinkLayout:
             raise ValueError("need at least one link")
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
+        if not self.noise >= 0:
+            raise ValueError("noise power must be non-negative")
         object.__setattr__(self, "transmitters", tx)
         object.__setattr__(self, "receivers", rx)
 
@@ -85,7 +84,6 @@ def _sinr_estimate(
 
     def draw(gen, size: int) -> np.ndarray:
         interferers = interferer_sampler(gen, size)
-        noise = np.asarray(layout.noise.sample(gen, size=(size, n)), dtype=float)
         # the other links' emitters (zero gain on the diagonal) and the
         # interferers, with fading i.i.d. per emitter-receiver pair
         cross = np.asarray(fading.sample(gen, size=(size, n, n)), dtype=float) * cross_gains
@@ -93,7 +91,7 @@ def _sinr_estimate(
         i_pow = cross.sum(axis=1) + ragged_sn(
             interferers, layout.receivers, layout.path_loss.value, weights=fades
         )
-        s = layout.threshold * (noise + i_pow) / gains
+        s = layout.threshold * (layout.noise + i_pow) / gains
         if rayleigh:
             # conditional success probability given noise and interference:
             # product of the fading tails, a lower-variance estimator of the
@@ -102,7 +100,7 @@ def _sinr_estimate(
         own = np.asarray(fading.sample(gen, size=(size, n)), dtype=float)
         return np.all(own >= s, axis=1, keepdims=True)
 
-    (mom,) = replicate((draw,), lambda v: v, n_reps, stream, _CHUNK)
+    (mom,) = replicate((draw,), lambda v: v, n_reps, stream)
     return float(mom.mean[0]), float(mom.stderr[0])
 
 
@@ -115,7 +113,7 @@ def sinr_success(
     """Joint success probability of all links, indicator estimator.
 
     Works for any fading law; every replication draws the interferer pattern,
-    noise, interference fading and own-link fading.  interferer_sampler is a
+    interference fading and own-link fading.  interferer_sampler is a
     batch sampler (gen, size) -> PatternBatch in the layout's window.
     """
     return _sinr_estimate(layout, interferer_sampler, n_reps, stream, False)
@@ -162,27 +160,26 @@ class CoverageReport:
 
 def boolean_coverage(
     germ_sampler: Callable,
-    radius_dist: MassDistribution,
+    radius: float,
     queries: np.ndarray,
     n_reps: int,
     stream: RngStream,
 ) -> CoverageReport:
-    """Coverage count V(y) = number of balls (germ, i.i.d. radius) containing y;
-    estimates P(V >= 1), E V and E V^2 at each query with stderrs.
+    """Coverage count V(y) = number of balls of the given radius > 0, centred
+    at the germs, that contain y; estimates P(V >= 1), E V and E V^2 at each
+    query with stderrs.
 
     germ_sampler is a batch sampler (gen, size) -> PatternBatch; the count
-    is stats.coverage_field of each realization."""
+    is stats.coverage_field of each realization with every mark = radius."""
+    if not radius > 0:
+        raise ValueError("grain radius must be positive")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     nq = queries.shape[0]
 
     def draw(gen, size: int) -> np.ndarray:
-        germs = germ_sampler(gen, size)
-        radii = np.asarray(radius_dist.sample(gen, size=germs.points.shape[0]), dtype=float)
-        return ragged_sn(germs, queries, lambda d: d <= radii)
+        return ragged_sn(germ_sampler(gen, size), queries, lambda d: d <= radius)
 
-    (mom,) = replicate(
-        (draw,), lambda v: np.hstack([v >= 1, v, v**2]), n_reps, stream, _CHUNK
-    )
+    (mom,) = replicate((draw,), lambda v: np.hstack([v >= 1, v, v**2]), n_reps, stream)
     mean, se = mom.mean, mom.stderr
     return CoverageReport(
         mean[:nq], se[:nq], mean[nq : 2 * nq], se[nq : 2 * nq], mean[2 * nq :], se[2 * nq :]

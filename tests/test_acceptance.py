@@ -9,7 +9,7 @@ import yaml
 from click.testing import CliRunner
 
 from dcxsim.cli import main as cli_main
-from dcxsim.distributions import ClusterKernel, constant, exponential
+from dcxsim.distributions import ClusterKernel, exponential
 from dcxsim.geometry import Box, make_stream, make_window
 from dcxsim import processes, wireless
 from dcxsim.ordering import (
@@ -72,7 +72,7 @@ def test_criterion_03_ising_enumeration_oracle():
             suite = make_suite(
                 "dcx", k, 50, stream.split(10 * k + i), scale=np.full(k, lam_bar)
             )
-            rep = oracle_ising_exact(k, mu1, mu2, p_plus, suite, tol=1e-9)
+            rep = oracle_ising_exact(k, mu1, mu2, p_plus, suite)
             ok = ok and rep.passed
     runtime = time.perf_counter() - t0
     ok = ok and runtime < 10.0
@@ -138,7 +138,7 @@ def test_criterion_06_box_count_dcx_comparison():
 
 def test_criterion_07_cluster_intensity_family():
     lam, sigma = 20.0, 0.1
-    kernel = ClusterKernel("gaussian", (sigma,))
+    kernel = ClusterKernel(sigma)
     queries = np.array([[0.2, 0.2], [0.5, 0.5], [0.8, 0.6]])
     stream = make_stream(SEED, 7)
     n_reps = 100_000
@@ -157,7 +157,7 @@ def test_criterion_07_cluster_intensity_family():
         # only the first query's variance is needed; the parents drawn from
         # each substream do not depend on the queries
         first = processes.make_ppcluster_intensity_at(c, lam, kernel, W1, queries[:1])
-        (mom,) = replicate((first,), lambda v: v, n_reps, sub, 2000)
+        (mom,) = replicate((first,), lambda v: v, n_reps, sub)
         variances[c] = float(mom.var[0])
     for c_hi, c_lo in [(4.0, 1.0), (2.0, 0.5)]:
         ratio = variances[c_hi] / variances[c_lo]
@@ -188,7 +188,7 @@ def test_criterion_09_sinr_comparison():
         1.0,
         ResponseKernel("power_law", (4.0,)),
         exponential(1.0),
-        constant(0.01),
+        0.01,
     )
     lam = 5.0
     poisson = processes.make_poisson_batch(lam, W1)
@@ -213,8 +213,8 @@ def test_criterion_10_boolean_coverage():
     thomas = processes.make_thomas_batch(4.0, 5.0, 0.05, W1)
     stream = make_stream(SEED, 10)
     n_reps = 50_000
-    rep_po = wireless.boolean_coverage(poisson, constant(r), queries, n_reps, stream.split(0))
-    rep_th = wireless.boolean_coverage(thomas, constant(r), queries, n_reps, stream.split(1))
+    rep_po = wireless.boolean_coverage(poisson, r, queries, n_reps, stream.split(0))
+    rep_th = wireless.boolean_coverage(thomas, r, queries, n_reps, stream.split(1))
     se_cov = float(np.hypot(rep_po.p_cover_stderr[0], rep_th.p_cover_stderr[0]))
     se_m1 = float(np.hypot(rep_po.mean_count_stderr[0], rep_th.mean_count_stderr[0]))
     se_m2 = float(np.hypot(rep_po.second_moment_stderr[0], rep_th.second_moment_stderr[0]))

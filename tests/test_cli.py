@@ -96,6 +96,10 @@ def test_invalid_parameter_is_config_error(tmp_path):
         {"id": "ripley-poisson", "window": {"low": [0, 0], "highs": [2, 2]}},
         {"id": "ising-vs-poisson", "z_crit": 1.0},
         {"id": "palm-poisson-check", "box_highs": [3, 3]},
+        {"id": "ppcluster-family", "n_reps": 400, "sigma": 0},
+        {"id": "ppcluster-family", "n_reps": 400, "sigma": -0.1},
+        {"id": "sinr-compare", "n_reps": 400, "noise": -0.5},
+        {"id": "coverage-compare", "n_reps": 400, "r": -0.1},
     ):
         path = _write_config(tmp_path, [entry])
         result = CliRunner().invoke(main, ["run", str(path)])
@@ -103,13 +107,16 @@ def test_invalid_parameter_is_config_error(tmp_path):
 
 
 def test_unknown_key_is_rejected_before_any_scenario_runs(tmp_path):
-    path = _write_config(
-        tmp_path, [{"id": "ginibre-oracle"}, {"id": "ripley-poisson", "n_rep": 10}]
-    )
-    result = CliRunner().invoke(main, ["run", str(path)])
-    assert result.exit_code == 2
-    assert "n_rep" in result.output
-    assert not list((tmp_path / "out").glob("*.json"))
+    for name, (first, bad, key) in enumerate((
+        ("ginibre-oracle", {"n_rep": 10}, "n_rep"),
+        ("oracle-poisson-scaling", {"window": {"low": [0, 0]}}, "low"),
+    )):
+        (tmp_path / str(name)).mkdir()
+        path = _write_config(tmp_path / str(name), [{"id": first}, dict(bad, id="ripley-poisson")])
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 2
+        assert key in result.output
+        assert not list((tmp_path / str(name) / "out").glob("*"))
 
 
 def test_run_scenario_rejects_unknown_keys():

@@ -46,20 +46,20 @@ def test_tail_functions():
 
 
 def test_invalid_distributions():
-    # only the laws and the kernel the scenarios use are kinds
+    # only the laws the scenarios use are kinds; the Gaussian kernel needs sigma > 0
     for kind in ("cauchy", "gamma", "bernoulli", "user_table"):
         with pytest.raises(ValueError):
             MassDistribution(kind, (0.5, 1.0))
-    for kind in ("uniform_ball", "indicator_ball", "power_law"):
+    for sigma in (0.0, -0.1, float("nan")):
         with pytest.raises(ValueError):
-            ClusterKernel(kind, (0.5,))
+            ClusterKernel(sigma)
 
 
 @pytest.mark.parametrize(
     "kernel,dim",
     [
-        (ClusterKernel("gaussian", (0.2,)), 2),
-        (ClusterKernel("gaussian", (0.2,)), 1),
+        (ClusterKernel(0.2), 2),
+        (ClusterKernel(0.2), 1),
     ],
 )
 def test_kernel_density_normalized(kernel, dim):
@@ -74,13 +74,13 @@ def test_kernel_density_normalized(kernel, dim):
 
 def test_kernel_offsets_match_density():
     gen = make_stream(5).generator()
-    k = ClusterKernel("gaussian", (0.2,))
+    k = ClusterKernel(0.2)
     offs = k.sample_offsets(gen, 100_000, 2)
     assert offs.std(axis=0) == pytest.approx([0.2, 0.2], rel=0.02)
 
 
 def test_truncation_radius_bounds_density():
-    k = ClusterKernel("gaussian", (0.2,))
+    k = ClusterKernel(0.2)
     r = k.truncation_radius()
     assert float(k.density(r, 2)) <= 1e-6 * float(k.density(0.0, 2)) * (1 + 1e-9)
 

@@ -47,7 +47,7 @@ def test_suite_validation():
 
 def test_verify_rejects_misdeclared_function():
     # a concave profile declared convex must fail the certificate
-    f = TestFunction(0, "lin_convex", "dcx", np.array([1.0, 1.0]), phi="power", p=0.5)
+    f = TestFunction(0, "lin_convex", np.array([1.0, 1.0]), phi="power", p=0.5)
     ok, worst = verify_dcx_numeric(f, np.array([[1.0, 1.0]]), delta=0.5)
     assert not ok and worst < 0
 
@@ -127,11 +127,33 @@ def test_moments_merged_chunks_match_one_pass(n, k, cuts, offset, seed):
     np.testing.assert_allclose(merged.var, rows.var(axis=0, ddof=1), rtol=1e-12, atol=0)
 
 
+def test_replicate_draws_chunk_ci_of_side_s_from_substream_2ci_plus_s():
+    # two full chunks and a remainder per side; rebuilding each side's draws
+    # chunk by chunk from stream.split(2 * ci + s) must give the same moments
+    sides = (
+        lambda gen, size: gen.standard_normal((size, 2)),
+        lambda gen, size: gen.exponential(2.0, (size, 2)),
+    )
+    reduce = lambda v: np.column_stack([v, v[:, :1] * v[:, 1:]])
+    stream = make_stream(23)
+    sizes = [ordering._CHUNK, ordering._CHUNK, 37]
+    moms = ordering.replicate(sides, reduce, sum(sizes), stream)
+    for s, draw in enumerate(sides):
+        rows = np.vstack([
+            reduce(draw(stream.split(2 * ci + s).generator(), size))
+            for ci, size in enumerate(sizes)
+        ])
+        ref = Moments.of(rows)
+        assert moms[s].n == ref.n == sum(sizes)
+        np.testing.assert_allclose(moms[s].mean, ref.mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(moms[s].var, ref.var, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("seed", [5, 6, 7])
 def test_compare_vectors_stderr_at_large_offset(seed):
     # X = Y = 1e8 + N(0, 1): the mean difference of a linear function has
     # stderr sqrt(2 / n) whatever the offset
-    f = TestFunction(0, "lin_convex", "dcx", np.array([1.0]), phi="power", t=0.0, p=1.0)
+    f = TestFunction(0, "lin_convex", np.array([1.0]), phi="power", t=0.0, p=1.0)
     draw = batched(lambda gen: 1e8 + gen.standard_normal(1))
     rep = compare_vectors(draw, draw, [f], 20_000, make_stream(seed))
     assert rep.records[0].stderr == pytest.approx(np.sqrt(2 / 20_000), rel=0.05)
@@ -207,7 +229,7 @@ def test_oracle_ginibre_mean_matches_b():
 
 
 def test_oracle_ising_validation():
-    f = TestFunction(0, "pair_product", "dcx", np.array([0.0, 1.0]))
+    f = TestFunction(0, "pair_product", np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         oracle_ising_exact(13, 2.0, 0.0, 0.5, [f])
     with pytest.raises(ValueError):

@@ -102,7 +102,7 @@ def test_marked_basis_shares_support():
 
 
 def test_ppcluster_intensity_mean_and_variance_scaling():
-    kernel = ClusterKernel("gaussian", (0.1,))
+    kernel = ClusterKernel(0.1)
     queries = np.array([[0.5, 0.5]])
     gen = make_stream(6).generator()
     lam = 20.0
@@ -157,7 +157,7 @@ def test_lgcp_cell_cap():
 
 
 def test_gnscp_matches_thomas_construction():
-    kernel = ClusterKernel("gaussian", (0.05,))
+    kernel = ClusterKernel(0.05)
     parents = lambda gen: processes.sample_poisson(4.0, W, gen)
     gen = make_stream(12).generator()
     counts = np.array(
@@ -237,7 +237,7 @@ def test_count_samplers_match_point_path_in_law(topology, cells, dim, op):
         return np.hstack([x, d**2, d[:, iu[0]] * d[:, iu[1]]])
 
     n = 3000
-    moms = replicate((count[0], point[0], count[1], point[1]), reduce, n, make_stream(31), 2000)
+    moms = replicate((count[0], point[0], count[1], point[1]), reduce, n, make_stream(31))
     z = [
         (b.mean - a.mean) / np.sqrt((a.var + b.var) / n)
         for a, b in (moms[:2], moms[2:])
@@ -288,7 +288,7 @@ def test_box_mass_samplers_match_measure_path_in_law(topology):
             d = x - centre
             return np.hstack([x, d**2, d[:, iu[0]] * d[:, iu[1]]])
 
-        mom_b, mom_s = replicate((b, s), reduce, n, make_stream(34, k), 2000)
+        mom_b, mom_s = replicate((b, s), reduce, n, make_stream(34, k))
         z.append((mom_s.mean - mom_b.mean) / np.sqrt((mom_b.var + mom_s.var) / n))
     assert decide(np.concatenate(z + [-zz for zz in z])) == CONSISTENT
 
@@ -328,7 +328,7 @@ def _batch_probe(batch) -> np.ndarray:
 
 
 WP = make_window([0.0, 0.0], [1.0, 1.0], "plain")
-KERNEL = ClusterKernel("gaussian", (0.1,))
+KERNEL = ClusterKernel(0.1)
 BATCH_CASES = {
     # name: (batch draw (gen, size) -> (size, k), per-realization draw gen -> (k,))
     "poisson": (
@@ -370,6 +370,6 @@ def test_batch_samplers_match_per_realization_samplers_in_law(case):
         return np.hstack([x, d**2, d[:, iu[0]] * d[:, iu[1]]])
 
     n = 4000
-    mom_b, mom_s = replicate((batch, batched(single)), reduce, n, make_stream(32), 2000)
+    mom_b, mom_s = replicate((batch, batched(single)), reduce, n, make_stream(32))
     z = (mom_s.mean - mom_b.mean) / np.sqrt((mom_b.var + mom_s.var) / n)
     assert decide(np.concatenate([z, -z])) == CONSISTENT

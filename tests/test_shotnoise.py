@@ -238,6 +238,6 @@ def test_ragged_reductions_match_per_realization_in_law(case):
         return np.column_stack([x, d**2, d[:, 0] * d[:, 1]])
 
     n = 4000
-    mom_b, mom_s = replicate((batch, batched(single)), reduce, n, make_stream(33), 2000)
+    mom_b, mom_s = replicate((batch, batched(single)), reduce, n, make_stream(33))
     z = (mom_s.mean - mom_b.mean) / np.sqrt((mom_b.var + mom_s.var) / n)
     assert decide(np.concatenate([z, -z])) == CONSISTENT

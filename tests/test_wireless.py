@@ -14,7 +14,7 @@ PL = ResponseKernel("power_law", (4.0,))
 def _layout(threshold=1.0, noise=0.0, n_links=1):
     tx = np.array([[0.3, 0.3], [0.7, 0.7]])[:n_links]
     rx = np.array([[0.3, 0.35], [0.7, 0.75]])[:n_links]
-    return wireless.LinkLayout(W, tx, rx, threshold, PL, exponential(1.0), constant(noise))
+    return wireless.LinkLayout(W, tx, rx, threshold, PL, exponential(1.0), noise)
 
 
 def _no_interferers(gen, size):
@@ -23,9 +23,11 @@ def _no_interferers(gen, size):
 
 def test_layout_validation():
     with pytest.raises(ValueError):
-        wireless.LinkLayout(W, np.empty((0, 2)), np.empty((0, 2)), 1.0, PL, exponential(1.0), constant(0.0))
+        wireless.LinkLayout(W, np.empty((0, 2)), np.empty((0, 2)), 1.0, PL, exponential(1.0), 0.0)
     with pytest.raises(ValueError):
         _layout(threshold=0.0)
+    with pytest.raises(ValueError):
+        _layout(noise=-0.5)
 
 
 def test_success_is_one_without_noise_or_interference():
@@ -74,7 +76,7 @@ def test_rayleigh_requires_closed_form_tail():
         1.0,
         PL,
         MassDistribution("sum_of_exponentials", (0.5, 0.5)),
-        constant(0.0),
+        0.0,
     )
     with pytest.raises(ValueError):
         wireless.sinr_success_rayleigh(layout, _no_interferers, 10, make_stream(0))
@@ -84,7 +86,7 @@ def test_boolean_coverage_poisson_matches_void_probability():
     lam, r = 20.0, 0.1
     rep = wireless.boolean_coverage(
         make_poisson_batch(lam, W),
-        constant(r),
+        r,
         np.array([[0.5, 0.5]]),
         20_000,
         make_stream(5),
@@ -97,7 +99,7 @@ def test_boolean_coverage_poisson_matches_void_probability():
 
 def test_boolean_coverage_empty_germs():
     rep = wireless.boolean_coverage(
-        _no_interferers, constant(0.2), np.array([[0.5, 0.5]]), 100, make_stream(6)
+        _no_interferers, 0.2, np.array([[0.5, 0.5]]), 100, make_stream(6)
     )
     assert rep.p_cover[0] == 0.0
     assert rep.mean_count[0] == 0.0
@@ -109,7 +111,7 @@ def test_cross_link_interference_reaches_each_receiver():
     tx = np.array([[0.1, 0.1], [0.5, 0.5]])
     rx = np.array([[0.1, 0.2], [0.9, 0.9]])
     for t in (0.4, 0.6, 2.0, 4.0):
-        layout = wireless.LinkLayout(W, tx, rx, t, PL, constant(1.0), constant(0.0))
+        layout = wireless.LinkLayout(W, tx, rx, t, PL, constant(1.0), 0.0)
         sir = layout.direct_gains() / layout.cross_gains().sum(axis=0)
         p, _ = wireless.sinr_success(layout, _no_interferers, 10, make_stream(7))
         assert p == float(np.all(sir >= t))
