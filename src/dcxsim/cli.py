@@ -11,6 +11,8 @@ Config files are YAML with top-level keys:
               before any scenario runs
 
 Each scenario produces <output_dir>/<id>.json and <output_dir>/<id>.csv.
+Reports are written only after the last scenario has run, so a run that
+exits 2 or 3 writes no report.
 Exit codes: 0 clean, 1 a verdict was VIOLATION/fail, 2 configuration error
 (including invalid scenario parameters and fewer than 2 replications), 3 runtime
 failure (including numerical failures: NumericalError, LinAlgError,
@@ -129,7 +131,7 @@ def run_cmd(config_path: str):
         sys.exit(EXIT_CONFIG)
 
     seed = cfg["seed"]
-    any_bad = False
+    finished = []
     for k, entry in enumerate(cfg["scenarios"]):
         params = {key: v for key, v in entry.items() if key != "id"}
         sid = entry["id"]
@@ -147,13 +149,16 @@ def run_cmd(config_path: str):
             click.echo(f"runtime failure in scenario {sid}: {exc}", err=True)
             sys.exit(EXIT_RUNTIME)
         runtime = time.perf_counter() - t0
-        try:
-            _write_reports(out_dir, result, seed, params, runtime)
-        except OSError as exc:
-            click.echo(f"configuration error: cannot write reports: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
         click.echo(f"{sid}: {result.verdict} ({runtime:.2f}s)")
-        any_bad = any_bad or result.verdict in _BAD_VERDICTS
+        finished.append((result, params, runtime))
+
+    try:
+        for result, params, runtime in finished:
+            _write_reports(out_dir, result, seed, params, runtime)
+    except OSError as exc:
+        click.echo(f"configuration error: cannot write reports: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
+    any_bad = any(result.verdict in _BAD_VERDICTS for result, _, _ in finished)
     sys.exit(EXIT_VIOLATION if any_bad else EXIT_OK)
 
 

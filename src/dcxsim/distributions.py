@@ -1,6 +1,8 @@
-"""Parametric ingredient distributions: masses/marks, cluster kernels, covariances."""
+"""Parametric ingredient distributions: masses/marks, cluster kernels,
+covariances, and the Poisson pmf with its summed tails."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -11,6 +13,25 @@ from .geometry import NumericalError
 # relative level, against the peak, below which cluster and response kernels
 # are cut off
 TRUNCATION_REL_TOL = 1e-6
+
+
+def poisson_pmf_tail(mean: float) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson(mean) pmf on 0..top and its tail, tail[k] = P(N >= k) summed
+    over k..top.
+
+    top = mean + 40 sqrt(mean) + 40, beyond which the Poisson mass is below
+    exp(-60) by a Chernoff bound, far under the 1e-12 tail levels the callers
+    cut at.  Each term is exp(k log mean - lgamma(k + 1) - mean), and the tail
+    is a reversed cumulative sum, so small terms are added first and the tail
+    is non-increasing.
+    """
+    if mean <= 0:
+        raise ValueError("mean must be positive")
+    top = int(mean + 40.0 * math.sqrt(mean) + 40.0)
+    k = np.arange(top + 1)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(top + 1)])
+    pmf = np.exp(k * math.log(mean) - log_fact - mean)
+    return pmf, np.cumsum(pmf[::-1])[::-1]
 
 
 @dataclass(frozen=True)

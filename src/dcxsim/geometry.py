@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; every stream draws from it, so load it here
 
 
 class NumericalError(ArithmeticError, ValueError):

@@ -15,16 +15,20 @@ so that negative values count against the claim (a two-sided test enters as
 z and -z), is a VIOLATION iff some z < -bonferroni_z(z_crit, len(z)).  One
 family fires falsely with probability at most sf(z_crit), 1.35e-3 at the
 default z_crit = Z_CRIT.  ``worst`` combines the verdicts of sub-comparisons.
+``bonferroni_z(z_crit, n) = -Phi^-1(Phi(-z_crit) / n)`` is computed with
+``statistics.NormalDist``, and the exact oracles sum their Poisson pmfs and
+tails with ``distributions.poisson_pmf_tail``, so this module needs no scipy.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
+from .distributions import poisson_pmf_tail
 from .geometry import Box, RngStream, boxes_disjoint, count_in
 
 CONSISTENT = "CONSISTENT"
@@ -189,7 +193,8 @@ class OrderReport:
 
 def bonferroni_z(z_crit: float, n_tests: int) -> float:
     """The normal quantile whose upper tail is the tail of z_crit split over n_tests."""
-    return float(-special.ndtri(special.ndtr(-z_crit) / max(n_tests, 1)))
+    u = NormalDist()
+    return -u.inv_cdf(u.cdf(-z_crit) / max(n_tests, 1))
 
 
 def decide(z, z_crit: float = Z_CRIT) -> str:
@@ -487,7 +492,10 @@ def cx_compare_exact(
     for p in (px, py):
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("pmf not normalized within 1e-12")
-    support = np.unique(np.concatenate([vx, vy]))
+    # duplicate support points give equal stop-loss values, so the max over a
+    # sorted grid with repeats equals the max over the distinct points (and,
+    # unlike np.unique, np.sort does not import numpy.ma in scenario time)
+    support = np.sort(np.concatenate([vx, vy]))
     t_grid = np.concatenate([support, (support[:-1] + support[1:]) / 2.0])
     viol = float(np.max(_stop_loss(vx, px, t_grid) - _stop_loss(vy, py, t_grid)))
     mean_x = float(vx @ px)
@@ -499,16 +507,17 @@ def cx_compare_exact(
 def _poisson_support_end(mean: float) -> int:
     """Last support point of the oracles' truncated Poisson(mean) pmf: two past
     the smallest k with P(Poisson(mean) > k) <= POISSON_TAIL."""
+    _, tail = poisson_pmf_tail(mean)
     k = 0
-    while special.pdtrc(k, mean) > POISSON_TAIL:
+    while tail[k + 1] > POISSON_TAIL:
         k += 1
     return k + 2
 
 
 def _poisson_pmf_truncated(mean: float) -> tuple[np.ndarray, np.ndarray]:
     m = _poisson_support_end(mean)
-    k = np.arange(m + 1)
-    return k.astype(float), np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
+    pmf, _ = poisson_pmf_tail(mean)
+    return np.arange(m + 1, dtype=float), pmf[: m + 1]
 
 
 def oracle_poisson_scaling(a: float, c: float) -> ExactCxReport:
@@ -555,8 +564,8 @@ def oracle_ginibre_radii(b: float) -> GinibreOracleReport:
     if b <= 0:
         raise ValueError("b must be positive")
     m = _poisson_support_end(b)
-    k = np.arange(1, m + 1)
-    bern = special.pdtrc(k - 1, b)  # P(N_b >= k)
+    _, tail = poisson_pmf_tail(b)
+    bern = tail[1 : m + 1]  # P(N_b >= k), k = 1..m
     pmf_x = _poisson_binomial_pmf(bern)
     ky, py = _poisson_pmf_truncated(b)
     cx = cx_compare_exact((np.arange(pmf_x.size, dtype=float), pmf_x), (ky, py))

@@ -15,9 +15,14 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
-from .distributions import ClusterKernel, CovarianceSpec, MassDistribution, cholesky_with_jitter
+from .distributions import (
+    ClusterKernel,
+    CovarianceSpec,
+    MassDistribution,
+    cholesky_with_jitter,
+    poisson_pmf_tail,
+)
 from .geometry import (
     PLAIN,
     TORUS,
@@ -495,8 +500,9 @@ def sample_ginibre_radii(b_max: float, rng) -> PointPattern:
 
 
 def ginibre_truncation_order(b_max: float) -> int:
-    """Smallest m with P(Gamma(m, 1) <= b_max) < 1e-12."""
+    """Smallest m with P(Gamma(m, 1) <= b_max) = P(Poisson(b_max) >= m) < 1e-12."""
+    _, tail = poisson_pmf_tail(b_max)
     m = max(1, int(np.ceil(b_max)))
-    while special.gammainc(m, b_max) >= 1e-12:
+    while tail[m] >= 1e-12:
         m += 1
     return m

@@ -7,6 +7,7 @@ reference.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
@@ -156,14 +157,14 @@ def campbell_mean(h: ResponseKernel, mean_intensity: float, w: Window) -> float:
     """
     if w.topology != TORUS:
         raise ValueError("campbell_mean requires a torus window")
-    from scipy import integrate, special  # scipy.integrate is slow to import: only here
+    from scipy import integrate  # scipy.integrate is slow to import: only here
     half = w.lengths / 2.0
     r_cut = h.truncation_radius()
 
     if r_cut <= half.min():
         # kernel support fits in the inscribed ball: exact radial reduction
         d = w.dim
-        surf = 2 * np.pi ** (d / 2) / special.gamma(d / 2)
+        surf = 2 * np.pi ** (d / 2) / math.gamma(d / 2)
         val, err = integrate.quad(
             lambda r: surf * r ** (d - 1) * float(h.value(r)), 0.0, r_cut,
             epsabs=0.0, epsrel=1e-10, limit=200,

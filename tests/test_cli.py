@@ -88,6 +88,8 @@ def test_non_string_output_dir_is_config_error(tmp_path):
 
 
 def test_invalid_parameter_is_config_error(tmp_path):
+    # each bad entry follows a good scenario: values are checked only when
+    # their scenario runs, and the good one must not leave its reports behind
     for entry in (
         {"id": "oracle-poisson-scaling", "a_values": [-1.0]},
         {"id": "levy-grid", "window": "abc"},
@@ -101,9 +103,10 @@ def test_invalid_parameter_is_config_error(tmp_path):
         {"id": "sinr-compare", "n_reps": 400, "noise": -0.5},
         {"id": "coverage-compare", "n_reps": 400, "r": -0.1},
     ):
-        path = _write_config(tmp_path, [entry])
+        path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}, entry])
         result = CliRunner().invoke(main, ["run", str(path)])
         assert result.exit_code == 2, entry
+        assert not list((tmp_path / "out").glob("*")), entry
 
 
 def test_unknown_key_is_rejected_before_any_scenario_runs(tmp_path):
@@ -232,9 +235,13 @@ def test_exit_three_on_runtime_failure(tmp_path, monkeypatch, error):
     import dcxsim.cli as cli_mod
 
     def boom(sid, params, stream):
-        raise error("synthetic numeric failure")
+        if sid == "ripley-poisson":
+            raise error("synthetic numeric failure")
+        return run_scenario(sid, params, stream)
 
+    # the failure comes second: the first scenario's reports must not be written
     monkeypatch.setattr(cli_mod, "run_scenario", boom)
-    path = _write_config(tmp_path, [{"id": "ripley-poisson"}])
+    path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}, {"id": "ripley-poisson"}])
     result = CliRunner().invoke(main, ["run", str(path)])
     assert result.exit_code == 3
+    assert not list((tmp_path / "out").glob("*"))

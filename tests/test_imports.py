@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_acceptance import FAST_PARAMS
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -14,12 +16,28 @@ def _fresh(code: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_skips_slow_scipy_modules():
-    # scipy.stats and scipy.integrate take most of the import time; the
-    # program needs neither on its way to the first scenario
+    # importing any of scipy costs more than the rest of the start-up, and
+    # the program needs none of it on its way to the first scenario
     out = _fresh(
         "import dcxsim.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'stats'], ['scipy', 'integrate'])))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_scenarios_load_no_module_after_cli_import():
+    # a module first loaded inside a scenario is start-up cost booked as
+    # scenario time; every one belongs in the import of dcxsim.cli
+    out = _fresh(
+        "import dcxsim.cli\n"
+        "from dcxsim.geometry import make_stream\n"
+        "from dcxsim.scenarios import SCENARIOS, run_scenario\n"
+        f"params = {FAST_PARAMS!r}\n"
+        "before = set(sys.modules)\n"
+        "for k, sid in enumerate(SCENARIOS):\n"
+        "    run_scenario(sid, params[sid], make_stream(1, k))\n"
+        "print(sorted(set(sys.modules) - before))\n"
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

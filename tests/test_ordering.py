@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcxsim.distributions import poisson_pmf_tail
 from dcxsim.geometry import make_stream
 from dcxsim import ordering
 from dcxsim.ordering import (
@@ -164,6 +166,14 @@ def test_bonferroni_grows_with_suite_size():
     assert bonferroni_z(3.0, 100) > 3.0
 
 
+@pytest.mark.parametrize("z_crit", [1.0, 2.0, 3.0, 3.5])
+def test_bonferroni_z_matches_scipy_quantile(z_crit):
+    n_tests = np.arange(1, 2001)
+    got = [bonferroni_z(z_crit, int(n)) for n in n_tests]
+    ref = -special.ndtri(special.ndtr(-z_crit) / n_tests)
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("n_tests", [1, 8, 25])
 def test_decide_false_alarm_rate_on_null_z(n_tests):
     # i.i.d. N(0, 1) families: VIOLATION at most sf(z_crit) of the time
@@ -211,6 +221,42 @@ def test_cx_compare_exact_basics():
     assert not cx_compare_exact(const, shifted).passed
     with pytest.raises(ValueError):
         cx_compare_exact((np.array([0.0]), np.array([0.9])), const)
+
+
+def _cx_max_violation_on_distinct_points(pmf_x, pmf_y) -> float:
+    # the stop-loss grid of every distinct support point and the midpoints
+    (vx, px), (vy, py) = pmf_x, pmf_y
+    support = np.unique(np.concatenate([vx, vy]))
+    t_grid = np.concatenate([support, (support[:-1] + support[1:]) / 2.0])
+    stop_loss = lambda v, p: np.maximum(v[None, :] - t_grid[:, None], 0.0) @ p
+    return max(float(np.max(stop_loss(vx, px) - stop_loss(vy, py))), 0.0)
+
+
+def test_cx_compare_exact_grid_with_repeated_points():
+    # repeated support points within and across the two pmfs leave the
+    # maximum stop-loss violation bit-identical
+    gen = make_stream(31).generator()
+    for _ in range(100):
+        pmfs = [(gen.integers(0, 6, size=n).astype(float), gen.dirichlet(np.ones(n))) for n in (5, 9)]
+        for pair in (pmfs, pmfs[::-1]):
+            assert cx_compare_exact(*pair).max_violation == _cx_max_violation_on_distinct_points(*pair)
+
+
+@pytest.mark.parametrize("mean", [0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 6.0, 9.0, 50.0])
+def test_poisson_pmf_tail_matches_scipy(mean):
+    pmf, tail = poisson_pmf_tail(mean)
+    k = np.arange(pmf.size)
+    ref_pmf = np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
+    np.testing.assert_allclose(pmf, ref_pmf, rtol=1e-12, atol=0)
+    # the support end: two past the smallest k with P(N > k) <= POISSON_TAIL
+    end = 0
+    while special.pdtrc(end, mean) > ordering.POISSON_TAIL:
+        end += 1
+    end += 2
+    assert ordering._poisson_support_end(mean) == end
+    # tail[k] = P(N >= k) = pdtrc(k - 1) for k >= 1, over the oracles' support
+    k = np.arange(1, end + 2)
+    np.testing.assert_allclose(tail[k], special.pdtrc(k - 1, mean), rtol=1e-12, atol=0)
 
 
 def test_oracle_poisson_scaling_validation():

@@ -179,11 +179,14 @@ def test_ginibre_radii_counts():
 
 
 def test_ginibre_truncation_order():
-    m = processes.ginibre_truncation_order(2.0)
+    # sample_ginibre_radii draws m gammas, so m must stay the smallest order
+    # with P(Gamma(m, 1) <= b) < 1e-12 by scipy's incomplete gamma
     from scipy import special
 
-    assert special.gammainc(m, 2.0) < 1e-12
-    assert special.gammainc(m - 1, 2.0) >= 1e-12
+    for b in np.append(np.linspace(0.05, 20.0, 406), 2.0):
+        m = processes.ginibre_truncation_order(b)
+        assert special.gammainc(m, b) < 1e-12, b
+        assert special.gammainc(m - 1, b) >= 1e-12, b
 
 
 SHIFT = np.array([0.35, 0.15])  # the translation of ops-preservation
