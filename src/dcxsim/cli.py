@@ -1,6 +1,7 @@
 """Configuration-driven experiment runner.
 
-Config files are YAML with top-level keys:
+Config files are YAML with these top-level keys and no others (any other
+key is a configuration error, found before any scenario runs):
   seed        integer master seed
   output_dir  directory for the emitted reports
   workers     optional positive integer, accepted for existing configs; it has
@@ -66,6 +67,9 @@ def _load_config(config_path: str) -> dict:
         raise ConfigError(f"config does not parse as YAML: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
+    unknown = sorted(str(k) for k in set(cfg) - {"seed", "output_dir", "workers", "scenarios"})
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     for key in ("seed", "output_dir", "scenarios"):
         if key not in cfg:
             raise ConfigError(f"missing required config key: {key}")

@@ -145,12 +145,6 @@ class CovarianceSpec:
             return self.variance * np.exp(-r / self.corr_range)
         return self.variance * np.exp(-(r**2) / (2 * self.corr_range**2))
 
-    def matrix(self, dists: np.ndarray) -> np.ndarray:
-        """Covariance matrix from a distance matrix, validated PSD via Cholesky."""
-        cov = self.value(dists)
-        cholesky_with_jitter(cov)  # raises if not PSD within jitter tolerance
-        return cov
-
 
 def cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     """Dense Cholesky; one retry with 1e-10 added to the diagonal on failure."""

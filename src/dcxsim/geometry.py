@@ -255,8 +255,6 @@ class AtomicMeasure:
 
 def count_in(p: PointPattern, b: Box) -> int:
     """Number of points of p in the half-open box b."""
-    if p.n == 0:
-        return 0
     return int(np.count_nonzero(b.contains(p.points)))
 
 
@@ -267,8 +265,6 @@ def mass_in(m: Union[GridField, AtomicMeasure], b: Box) -> float:
     density over b (fractional cell overlaps included).
     """
     if isinstance(m, AtomicMeasure):
-        if m.n == 0:
-            return 0.0
         return float(np.sum(m.masses[b.contains(m.locations)]))
     # grid field: per-axis overlap lengths factorize the integral
     t = m.values
@@ -328,10 +324,3 @@ class RngStream:
 
 def make_stream(seed: int, stream_id: int = 0) -> RngStream:
     return RngStream(int(seed), int(stream_id))
-
-
-def as_generator(rng) -> np.random.Generator:
-    """Accept either an RngStream or a ready numpy Generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return rng

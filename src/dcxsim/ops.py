@@ -7,7 +7,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import MassDistribution
-from .geometry import TORUS, PointPattern, as_generator
+from .geometry import TORUS, PointPattern
 
 
 def displace(p: PointPattern, mapping: Callable[[np.ndarray], np.ndarray]) -> PointPattern:
@@ -28,33 +28,30 @@ def displace(p: PointPattern, mapping: Callable[[np.ndarray], np.ndarray]) -> Po
     return PointPattern(w, images[keep], marks)
 
 
-def mark_iid(p: PointPattern, mark: MassDistribution, rng) -> PointPattern:
-    gen = as_generator(rng)
+def mark_iid(p: PointPattern, mark: MassDistribution, gen: np.random.Generator) -> PointPattern:
     marks = np.asarray(mark.sample(gen, size=p.n), dtype=float)
     return PointPattern(p.window, p.points, marks)
 
 
-def thin_iid(p: PointPattern, retention: float, rng) -> PointPattern:
-    if not 0.0 <= retention <= 1.0:
-        raise ValueError("retention must be in [0, 1]")
-    gen = as_generator(rng)
-    keep = gen.random(p.n) < retention
-    marks = p.marks[keep] if p.marks is not None else None
-    return PointPattern(p.window, p.points[keep], marks)
+def thin_iid(p: PointPattern, retention: float, gen: np.random.Generator) -> PointPattern:
+    return thin_split(p, retention, gen)[0]
 
 
-def thin_counts(counts: np.ndarray, retention: float, rng) -> np.ndarray:
+def thin_counts(counts: np.ndarray, retention: float, gen: np.random.Generator) -> np.ndarray:
     """Box counts of an independent thinning, from the box counts of the
     pattern: each count is thinned binomially."""
     if not 0.0 <= retention <= 1.0:
         raise ValueError("retention must be in [0, 1]")
-    return as_generator(rng).binomial(counts, retention)
+    return gen.binomial(counts, retention)
 
 
-def thin_split(p: PointPattern, retention: float, rng) -> tuple[PointPattern, PointPattern]:
+def thin_split(
+    p: PointPattern, retention: float, gen: np.random.Generator
+) -> tuple[PointPattern, PointPattern]:
     """Thinning plus its complement from shared coin flips; superposing the two
     reconstructs p exactly."""
-    gen = as_generator(rng)
+    if not 0.0 <= retention <= 1.0:
+        raise ValueError("retention must be in [0, 1]")
     keep = gen.random(p.n) < retention
     m = p.marks
     return (

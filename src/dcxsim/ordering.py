@@ -39,7 +39,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # probability at most sf(Z_CRIT) = 1.35e-3
 Z_CRIT = 3.0
 
-_EXP_ARG_CAP = 30.0
+# the exp test functions' argument is capped here, far below float overflow
+_EXP_ARG_CAP = 90.0
 
 # absolute tolerance of the exact stop-loss oracles
 ORACLE_TOL = 1e-9
@@ -75,7 +76,7 @@ class TestFunction:
         if self.family == "lin_convex":
             u = x @ self.theta
             if self.phi == "exp":
-                return np.exp(np.minimum(u - self.shift, _EXP_ARG_CAP * 3))
+                return np.exp(np.minimum(u - self.shift, _EXP_ARG_CAP))
             return np.maximum(u - self.t, 0.0) ** self.p
         i, j = int(self.theta[0]), int(self.theta[1])
         return x[:, i] * x[:, j]

@@ -1,8 +1,8 @@
 """Samplers for the point-process and random-measure families under comparison.
 
-The per-realization samplers are the reference for the law.  The scenarios
-draw a whole chunk at once with batch samplers (gen, size) of the same law:
-count-level samplers (``make_poisson_counts``, ``make_ising_cox_counts``)
+The per-realization samplers, each drawing from one numpy ``Generator``
+``gen``, are the reference for the law.  The scenarios draw a whole chunk at
+once with batch samplers (gen, size) of the same law: count-level samplers (``make_poisson_counts``, ``make_ising_cox_counts``)
 return (size, boxes) box counts, box-mass samplers
 (``make_levy_grid_masses``, ``make_marked_poisson_masses``) return (size,
 boxes) box masses, and ragged samplers (``make_poisson_batch``,
@@ -31,7 +31,6 @@ from .geometry import (
     PatternBatch,
     PointPattern,
     Window,
-    as_generator,
     boxes_disjoint,
     cell_overlaps,
     pairwise_distances,
@@ -45,35 +44,31 @@ def _uniform_points(w: Window, n: int, gen: np.random.Generator) -> np.ndarray:
     return w.lows + gen.random((n, w.dim)) * w.lengths
 
 
-def sample_poisson(lam: float, w: Window, rng) -> PointPattern:
+def sample_poisson(lam: float, w: Window, gen: np.random.Generator) -> PointPattern:
     """Homogeneous Poisson pattern of intensity lam on w."""
     if lam <= 0:
         raise ValueError("intensity must be positive")
-    gen = as_generator(rng)
     n = gen.poisson(lam * w.volume)
     return PointPattern(w, _uniform_points(w, n, gen))
 
 
-def sample_cox(field: GridField, rng) -> PointPattern:
+def sample_cox(field: GridField, gen: np.random.Generator) -> PointPattern:
     """Exact Cox sample for a piecewise-constant intensity: per-cell Poisson counts,
     points uniform within their cell."""
-    gen = as_generator(rng)
     w = field.window
     means = field.values.ravel() * field.cell_volume
     counts = gen.poisson(means)
-    total = int(counts.sum())
-    if total == 0:
-        return PointPattern(w, np.empty((0, w.dim)))
     flat_idx = np.repeat(np.arange(means.size), counts)
     multi = np.unravel_index(flat_idx, tuple(field.cells_per_axis))
     lows = w.lows + np.stack(multi, axis=1) * field.cell_lengths
-    pts = lows + gen.random((total, w.dim)) * field.cell_lengths
+    pts = lows + gen.random((flat_idx.size, w.dim)) * field.cell_lengths
     return PointPattern(w, pts)
 
 
-def sample_mixed_poisson(mix: MassDistribution, w: Window, rng) -> PointPattern:
+def sample_mixed_poisson(
+    mix: MassDistribution, w: Window, gen: np.random.Generator
+) -> PointPattern:
     """Mixed Poisson: one random intensity level, then homogeneous Poisson."""
-    gen = as_generator(rng)
     lam = float(mix.sample(gen))
     n = gen.poisson(lam * w.volume)
     return PointPattern(w, _uniform_points(w, n, gen))
@@ -121,7 +116,7 @@ def sample_ising_field(
     p_plus: float,
     w: Window,
     cells_per_axis,
-    rng,
+    gen: np.random.Generator,
 ) -> GridField:
     """Randomly shifted lattice field of spacing ISING_SPACING taking mu1 w.p.
     p_plus else mu2, i.i.d. per lattice cell, resampled onto the requested grid
@@ -132,7 +127,6 @@ def sample_ising_field(
     """
     _check_spins(mu1, mu2, p_plus)
     n_lattice = _lattice_size(w, ISING_SPACING)
-    gen = as_generator(rng)
     shift = gen.random(w.dim) * ISING_SPACING
     field = GridField(w, cells_per_axis, np.zeros(tuple(np.atleast_1d(cells_per_axis))))
     lattice_idx, n_lattice = _lattice_index(w, field.midpoints(), shift, ISING_SPACING, n_lattice)
@@ -235,24 +229,22 @@ def lattice_points(spacing: float, w: Window) -> np.ndarray:
 
 
 def sample_levy_grid_basis(
-    lattice_spacing: float, mass: MassDistribution, w: Window, rng
+    lattice_spacing: float, mass: MassDistribution, w: Window, gen: np.random.Generator
 ) -> AtomicMeasure:
     """Atoms on a deterministic lattice inside w with i.i.d. non-negative masses."""
     locs = lattice_points(lattice_spacing, w)
-    gen = as_generator(rng)
     masses = np.asarray(mass.sample(gen, size=locs.shape[0]), dtype=float)
     return AtomicMeasure(w, locs, masses)
 
 
 def sample_marked_poisson_basis(
-    lam: float, mark: MassDistribution, w: Window, rng
+    lam: float, mark: MassDistribution, w: Window, gen: np.random.Generator
 ) -> tuple[AtomicMeasure, AtomicMeasure]:
     """One Poisson support carrying constant masses E(Z) and i.i.d. marks Z.
 
     The law reference of ``make_marked_poisson_masses``; the program draws
     each side on its own and never uses the shared support.
     """
-    gen = as_generator(rng)
     pts = _uniform_points(w, gen.poisson(lam * w.volume), gen)
     marks = np.asarray(mark.sample(gen, size=pts.shape[0]), dtype=float)
     const = np.full(pts.shape[0], mark.mean())
@@ -302,49 +294,32 @@ def _poisson_batch(
     return PatternBatch(w, lows + gen.random((int(counts.sum()), w.dim)) * lengths, counts)
 
 
-def _kernel_values(
-    kernel: ClusterKernel, w: Window, parents: np.ndarray, query: np.ndarray
+def ppcluster_intensity_at(
+    c: float, lam: float, kernel: ClusterKernel, w: Window, queries: np.ndarray,
+    gen: np.random.Generator,
 ) -> np.ndarray:
-    """(n_parents, n_query) kernel density values under the window topology."""
-    if parents.shape[0] == 0:
-        return np.zeros((0, query.shape[0]))
-    return kernel.density(pairwise_distances(w, parents, query), w.dim)
+    """One draw of the shot-noise intensity sum_parents h(parent, y)/c over
+    Poisson(c*lam) parents, evaluated exactly at the query points."""
+    if c <= 0 or lam <= 0:
+        raise ValueError("c and lam must be positive")
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    parents = _poisson_batch(c * lam, w, kernel.truncation_radius(), gen, 1).points
+    return kernel.density(pairwise_distances(w, parents, queries), w.dim).sum(axis=0) / c
 
 
 def sample_ppcluster_intensity(
-    c: float, lam: float, kernel: ClusterKernel, w: Window, cells_per_axis, rng
+    c: float, lam: float, kernel: ClusterKernel, w: Window, cells_per_axis, gen: np.random.Generator
 ) -> GridField:
-    """Shot-noise intensity sum_parents h(parent, y)/c over Poisson(c*lam) parents,
-    evaluated at grid midpoints."""
-    if c <= 0 or lam <= 0:
-        raise ValueError("c and lam must be positive")
-    gen = as_generator(rng)
-    pad = kernel.truncation_radius()
-    parents = _poisson_batch(c * lam, w, pad, gen, 1).points
+    """ppcluster_intensity_at evaluated at the grid midpoints."""
     field = GridField(w, cells_per_axis, np.zeros(tuple(np.atleast_1d(cells_per_axis))))
-    mids = field.midpoints()
-    vals = _kernel_values(kernel, w, parents, mids).sum(axis=0) / c
+    vals = ppcluster_intensity_at(c, lam, kernel, w, field.midpoints(), gen)
     return GridField(w, cells_per_axis, vals.reshape(field.values.shape))
 
 
-def ppcluster_intensity_at(
-    c: float, lam: float, kernel: ClusterKernel, w: Window, queries: np.ndarray, rng
-) -> np.ndarray:
-    """One draw of the cluster intensity evaluated exactly at query points."""
-    if c <= 0 or lam <= 0:
-        raise ValueError("c and lam must be positive")
-    gen = as_generator(rng)
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    pad = kernel.truncation_radius()
-    parents = _poisson_batch(c * lam, w, pad, gen, 1).points
-    return _kernel_values(kernel, w, parents, queries).sum(axis=0) / c
-
-
 def sample_ppcluster(
-    c: float, lam: float, kernel: ClusterKernel, w: Window, cells_per_axis, rng
+    c: float, lam: float, kernel: ClusterKernel, w: Window, cells_per_axis, gen: np.random.Generator
 ) -> PointPattern:
     """Cox sample driven by the Poisson-Poisson cluster intensity."""
-    gen = as_generator(rng)
     return sample_cox(sample_ppcluster_intensity(c, lam, kernel, w, cells_per_axis, gen), gen)
 
 
@@ -359,10 +334,9 @@ def make_lgcp_sampler(
     if cov.variance == 0.0:
         chol = None
     else:
-        chol = cholesky_with_jitter(cov.matrix(pairwise_distances(w, mids, mids)))
+        chol = cholesky_with_jitter(cov.value(pairwise_distances(w, mids, mids)))
 
-    def draw(rng) -> PointPattern:
-        gen = as_generator(rng)
+    def draw(gen: np.random.Generator) -> PointPattern:
         if chol is None:
             g = np.full(mids.shape[0], mean)
         else:
@@ -379,7 +353,7 @@ def sample_gnscp(
     b_dist: MassDistribution,
     k1: ClusterKernel,
     w: Window,
-    rng,
+    gen: np.random.Generator,
 ) -> PointPattern:
     """Generalized shot-noise Cox sample: parents marked with (weight, bandwidth),
     each spawning a Poisson(weight) cluster displaced by the bandwidth-scaled kernel.
@@ -389,7 +363,6 @@ def sample_gnscp(
     is involved.  The Thomas process (gaussian k1) is the b == 1,
     gamma == const, Poisson-parent special case.
     """
-    gen = as_generator(rng)
     parents = parent_sampler(gen)
     pts_list = []
     for j in range(parents.n):
@@ -426,11 +399,7 @@ def make_thomas_sampler(
         w_pad = Window(w.lows - pad, w.highs + pad, PLAIN)
         return PointPattern(w_pad, pts)
 
-    def draw(rng) -> PointPattern:
-        gen = as_generator(rng)
-        return sample_gnscp(parents, gamma, b_one, kernel, w, gen)
-
-    return draw
+    return lambda gen: sample_gnscp(parents, gamma, b_one, kernel, w, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +455,11 @@ def make_ppcluster_intensity_at(
     ) / c
 
 
-def sample_ginibre_radii(b_max: float, rng) -> PointPattern:
+def sample_ginibre_radii(b_max: float, gen: np.random.Generator) -> PointPattern:
     """One-dimensional pattern on [0, b_max]: the k-th smallest point of the k-th
     of i.i.d. unit Poisson processes on the half-line, kept if <= b_max."""
     if b_max <= 0:
         raise ValueError("b_max must be positive")
-    gen = as_generator(rng)
     m = ginibre_truncation_order(b_max)
     gammas = gen.gamma(np.arange(1, m + 1), 1.0)
     kept = gammas[gammas <= b_max]

@@ -93,8 +93,6 @@ def additive_sn(src: Source, h: ResponseKernel, queries: np.ndarray) -> np.ndarr
     """Integral shot-noise V(y) = sum over atoms of mass * g(distance(atom, y))."""
     w, locs, masses = _atoms_of(src)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    if locs.shape[0] == 0:
-        return np.zeros(queries.shape[0])
     vals = h.value(pairwise_distances(w, locs, queries))
     if not np.all(np.isfinite(vals)):
         raise NumericalError("non-finite kernel value")

@@ -51,8 +51,6 @@ def coverage_field(p: PointPattern, queries: np.ndarray) -> np.ndarray:
     if p.marks is None:
         raise ValueError("coverage_field needs grain-radius marks")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    if p.n == 0:
-        return np.zeros(queries.shape[0], dtype=int)
     d = pairwise_distances(p.window, p.points, queries)
     radii = np.asarray(p.marks, dtype=float)[:, None]
     return (d <= radii).sum(axis=0)

@@ -1,6 +1,8 @@
 """Acceptance suite: one test per release criterion, each printing a single
 PASS/FAIL line (visible with pytest -s or in captured output)."""
+import importlib
 import json
+import sys
 import time
 
 import numpy as np
@@ -284,6 +286,46 @@ def test_criterion_12_determinism_across_worker_counts(tmp_path):
         j8.pop("runtime_seconds")
         ok = ok and json.dumps(j1, sort_keys=True) == json.dumps(j8, sort_keys=True)
     assert _report(12, ok, "byte-identical reports at 1 and 8 worker threads, all scenarios")
+
+
+# the per-realization reference path: the law tests compare the batch samplers
+# against it, and no scenario may call it
+REFERENCE_PATH = {
+    "geometry": ["count_in", "mass_in"],
+    "processes": [
+        "sample_poisson", "sample_cox", "sample_mixed_poisson", "sample_ising_field",
+        "sample_levy_grid_basis", "sample_marked_poisson_basis", "sample_ppcluster_intensity",
+        "ppcluster_intensity_at", "sample_ppcluster", "make_lgcp_sampler", "sample_gnscp",
+        "make_thomas_sampler", "sample_ginibre_radii",
+    ],
+    "ops": ["displace", "mark_iid", "thin_iid", "thin_split", "superpose"],
+    "shotnoise": ["additive_sn", "extremal_sn", "_atoms_of"],
+    "stats": ["coverage_field", "integrate_weight"],
+    "ordering": ["batched", "counts_on_boxes", "compare_on_boxes"],
+}
+
+
+def test_scenarios_never_reach_the_reference_path(monkeypatch):
+    reached = []
+
+    def trap(name):
+        def raiser(*args, **kwargs):
+            reached.append(name)
+            raise AssertionError(f"a scenario called the reference function {name}")
+        return raiser
+
+    dcxsim_modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "dcxsim"]
+    for modname, names in REFERENCE_PATH.items():
+        for name in names:
+            func = getattr(importlib.import_module(f"dcxsim.{modname}"), name)
+            # every binding, as ``from .geometry import count_in`` makes its own
+            for mod in dcxsim_modules:
+                for attr, val in list(vars(mod).items()):
+                    if val is func:
+                        monkeypatch.setattr(mod, attr, trap(f"{modname}.{name}"))
+    for k, sid in enumerate(SCENARIOS):
+        run_scenario(sid, FAST_PARAMS[sid], make_stream(SEED, k))
+    assert reached == []
 
 
 def test_ppcluster_reports_each_pair_mean_gate():

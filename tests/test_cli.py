@@ -122,6 +122,15 @@ def test_unknown_key_is_rejected_before_any_scenario_runs(tmp_path):
         assert not list((tmp_path / str(name) / "out").glob("*"))
 
 
+def test_unknown_top_level_key_is_a_config_error(tmp_path):
+    # misspelt top-level keys must not run the config on its defaults
+    path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}], extra={"worker": 4, "sede": 9})
+    result = CliRunner().invoke(main, ["run", str(path)])
+    assert result.exit_code == 2
+    assert "sede, worker" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_scenario_rejects_unknown_keys():
     # a misspelt key must not run the scenario on its defaults
     with pytest.raises(ValueError, match="n_rep"):

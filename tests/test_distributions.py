@@ -89,7 +89,7 @@ def test_covariance_spec_and_cholesky():
     cov = CovarianceSpec("exponential", 1.5, 0.3)
     assert cov.value(0.0) == pytest.approx(1.5)
     d = np.abs(np.subtract.outer(np.linspace(0, 1, 20), np.linspace(0, 1, 20)))
-    m = cov.matrix(d)
+    m = cov.value(d)
     chol = cholesky_with_jitter(m)
     assert np.allclose(chol @ chol.T, m, atol=1e-8)
     with pytest.raises(ValueError):

@@ -59,6 +59,7 @@ def test_box_half_open_counting():
     left = Box([0, 0], [0.5, 1])
     right = Box([0.5, 0], [1, 1])
     assert count_in(p, left) + count_in(p, right) == p.n
+    assert count_in(PointPattern(w, np.empty((0, 2))), left) == 0
     assert boxes_disjoint([left, right])
     assert not boxes_disjoint([left, Box([0.25, 0], [0.75, 1])])
 
@@ -91,6 +92,7 @@ def test_atomic_measure_mass():
     w = make_window([0, 0], [1, 1])
     m = AtomicMeasure(w, np.array([[0.1, 0.1], [0.9, 0.9]]), np.array([2.0, 5.0]))
     assert mass_in(m, Box([0, 0], [0.5, 0.5])) == 2.0
+    assert mass_in(AtomicMeasure(w, np.empty((0, 2)), np.empty(0)), Box([0, 0], [0.5, 0.5])) == 0.0
     with pytest.raises(ValueError):
         AtomicMeasure(w, np.array([[0.1, 0.1]]), np.array([-1.0]))
 

@@ -32,7 +32,7 @@ def test_displace_drops_on_plain():
 
 def test_mark_iid():
     p = _pattern(2, 50)
-    m = ops.mark_iid(p, exponential(2.0), make_stream(3))
+    m = ops.mark_iid(p, exponential(2.0), make_stream(3).generator())
     assert m.marks.shape == (50,)
 
 
@@ -40,7 +40,7 @@ def test_mark_iid():
 @settings(max_examples=40, deadline=None)
 def test_thin_split_reconstructs(seed, q, n):
     p = _pattern(seed % 1000, n)
-    kept, dropped = ops.thin_split(p, q, make_stream(seed))
+    kept, dropped = ops.thin_split(p, q, make_stream(seed).generator())
     back = ops.superpose(kept, dropped)
     assert back.n == p.n
     assert np.array_equal(np.sort(back.points.ravel()), np.sort(p.points.ravel()))
@@ -48,9 +48,16 @@ def test_thin_split_reconstructs(seed, q, n):
 
 def test_thin_iid_matches_split_kept_part():
     p = _pattern(7, 100)
-    a = ops.thin_iid(p, 0.4, make_stream(99))
-    kept, _ = ops.thin_split(p, 0.4, make_stream(99))
+    a = ops.thin_iid(p, 0.4, make_stream(99).generator())
+    kept, _ = ops.thin_split(p, 0.4, make_stream(99).generator())
     assert np.array_equal(a.points, kept.points)
+
+
+def test_thinning_rejects_retention_outside_unit_interval():
+    p = _pattern(7, 100)
+    for retention in (1.5, -0.5):
+        with pytest.raises(ValueError):
+            ops.thin_split(p, retention, make_stream(0).generator())
 
 
 def test_superpose_window_and_marks_rules():
@@ -58,7 +65,7 @@ def test_superpose_window_and_marks_rules():
     p2 = _pattern(2, 3)
     assert ops.superpose(p1, p2).n == 8
     with pytest.raises(ValueError):
-        ops.superpose(p1, ops.mark_iid(p2, constant(1.0), make_stream(0)))
+        ops.superpose(p1, ops.mark_iid(p2, constant(1.0), make_stream(0).generator()))
     other = PointPattern(make_window([0, 0], [2, 2]), np.array([[0.5, 0.5]]))
     with pytest.raises(ValueError):
         ops.superpose(p1, other)

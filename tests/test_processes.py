@@ -41,6 +41,8 @@ def test_cox_exact_given_field():
     counts = np.asarray(counts)
     assert counts.mean() == pytest.approx(10.0, rel=0.05)
     assert counts.var(ddof=1) == pytest.approx(10.0, rel=0.1)
+    empty = processes.sample_cox(GridField(W, [2, 2], np.zeros((2, 2))), gen)
+    assert empty.points.shape == (0, 2)
 
 
 def test_mixed_poisson_overdispersed():
@@ -65,12 +67,12 @@ def test_ising_field_values_and_mean():
 
 def test_ising_field_validation():
     with pytest.raises(ValueError):
-        processes.sample_ising_field(1.0, 2.0, 0.5, W, [4, 4], make_stream(0))
+        processes.sample_ising_field(1.0, 2.0, 0.5, W, [4, 4], make_stream(0).generator())
     with pytest.raises(ValueError):
-        processes.sample_ising_field(2.0, 0.0, 1.5, W, [4, 4], make_stream(0))
+        processes.sample_ising_field(2.0, 0.0, 1.5, W, [4, 4], make_stream(0).generator())
     w = make_window([0, 0], [4.5, 4.5])
     with pytest.raises(ValueError):  # torus side not a whole multiple of the spacing
-        processes.sample_ising_field(2.0, 0.0, 0.5, w, [4, 4], make_stream(0))
+        processes.sample_ising_field(2.0, 0.0, 0.5, w, [4, 4], make_stream(0).generator())
 
 
 def test_ising_field_periodic_on_torus():
@@ -88,14 +90,14 @@ def test_ising_field_periodic_on_torus():
 
 def test_levy_grid_lattice_layout():
     w = make_window([0, 0], [4, 4])
-    m = processes.sample_levy_grid_basis(1.0, exponential(1.0), w, make_stream(2))
+    m = processes.sample_levy_grid_basis(1.0, exponential(1.0), w, make_stream(2).generator())
     assert m.n == 16
     assert np.allclose(np.sort(np.unique(m.locations[:, 0])), [0.5, 1.5, 2.5, 3.5])
 
 
 def test_marked_basis_shares_support():
     const, marked = processes.sample_marked_poisson_basis(
-        10.0, exponential(1.0), W, make_stream(4)
+        10.0, exponential(1.0), W, make_stream(4).generator()
     )
     assert np.array_equal(const.locations, marked.locations)
     assert np.allclose(const.masses, 1.0)
