@@ -14,16 +14,20 @@ from .geometry import NumericalError
 # are cut off
 TRUNCATION_REL_TOL = 1e-6
 
+# Poisson tail mass P(N >= m) below which the exact oracles truncate the
+# Poisson support and the stacked-radii sampler stops drawing radii
+POISSON_TAIL = 1e-12
+
 
 def poisson_pmf_tail(mean: float) -> tuple[np.ndarray, np.ndarray]:
     """Poisson(mean) pmf on 0..top and its tail, tail[k] = P(N >= k) summed
     over k..top.
 
     top = mean + 40 sqrt(mean) + 40, beyond which the Poisson mass is below
-    exp(-60) by a Chernoff bound, far under the 1e-12 tail levels the callers
-    cut at.  Each term is exp(k log mean - lgamma(k + 1) - mean), and the tail
-    is a reversed cumulative sum, so small terms are added first and the tail
-    is non-increasing.
+    exp(-60) by a Chernoff bound, far under POISSON_TAIL.  Each term is
+    exp(k log mean - lgamma(k + 1) - mean), and the tail is a reversed
+    cumulative sum, so small terms are added first and the tail is
+    non-increasing.
     """
     if mean <= 0:
         raise ValueError("mean must be positive")
@@ -32,6 +36,13 @@ def poisson_pmf_tail(mean: float) -> tuple[np.ndarray, np.ndarray]:
     log_fact = np.array([math.lgamma(j + 1.0) for j in range(top + 1)])
     pmf = np.exp(k * math.log(mean) - log_fact - mean)
     return pmf, np.cumsum(pmf[::-1])[::-1]
+
+
+def poisson_tail_order(mean: float) -> int:
+    """Smallest m with P(Poisson(mean) >= m) < POISSON_TAIL; the tail is
+    non-increasing from tail[0] = 1, so m >= 1 counts the entries at or above it."""
+    _, tail = poisson_pmf_tail(mean)
+    return int(np.count_nonzero(tail >= POISSON_TAIL))
 
 
 @dataclass(frozen=True)

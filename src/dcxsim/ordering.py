@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .distributions import poisson_pmf_tail
+from .distributions import poisson_pmf_tail, poisson_tail_order
 from .geometry import Box, RngStream, boxes_disjoint, count_in
 
 CONSISTENT = "CONSISTENT"
@@ -44,9 +44,6 @@ _EXP_ARG_CAP = 90.0
 
 # absolute tolerance of the exact stop-loss oracles
 ORACLE_TOL = 1e-9
-
-# Poisson tail mass the exact oracles leave beyond their truncated support
-POISSON_TAIL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +91,7 @@ def make_suite(
     order_class: str,
     n: int,
     count: int,
-    rng,
+    stream: RngStream,
     scale: Optional[np.ndarray] = None,
 ) -> list[TestFunction]:
     """Randomized suite of `count` dcx functions on R^n; `order_class` must be
@@ -108,7 +105,7 @@ def make_suite(
         raise ValueError(f"unknown order class {order_class!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = stream.generator()
     xbar = np.ones(n) if scale is None else np.maximum(np.asarray(scale, dtype=float), 1e-9)
     out: list[TestFunction] = []
     for fid in range(count):
@@ -158,33 +155,15 @@ def verify_dcx_numeric(
 # ---------------------------------------------------------------------------
 # Monte-Carlo comparison harness
 
-@dataclass(frozen=True)
-class FunctionRecord:
-    fid: int
-    family: str
-    mean_x: float
-    mean_y: float
-    diff: float
-    stderr: float
-    z: float
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.fid,
-            "family": self.family,
-            "mean_x": self.mean_x,
-            "mean_y": self.mean_y,
-            "diff": self.diff,
-            "stderr": self.stderr,
-            "z": self.z,
-        }
-
-
 @dataclass
 class OrderReport:
-    """Outcome of a paired comparison testing the claim X <= Y in some class."""
+    """Outcome of a paired comparison testing the claim X <= Y in some class.
 
-    records: list[FunctionRecord]
+    ``records`` holds one dict per suite function, keyed id, family, mean_x,
+    mean_y, diff, stderr, z: the report's per_function entries and CSV columns.
+    """
+
+    records: list[dict]
     verdict: str
     mean_equality: Optional[dict]
     # per-coordinate variances of X and Y; kept for callers, not reported
@@ -353,7 +332,8 @@ def compare_vectors(
     diff, se = diff_all[:nf], se_all[:nf]
     z = _z_scores(diff, se)
     records = [
-        FunctionRecord(f.fid, f.describe(), float(mean_x[i]), float(mean_y[i]), float(diff[i]), float(se[i]), float(z[i]))
+        {"id": f.fid, "family": f.describe(), "mean_x": float(mean_x[i]), "mean_y": float(mean_y[i]),
+         "diff": float(diff[i]), "stderr": float(se[i]), "z": float(z[i])}
         for i, f in enumerate(suite)
     ]
 
@@ -409,40 +389,18 @@ def compare_on_boxes(
 # ---------------------------------------------------------------------------
 # Lower-orthant comparison
 
-@dataclass
-class LoReport:
-    thresholds: np.ndarray
-    cdf_1: np.ndarray
-    cdf_2: np.ndarray
-    stderr: np.ndarray
-    verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "per_threshold": [
-                {
-                    "t": self.thresholds[i].tolist(),
-                    "cdf_1": float(self.cdf_1[i]),
-                    "cdf_2": float(self.cdf_2[i]),
-                    "stderr": float(self.stderr[i]),
-                }
-                for i in range(len(self.cdf_1))
-            ],
-        }
-
-
 def lo_compare(
     draw_u1: Callable,
     draw_u2: Callable,
     thresholds: np.ndarray,
     n_reps: int,
     stream: RngStream,
-) -> LoReport:
+) -> dict:
     """Test the claim U1 <= U2 in lower-orthant order:
     P(U1 <= t) >= P(U2 <= t) jointly at every threshold vector t.
 
-    draw_u1 and draw_u2 are batch draws, as in compare_vectors."""
+    draw_u1 and draw_u2 are batch draws, as in compare_vectors.  Returns
+    {"verdict", "per_threshold": [{"t", "cdf_1", "cdf_2", "stderr"}, ...]}."""
     thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
 
     def below(u: np.ndarray) -> np.ndarray:
@@ -451,28 +409,22 @@ def lo_compare(
     mom_1, mom_2 = replicate((draw_u1, draw_u2), below, n_reps, stream)
     p1, p2 = mom_1.mean, mom_2.mean
     se = np.sqrt(p1 * (1 - p1) / n_reps + p2 * (1 - p2) / n_reps)
-    return LoReport(thresholds, p1, p2, se, decide(_z_scores(p1 - p2, se)))
+    return {
+        "verdict": decide(_z_scores(p1 - p2, se)),
+        "per_threshold": [
+            {"t": t.tolist(), "cdf_1": float(c1), "cdf_2": float(c2), "stderr": float(e)}
+            for t, c1, c2, e in zip(thresholds, p1, p2, se)
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
-# Exact convex-order oracles for discrete laws
+# Exact convex-order oracles for discrete laws: each returns its report record,
+# a dict whose "verdict" is "pass" or "fail"
 
-@dataclass
-class ExactCxReport:
-    """Stop-loss comparison of two pmfs testing X <= Y in convex order."""
-
-    max_violation: float
-    mean_x: float
-    mean_y: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": "pass" if self.passed else "fail",
-            "max_violation": self.max_violation,
-            "mean_x": self.mean_x,
-            "mean_y": self.mean_y,
-        }
+def oracle_verdict(passed: bool) -> str:
+    """The verdict string of an exact oracle."""
+    return "pass" if passed else "fail"
 
 
 def _stop_loss(values: np.ndarray, probs: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
@@ -481,9 +433,9 @@ def _stop_loss(values: np.ndarray, probs: np.ndarray, t_grid: np.ndarray) -> np.
 
 def cx_compare_exact(
     pmf_x: tuple[np.ndarray, np.ndarray], pmf_y: tuple[np.ndarray, np.ndarray]
-) -> ExactCxReport:
+) -> dict:
     """Exact stop-loss check of X <= Y in cx order (requires equal means), at
-    tolerance ORACLE_TOL.
+    tolerance ORACLE_TOL: {"verdict", "max_violation", "mean_x", "mean_y"}.
 
     The t grid is every support point of both pmfs plus midpoints, which is
     sufficient for piecewise-linear stop-loss transforms.
@@ -501,27 +453,22 @@ def cx_compare_exact(
     viol = float(np.max(_stop_loss(vx, px, t_grid) - _stop_loss(vy, py, t_grid)))
     mean_x = float(vx @ px)
     mean_y = float(vy @ py)
-    passed = viol <= ORACLE_TOL and abs(mean_x - mean_y) <= ORACLE_TOL
-    return ExactCxReport(max(viol, 0.0), mean_x, mean_y, passed)
-
-
-def _poisson_support_end(mean: float) -> int:
-    """Last support point of the oracles' truncated Poisson(mean) pmf: two past
-    the smallest k with P(Poisson(mean) > k) <= POISSON_TAIL."""
-    _, tail = poisson_pmf_tail(mean)
-    k = 0
-    while tail[k + 1] > POISSON_TAIL:
-        k += 1
-    return k + 2
+    return {
+        "verdict": oracle_verdict(viol <= ORACLE_TOL and abs(mean_x - mean_y) <= ORACLE_TOL),
+        "max_violation": max(viol, 0.0),
+        "mean_x": mean_x,
+        "mean_y": mean_y,
+    }
 
 
 def _poisson_pmf_truncated(mean: float) -> tuple[np.ndarray, np.ndarray]:
-    m = _poisson_support_end(mean)
+    """The Poisson(mean) pmf on 0..m, m one past poisson_tail_order(mean)."""
+    m = poisson_tail_order(mean) + 1
     pmf, _ = poisson_pmf_tail(mean)
     return np.arange(m + 1, dtype=float), pmf[: m + 1]
 
 
-def oracle_poisson_scaling(a: float, c: float) -> ExactCxReport:
+def oracle_poisson_scaling(a: float, c: float) -> dict:
     """Exact check that Poisson(c a) <= c * Poisson(a) in convex order (c >= 1)."""
     if a <= 0 or c < 1:
         raise ValueError("need a > 0 and c >= 1")
@@ -540,31 +487,14 @@ def _poisson_binomial_pmf(probs: np.ndarray) -> np.ndarray:
     return pmf
 
 
-@dataclass
-class GinibreOracleReport:
-    cx: ExactCxReport
-    mean_structured: float
-    mean_poisson: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        d = self.cx.to_dict()
-        d.update(
-            {
-                "verdict": "pass" if self.passed else "fail",
-                "mean_structured": self.mean_structured,
-                "mean_poisson": self.mean_poisson,
-            }
-        )
-        return d
-
-
-def oracle_ginibre_radii(b: float) -> GinibreOracleReport:
+def oracle_ginibre_radii(b: float) -> dict:
     """Exact check that the count sum_k Bern(P(Poisson(b) >= k)) of the
-    stacked-radii construction is convex-smaller than Poisson(b); both means b."""
+    stacked-radii construction is convex-smaller than Poisson(b); both means b.
+    The cx_compare_exact record plus mean_structured and mean_poisson, which
+    must both be b for a pass."""
     if b <= 0:
         raise ValueError("b must be positive")
-    m = _poisson_support_end(b)
+    m = poisson_tail_order(b) + 1
     _, tail = poisson_pmf_tail(b)
     bern = tail[1 : m + 1]  # P(N_b >= k), k = 1..m
     pmf_x = _poisson_binomial_pmf(bern)
@@ -572,22 +502,8 @@ def oracle_ginibre_radii(b: float) -> GinibreOracleReport:
     cx = cx_compare_exact((np.arange(pmf_x.size, dtype=float), pmf_x), (ky, py))
     mean_x = float(np.arange(pmf_x.size) @ pmf_x)
     mean_y = float(ky @ py)
-    passed = cx.passed and abs(mean_x - b) <= ORACLE_TOL and abs(mean_y - b) <= ORACLE_TOL
-    return GinibreOracleReport(cx, mean_x, mean_y, passed)
-
-
-@dataclass
-class IsingOracleReport:
-    worst_violation: float
-    n_functions: int
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": "pass" if self.passed else "fail",
-            "worst_violation": self.worst_violation,
-            "n_functions": self.n_functions,
-        }
+    passed = cx["verdict"] == "pass" and abs(mean_x - b) <= ORACLE_TOL and abs(mean_y - b) <= ORACLE_TOL
+    return dict(cx, verdict=oracle_verdict(passed), mean_structured=mean_x, mean_poisson=mean_y)
 
 
 def oracle_ising_exact(
@@ -596,11 +512,11 @@ def oracle_ising_exact(
     mu2: float,
     p_plus: float,
     suite: Sequence[TestFunction],
-) -> IsingOracleReport:
+) -> dict:
     """Exact enumeration check that the i.i.d.-spin lattice intensity field is
     larger than its constant mean field for every dcx suite function:
     f(mean, ..., mean) <= E f(values at the sites) within ORACLE_TOL, each
-    site in its own lattice cell."""
+    site in its own lattice cell.  {"verdict", "worst_violation", "n_functions"}."""
     if mu2 > mu1:
         raise ValueError("need mu2 <= mu1")
     if n_sites > 12:
@@ -614,4 +530,8 @@ def oracle_ising_exact(
         ef = float(weights @ f(values))
         f0 = float(f(mean_field)[0])
         worst = min(worst, ef - f0)
-    return IsingOracleReport(worst, len(suite), worst >= -ORACLE_TOL)
+    return {
+        "verdict": oracle_verdict(worst >= -ORACLE_TOL),
+        "worst_violation": worst,
+        "n_functions": len(suite),
+    }

@@ -21,7 +21,7 @@ from .distributions import (
     CovarianceSpec,
     MassDistribution,
     cholesky_with_jitter,
-    poisson_pmf_tail,
+    poisson_tail_order,
 )
 from .geometry import (
     PLAIN,
@@ -460,17 +460,9 @@ def sample_ginibre_radii(b_max: float, gen: np.random.Generator) -> PointPattern
     of i.i.d. unit Poisson processes on the half-line, kept if <= b_max."""
     if b_max <= 0:
         raise ValueError("b_max must be positive")
-    m = ginibre_truncation_order(b_max)
+    # P(Gamma(m, 1) <= b_max) = P(Poisson(b_max) >= m) < POISSON_TAIL
+    m = poisson_tail_order(b_max)
     gammas = gen.gamma(np.arange(1, m + 1), 1.0)
     kept = gammas[gammas <= b_max]
     w = Window(np.array([0.0]), np.array([b_max]), PLAIN)
     return PointPattern(w, kept.reshape(-1, 1))
-
-
-def ginibre_truncation_order(b_max: float) -> int:
-    """Smallest m with P(Gamma(m, 1) <= b_max) = P(Poisson(b_max) >= m) < 1e-12."""
-    _, tail = poisson_pmf_tail(b_max)
-    m = max(1, int(np.ceil(b_max)))
-    while tail[m] >= 1e-12:
-        m += 1
-    return m

@@ -22,6 +22,7 @@ from .ordering import (
     make_suite,
     oracle_ginibre_radii,
     oracle_poisson_scaling,
+    oracle_verdict,
     worst,
 )
 from .shotnoise import ResponseKernel, ragged_sn
@@ -67,12 +68,12 @@ def _suite_compare(p: dict, draws, scale, suite_stream, stream, z_crit: float = 
 
 
 def _order_result(sid: str, report, details: dict) -> ScenarioResult:
-    """The result of a scenario decided by one suite comparison, one CSV row
-    per suite function."""
-    rows = [[r.fid, r.family, r.mean_x, r.mean_y, r.diff, r.stderr, r.z] for r in report.records]
+    """The result of a scenario decided by one suite comparison: the records
+    are its per_function entries and, one per suite function, its CSV rows."""
+    records = report.records
     return ScenarioResult(
-        sid, report.verdict, [r.to_dict() for r in report.records], report.mean_equality,
-        details, ["id", "family", "mean_x", "mean_y", "diff", "stderr", "z"], rows,
+        sid, report.verdict, records, report.mean_equality, details,
+        list(records[0]), [list(r.values()) for r in records],
     )
 
 
@@ -116,6 +117,8 @@ def _ops_arms(p: dict, w: Window, boxes) -> tuple:
 def _interferer_samplers(p: dict, w: Window) -> tuple:
     """Batch samplers of the Poisson and the Thomas process of total intensity lam."""
     lam, cluster_size = float(p["lam"]), float(p["cluster_size"])
+    if not cluster_size > 0:
+        raise ValueError("cluster_size must be positive")
     return (
         processes.make_poisson_batch(lam, w),
         processes.make_thomas_batch(lam / cluster_size, cluster_size, float(p["sigma"]), w),
@@ -131,7 +134,7 @@ def run_ising_vs_poisson(p: dict, stream: RngStream) -> ScenarioResult:
     lam_bar, *draws = _box_count_samplers(p, w, boxes)
     scale = np.array([lam_bar * b.volume for b in boxes])
     report = _suite_compare(p, draws, scale, stream.split(10**6), stream)
-    n_separated = int(sum(r.z > 3.0 for r in report.records))
+    n_separated = int(sum(r["z"] > 3.0 for r in report.records))
     return _order_result(
         "ising-vs-poisson", report, {"lam_bar": lam_bar, "n_strictly_separated": n_separated}
     )
@@ -155,7 +158,7 @@ def run_ppcluster_family(p: dict, stream: RngStream) -> ScenarioResult:
             p, draws, np.full(queries.shape[0], lam), stream.split(10**6 + k),
             stream.split(2 * k), z_crit,
         )
-        per_function.extend(dict(r.to_dict(), c_pair=[c_hi, c_lo]) for r in rep.records)
+        per_function.extend(dict(r, c_pair=[c_hi, c_lo]) for r in rep.records)
         # intensity variance at the first query, from the compared draws
         var_hi, var_lo = float(rep.var_x[0]), float(rep.var_y[0])
         results.append(
@@ -240,31 +243,25 @@ def run_coverage_compare(p: dict, stream: RngStream) -> ScenarioResult:
     poisson, thomas = _interferer_samplers(p, w)
     rep_po = wireless.boolean_coverage(poisson, r, queries, n_reps, stream.split(0))
     rep_th = wireless.boolean_coverage(thomas, r, queries, n_reps, stream.split(1))
-    se_cov = np.hypot(rep_po.p_cover_stderr, rep_th.p_cover_stderr)
-    se_m1 = np.hypot(rep_po.mean_count_stderr, rep_th.mean_count_stderr)
-    se_m2 = np.hypot(rep_po.second_moment_stderr, rep_th.second_moment_stderr)
     # one family of claims per query: coverage lower for the clustered germs,
     # first moments equal, second moments higher for the clustered germs
-    z_cov = _z_scores(rep_po.p_cover - rep_th.p_cover, se_cov)
-    z_m1 = _z_scores(rep_th.mean_count - rep_po.mean_count, se_m1)
-    z_m2 = _z_scores(rep_th.second_moment - rep_po.second_moment, se_m2)
-    verdict = decide([z_cov, z_m1, -z_m1, z_m2])
+    z = {
+        k: _z_scores(rep_th[k] - rep_po[k], np.hypot(rep_po[k + "_stderr"], rep_th[k + "_stderr"]))
+        for k in ("p_cover", "mean_count", "second_moment")
+    }
+    verdict = decide([-z["p_cover"], z["mean_count"], -z["mean_count"], z["second_moment"]])
     analytic = 1.0 - float(np.exp(-lam * np.pi * r**2))
     details = {
-        "poisson": rep_po.to_dict(),
-        "thomas": rep_th.to_dict(),
+        "poisson": {k: v.tolist() for k, v in rep_po.items()},
+        "thomas": {k: v.tolist() for k, v in rep_th.items()},
         "poisson_coverage_analytic": analytic,
     }
-    rows = []
-    for i in range(queries.shape[0]):
-        rows.append(
-            ["poisson", i, float(rep_po.p_cover[i]), float(rep_po.p_cover_stderr[i]),
-             float(rep_po.mean_count[i]), float(rep_po.second_moment[i]), analytic]
-        )
-        rows.append(
-            ["thomas", i, float(rep_th.p_cover[i]), float(rep_th.p_cover_stderr[i]),
-             float(rep_th.mean_count[i]), float(rep_th.second_moment[i]), ""]
-        )
+    columns = ("p_cover", "p_cover_stderr", "mean_count", "second_moment")
+    rows = [
+        [germs, i, *(float(rep[k][i]) for k in columns), extra]
+        for i in range(queries.shape[0])
+        for germs, rep, extra in (("poisson", rep_po, analytic), ("thomas", rep_th, ""))
+    ]
     return ScenarioResult(
         "coverage-compare", verdict, [], None, details,
         ["germs", "query", "p_cover", "stderr", "mean_count", "second_moment", "analytic"],
@@ -295,47 +292,32 @@ def run_palm_poisson_check(p: dict, stream: RngStream) -> ScenarioResult:
     )
 
 
-def run_ginibre_oracle(p: dict, stream: RngStream) -> ScenarioResult:
-    b_values = [float(b) for b in p["b_values"]]
-    rows, reports = [], []
-    passed = True
-    for b in b_values:
-        rep = oracle_ginibre_radii(b)
-        passed = passed and rep.passed
-        reports.append(dict(rep.to_dict(), b=b))
-        rows.append([b, rep.cx.max_violation, rep.mean_structured, rep.mean_poisson])
+def _oracle_result(sid: str, records: list[dict], details: dict, header: list) -> ScenarioResult:
+    """The result of an exact-oracle scenario: "pass" iff every record passes,
+    one CSV row of the ``header`` keys per record."""
     return ScenarioResult(
-        "ginibre-oracle",
-        "pass" if passed else "fail",
-        [],
-        None,
-        {"per_b": reports},
+        sid, oracle_verdict(all(r["verdict"] == "pass" for r in records)), [], None, details,
+        header, [[r[k] for k in header] for r in records],
+    )
+
+
+def run_ginibre_oracle(p: dict, stream: RngStream) -> ScenarioResult:
+    records = [dict(oracle_ginibre_radii(float(b)), b=float(b)) for b in p["b_values"]]
+    return _oracle_result(
+        "ginibre-oracle", records, {"per_b": records},
         ["b", "max_violation", "mean_structured", "mean_poisson"],
-        rows,
     )
 
 
 def run_oracle_poisson_scaling(p: dict, stream: RngStream) -> ScenarioResult:
-    a_values = [float(a) for a in p["a_values"]]
-    c_values = [float(c) for c in p["c_values"]]
-    rows, reports = [], []
-    passed = True
-    violation = 0.0
-    for a in a_values:
-        for c in c_values:
-            rep = oracle_poisson_scaling(a, c)
-            passed = passed and rep.passed
-            violation = max(violation, rep.max_violation)
-            reports.append(dict(rep.to_dict(), a=a, c=c))
-            rows.append([a, c, rep.max_violation, rep.mean_x, rep.mean_y])
-    return ScenarioResult(
-        "oracle-poisson-scaling",
-        "pass" if passed else "fail",
-        [],
-        None,
-        {"per_pair": reports, "violation": violation},
+    records = [
+        dict(oracle_poisson_scaling(float(a), float(c)), a=float(a), c=float(c))
+        for a in p["a_values"] for c in p["c_values"]
+    ]
+    violation = max((r["max_violation"] for r in records), default=0.0)
+    return _oracle_result(
+        "oracle-poisson-scaling", records, {"per_pair": records, "violation": violation},
         ["a", "c", "max_violation", "mean_x", "mean_y"],
-        rows,
     )
 
 
@@ -351,13 +333,9 @@ def run_lo_extremal(p: dict, stream: RngStream) -> ScenarioResult:
     thresholds = np.array([[t1, t2] for t1 in grid_1d for t2 in grid_1d])
     # the clustered field has more uncovered space: claim U_thomas <= U_poisson (lo)
     rep = lo_compare(extremal(thomas), extremal(poisson), thresholds, int(p["n_reps"]), stream)
-    rows = [
-        [thresholds[i, 0], thresholds[i, 1], float(rep.cdf_1[i]), float(rep.cdf_2[i]),
-         float(rep.stderr[i])]
-        for i in range(thresholds.shape[0])
-    ]
+    rows = [[*r["t"], r["cdf_1"], r["cdf_2"], r["stderr"]] for r in rep["per_threshold"]]
     return ScenarioResult(
-        "lo-extremal", rep.verdict, [], None, rep.to_dict(),
+        "lo-extremal", rep["verdict"], [], None, rep,
         ["t1", "t2", "cdf_thomas", "cdf_poisson", "stderr"], rows,
     )
 
@@ -403,7 +381,7 @@ def run_ops_preservation(p: dict, stream: RngStream) -> ScenarioResult:
             p, draws, scale, stream.split(10**6 + op_idx), stream.split(op_idx), z_crit
         )
         verdicts[name] = rep.verdict
-        min_z = min(r.z for r in rep.records)
+        min_z = min(r["z"] for r in rep.records)
         rows.append([name, rep.verdict, min_z])
     return ScenarioResult(
         "ops-preservation", worst(verdicts.values()), [], None, {"per_op": verdicts},
@@ -415,6 +393,10 @@ def run_ripley_poisson(p: dict, stream: RngStream) -> ScenarioResult:
     lam = float(p["lam"])
     r_grid = np.asarray(p["r_grid"], dtype=float)
     w = _window(p, [0.0, 0.0], [1.0, 1.0])
+    # pi r^2 is the torus K only while the ball of radius r does not wrap
+    r_max = float(np.min(w.highs - w.lows)) / 2.0
+    if not np.all((r_grid >= 0) & (r_grid <= r_max)):
+        raise ValueError(f"r_grid values must lie in [0, {r_max:g}], half the shortest window side")
     k_hat, se = ripley_k(
         processes.make_poisson_batch(lam, w), r_grid, lam, int(p["n_reps"]), stream.split(0)
     )

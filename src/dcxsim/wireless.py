@@ -136,51 +136,31 @@ def sinr_success_rayleigh(
     return _sinr_estimate(layout, interferer_sampler, n_reps, stream, True)
 
 
-@dataclass
-class CoverageReport:
-    """Boolean-model coverage at fixed query locations."""
-
-    p_cover: np.ndarray
-    p_cover_stderr: np.ndarray
-    mean_count: np.ndarray
-    mean_count_stderr: np.ndarray
-    second_moment: np.ndarray
-    second_moment_stderr: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "p_cover": self.p_cover.tolist(),
-            "p_cover_stderr": self.p_cover_stderr.tolist(),
-            "mean_count": self.mean_count.tolist(),
-            "mean_count_stderr": self.mean_count_stderr.tolist(),
-            "second_moment": self.second_moment.tolist(),
-            "second_moment_stderr": self.second_moment_stderr.tolist(),
-        }
-
-
 def boolean_coverage(
     germ_sampler: Callable,
     radius: float,
     queries: np.ndarray,
     n_reps: int,
     stream: RngStream,
-) -> CoverageReport:
+) -> dict[str, np.ndarray]:
     """Coverage count V(y) = number of balls of the given radius > 0, centred
     at the germs, that contain y; estimates P(V >= 1), E V and E V^2 at each
-    query with stderrs.
+    query, as arrays p_cover, mean_count and second_moment, each with its
+    stderrs under the same key plus "_stderr".
 
     germ_sampler is a batch sampler (gen, size) -> PatternBatch; the count
     is stats.coverage_field of each realization with every mark = radius."""
     if not radius > 0:
         raise ValueError("grain radius must be positive")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    nq = queries.shape[0]
 
     def draw(gen, size: int) -> np.ndarray:
         return ragged_sn(germ_sampler(gen, size), queries, lambda d: d <= radius)
 
     (mom,) = replicate((draw,), lambda v: np.hstack([v >= 1, v, v**2]), n_reps, stream)
-    mean, se = mom.mean, mom.stderr
-    return CoverageReport(
-        mean[:nq], se[:nq], mean[nq : 2 * nq], se[nq : 2 * nq], mean[2 * nq :], se[2 * nq :]
-    )
+    out = {}
+    for key, mean, se in zip(
+        ("p_cover", "mean_count", "second_moment"), np.split(mom.mean, 3), np.split(mom.stderr, 3)
+    ):
+        out[key], out[key + "_stderr"] = mean, se
+    return out

@@ -44,8 +44,8 @@ def test_criterion_01_poisson_scaling_oracle():
     for a in (0.5, 1.0, 2.0):
         for c in (1.5, 2.0, 3.0):
             rep = oracle_poisson_scaling(a, c)
-            ok = ok and rep.passed and rep.max_violation <= 1e-9
-            ok = ok and abs(rep.mean_x - rep.mean_y) <= 1e-9
+            ok = ok and rep["verdict"] == "pass" and rep["max_violation"] <= 1e-9
+            ok = ok and abs(rep["mean_x"] - rep["mean_y"]) <= 1e-9
     runtime = time.perf_counter() - t0
     ok = ok and runtime < 1.0
     assert _report(1, ok, f"exact scaled-Poisson convex-order oracle ({runtime:.2f}s)")
@@ -56,9 +56,9 @@ def test_criterion_02_ginibre_oracle():
     ok = True
     for b in (0.5, 1.0, 2.0, 5.0):
         rep = oracle_ginibre_radii(b)
-        ok = ok and rep.passed and rep.cx.max_violation <= 1e-9
-        ok = ok and abs(rep.mean_structured - b) <= 1e-9
-        ok = ok and abs(rep.mean_poisson - b) <= 1e-9
+        ok = ok and rep["verdict"] == "pass" and rep["max_violation"] <= 1e-9
+        ok = ok and abs(rep["mean_structured"] - b) <= 1e-9
+        ok = ok and abs(rep["mean_poisson"] - b) <= 1e-9
     runtime = time.perf_counter() - t0
     ok = ok and runtime < 5.0
     assert _report(2, ok, f"exact stacked-radii vs Poisson oracle ({runtime:.2f}s)")
@@ -75,7 +75,7 @@ def test_criterion_03_ising_enumeration_oracle():
                 "dcx", k, 50, stream.split(10 * k + i), scale=np.full(k, lam_bar)
             )
             rep = oracle_ising_exact(k, mu1, mu2, p_plus, suite)
-            ok = ok and rep.passed
+            ok = ok and rep["verdict"] == "pass"
     runtime = time.perf_counter() - t0
     ok = ok and runtime < 10.0
     assert _report(3, ok, f"exact spin-lattice enumeration oracle ({runtime:.2f}s)")
@@ -125,7 +125,7 @@ def test_criterion_06_box_count_dcx_comparison():
     scale = np.array([lam_bar * b.volume for b in boxes])
     suite = make_suite("dcx", 4, 100, stream.split(10**6), scale=scale)
     fwd = compare_vectors(draw_po, draw_is, suite, 100_000, stream.split(0))
-    n_sep = sum(r.z > 3 for r in fwd.records)
+    n_sep = sum(r["z"] > 3 for r in fwd.records)
     rev = compare_vectors(draw_is, draw_po, suite, 100_000, stream.split(1))
     ok = (
         fwd.verdict == CONSISTENT
@@ -178,8 +178,8 @@ def test_criterion_08_extremal_lower_orthant():
     grid = np.linspace(0.1, 0.9, 5)
     thresholds = np.array([[a, b] for a in grid for b in grid])
     rep = lo_compare(draw_th, draw_po, thresholds, 20_000, make_stream(SEED, 8))
-    ok = rep.verdict == CONSISTENT
-    assert _report(8, ok, f"extremal-field lower-orthant order over 25 thresholds: {rep.verdict}")
+    ok = rep["verdict"] == CONSISTENT
+    assert _report(8, ok, f"extremal-field lower-orthant order over 25 thresholds: {rep['verdict']}")
 
 
 def test_criterion_09_sinr_comparison():
@@ -217,19 +217,19 @@ def test_criterion_10_boolean_coverage():
     n_reps = 50_000
     rep_po = wireless.boolean_coverage(poisson, r, queries, n_reps, stream.split(0))
     rep_th = wireless.boolean_coverage(thomas, r, queries, n_reps, stream.split(1))
-    se_cov = float(np.hypot(rep_po.p_cover_stderr[0], rep_th.p_cover_stderr[0]))
-    se_m1 = float(np.hypot(rep_po.mean_count_stderr[0], rep_th.mean_count_stderr[0]))
-    se_m2 = float(np.hypot(rep_po.second_moment_stderr[0], rep_th.second_moment_stderr[0]))
+    se_cov = float(np.hypot(rep_po["p_cover_stderr"][0], rep_th["p_cover_stderr"][0]))
+    se_m1 = float(np.hypot(rep_po["mean_count_stderr"][0], rep_th["mean_count_stderr"][0]))
+    se_m2 = float(np.hypot(rep_po["second_moment_stderr"][0], rep_th["second_moment_stderr"][0]))
     analytic = 1.0 - np.exp(-lam * np.pi * r**2)
     ok = (
-        rep_po.p_cover[0] - rep_th.p_cover[0] > 3 * se_cov
-        and abs(rep_po.mean_count[0] - rep_th.mean_count[0]) <= 3 * se_m1
-        and rep_th.second_moment[0] - rep_po.second_moment[0] > 3 * se_m2
-        and abs(rep_po.p_cover[0] - analytic) <= 3 * float(rep_po.p_cover_stderr[0])
+        rep_po["p_cover"][0] - rep_th["p_cover"][0] > 3 * se_cov
+        and abs(rep_po["mean_count"][0] - rep_th["mean_count"][0]) <= 3 * se_m1
+        and rep_th["second_moment"][0] - rep_po["second_moment"][0] > 3 * se_m2
+        and abs(rep_po["p_cover"][0] - analytic) <= 3 * float(rep_po["p_cover_stderr"][0])
     )
     assert _report(
         10, ok,
-        f"coverage: Poisson {rep_po.p_cover[0]:.3f} > clustered {rep_th.p_cover[0]:.3f}, "
+        f"coverage: Poisson {rep_po['p_cover'][0]:.3f} > clustered {rep_th['p_cover'][0]:.3f}, "
         f"first moments equal, second moments ordered",
     )
 

@@ -30,6 +30,77 @@ FAST_PARAMS = {
 }
 
 
+_RECORD = {"id", "family", "mean_x", "mean_y", "diff", "stderr", "z"}
+_RECORD_HEADER = "id,family,mean_x,mean_y,diff,stderr,z"
+_COVERAGE = {k + s for k in ("p_cover", "mean_count", "second_moment") for s in ("", "_stderr")}
+_CX = {"verdict", "max_violation", "mean_x", "mean_y"}
+
+# scenario id -> (CSV header, details keys each with the key set of its dict
+# or of every entry of its list of dicts (None for a plain value), the keys of
+# every per_function entry)
+REPORT_SCHEMA = {
+    "ising-vs-poisson": (
+        _RECORD_HEADER, {"lam_bar": None, "n_strictly_separated": None}, _RECORD,
+    ),
+    "ppcluster-family": (
+        "c_hi,c_lo,verdict,var_hi,var_lo,var_ratio,expected_ratio",
+        {"pairs": {"c_pair", "verdict", "var_hi", "var_lo", "var_ratio", "expected_ratio",
+                   "mean_equality"}},
+        _RECORD | {"c_pair"},
+    ),
+    "sinr-compare": (
+        "interferers,estimator,p_success,stderr",
+        dict.fromkeys(["p_poisson", "stderr_poisson", "p_thomas", "stderr_thomas",
+                       "p_poisson_indicator", "stderr_poisson_indicator", "estimators_agree",
+                       "ci_separated"]),
+        None,
+    ),
+    "coverage-compare": (
+        "germs,query,p_cover,stderr,mean_count,second_moment,analytic",
+        {"poisson": _COVERAGE, "thomas": _COVERAGE, "poisson_coverage_analytic": None},
+        None,
+    ),
+    "palm-poisson-check": (
+        "estimate,stderr,expected", {"estimate": None, "stderr": None, "expected": None}, None,
+    ),
+    "ginibre-oracle": (
+        "b,max_violation,mean_structured,mean_poisson",
+        {"per_b": _CX | {"b", "mean_structured", "mean_poisson"}},
+        None,
+    ),
+    "oracle-poisson-scaling": (
+        "a,c,max_violation,mean_x,mean_y", {"per_pair": _CX | {"a", "c"}, "violation": None}, None,
+    ),
+    "lo-extremal": (
+        "t1,t2,cdf_thomas,cdf_poisson,stderr",
+        {"verdict": None, "per_threshold": {"t", "cdf_1", "cdf_2", "stderr"}},
+        None,
+    ),
+    "levy-grid": (_RECORD_HEADER, {"atoms_per_box": None}, _RECORD),
+    "marked-basis": (_RECORD_HEADER, {}, _RECORD),
+    "ops-preservation": (
+        "operation,verdict,min_z",
+        {"per_op": {"thin_iid_half", "displace_shift", "superpose_poisson"}},
+        None,
+    ),
+    "ripley-poisson": (
+        "r,k_hat,stderr,pi_r_squared", {"k_hat": None, "stderr": None, "reference": None}, None,
+    ),
+}
+
+
+def _key_shape(value):
+    """The key set of a dict, or the one key set of every dict in a list of
+    dicts; None for any other value."""
+    if isinstance(value, dict):
+        return set(value)
+    if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+        shapes = [set(v) for v in value]
+        assert all(shape == shapes[0] for shape in shapes), shapes
+        return shapes[0]
+    return None
+
+
 def _write_config(tmp_path, scenarios, seed=7, extra=None):
     cfg = {"seed": seed, "output_dir": str(tmp_path / "out"), "scenarios": scenarios}
     if extra:
@@ -102,6 +173,12 @@ def test_invalid_parameter_is_config_error(tmp_path):
         {"id": "ppcluster-family", "n_reps": 400, "sigma": -0.1},
         {"id": "sinr-compare", "n_reps": 400, "noise": -0.5},
         {"id": "coverage-compare", "n_reps": 400, "r": -0.1},
+        {"id": "sinr-compare", "n_reps": 400, "cluster_size": 0},
+        {"id": "coverage-compare", "n_reps": 400, "cluster_size": 0},
+        {"id": "lo-extremal", "n_reps": 400, "cluster_size": 0},
+        # pi r^2 is the torus K only for 0 <= r <= half the shortest window side
+        {"id": "ripley-poisson", "n_reps": 50, "r_grid": [0.6]},
+        {"id": "ripley-poisson", "n_reps": 50, "r_grid": [-0.1, 0.05]},
     ):
         path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}, entry])
         result = CliRunner().invoke(main, ["run", str(path)])
@@ -213,8 +290,16 @@ def test_every_scenario_round_trips(sid, tmp_path):
                 "mean_equality", "runtime_seconds"):
         assert key in report
     assert report["scenario_id"] == sid
+    header, details, per_function = REPORT_SCHEMA[sid]
     csv_text = (tmp_path / "out" / f"{sid}.csv").read_text()
-    assert csv_text.splitlines()[0]  # header present
+    assert csv_text.splitlines()[0] == header
+    assert {k: _key_shape(v) for k, v in report["details"].items()} == details
+    if per_function is None:
+        assert report["per_function"] == []
+    else:
+        assert report["per_function"]
+        for entry in report["per_function"]:
+            assert set(entry) == per_function
 
 
 def test_csv_floats_have_12_significant_digits(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dcxsim.distributions import (
-    ClusterKernel, CovarianceSpec, MassDistribution, constant, exponential,
+    ClusterKernel, CovarianceSpec, MassDistribution, constant, exponential, poisson_tail_order,
 )
 from dcxsim.geometry import (
     Box, GridField, count_in, make_stream, make_window, mass_in, pairwise_distances,
@@ -186,7 +186,7 @@ def test_ginibre_truncation_order():
     from scipy import special
 
     for b in np.append(np.linspace(0.05, 20.0, 406), 2.0):
-        m = processes.ginibre_truncation_order(b)
+        m = poisson_tail_order(b)
         assert special.gammainc(m, b) < 1e-12, b
         assert special.gammainc(m - 1, b) >= 1e-12, b
 

@@ -142,7 +142,7 @@ def test_dcx_ordered_measures_give_ordered_additive_shot_noise():
     suite = make_suite("dcx", 3, 30, stream.split(10**6), scale=np.full(3, campbell_mean(h, 1.0, w)))
     fwd = compare_vectors(draw_po, draw_cox, suite, 4000, stream.split(0))
     assert fwd.verdict != VIOLATION
-    assert any(r.z > 3 for r in fwd.records)
+    assert any(r["z"] > 3 for r in fwd.records)
     rev = compare_vectors(draw_cox, draw_po, suite, 4000, stream.split(1))
     assert rev.verdict == VIOLATION
 

@@ -92,17 +92,17 @@ def test_boolean_coverage_poisson_matches_void_probability():
         make_stream(5),
     )
     target = 1.0 - np.exp(-lam * np.pi * r**2)
-    assert abs(rep.p_cover[0] - target) <= 3 * rep.p_cover_stderr[0]
+    assert abs(rep["p_cover"][0] - target) <= 3 * rep["p_cover_stderr"][0]
     # Campbell: E V = lam * pi r^2
-    assert abs(rep.mean_count[0] - lam * np.pi * r**2) <= 3 * rep.mean_count_stderr[0]
+    assert abs(rep["mean_count"][0] - lam * np.pi * r**2) <= 3 * rep["mean_count_stderr"][0]
 
 
 def test_boolean_coverage_empty_germs():
     rep = wireless.boolean_coverage(
         _no_interferers, 0.2, np.array([[0.5, 0.5]]), 100, make_stream(6)
     )
-    assert rep.p_cover[0] == 0.0
-    assert rep.mean_count[0] == 0.0
+    assert rep["p_cover"][0] == 0.0
+    assert rep["mean_count"][0] == 0.0
 
 
 def test_cross_link_interference_reaches_each_receiver():
