@@ -1,85 +1,4 @@
 """Simulation and comparison toolkit for stochastic orders of spatial
 point processes, random measures and the shot-noise fields they drive."""
 
-from .distributions import ClusterKernel, CovarianceSpec, MassDistribution, constant, exponential
-from .geometry import (
-    PLAIN,
-    TORUS,
-    AtomicMeasure,
-    Box,
-    GridField,
-    NumericalError,
-    PatternBatch,
-    PointPattern,
-    RngStream,
-    Window,
-    count_in,
-    make_stream,
-    make_window,
-    mass_in,
-)
-from .ordering import (
-    CONSISTENT,
-    INCONCLUSIVE,
-    VIOLATION,
-    OrderReport,
-    TestFunction,
-    compare_on_boxes,
-    compare_vectors,
-    cx_compare_exact,
-    lo_compare,
-    make_suite,
-    oracle_ginibre_radii,
-    oracle_ising_exact,
-    oracle_poisson_scaling,
-    verify_dcx_numeric,
-)
-from .shotnoise import ResponseKernel, additive_sn, campbell_mean, extremal_sn, ragged_sn
-from .wireless import LinkLayout, boolean_coverage, sinr_success, sinr_success_rayleigh
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AtomicMeasure",
-    "Box",
-    "CONSISTENT",
-    "ClusterKernel",
-    "CovarianceSpec",
-    "GridField",
-    "INCONCLUSIVE",
-    "LinkLayout",
-    "MassDistribution",
-    "NumericalError",
-    "OrderReport",
-    "PLAIN",
-    "PatternBatch",
-    "PointPattern",
-    "ResponseKernel",
-    "RngStream",
-    "TORUS",
-    "TestFunction",
-    "VIOLATION",
-    "Window",
-    "additive_sn",
-    "boolean_coverage",
-    "campbell_mean",
-    "compare_on_boxes",
-    "compare_vectors",
-    "constant",
-    "count_in",
-    "cx_compare_exact",
-    "exponential",
-    "extremal_sn",
-    "lo_compare",
-    "make_stream",
-    "make_suite",
-    "make_window",
-    "mass_in",
-    "oracle_ginibre_radii",
-    "oracle_ising_exact",
-    "oracle_poisson_scaling",
-    "ragged_sn",
-    "sinr_success",
-    "sinr_success_rayleigh",
-    "verify_dcx_numeric",
-]

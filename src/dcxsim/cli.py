@@ -7,15 +7,19 @@ key is a configuration error, found before any scenario runs):
   workers     optional positive integer, accepted for existing configs; it has
               no effect, since scenarios run their replications serially
   scenarios   list of {id: <scenario id>, ...scenario parameters...}; a key
-              not in the scenario's SCENARIOS defaults, or a window key other
-              than lows, highs and topology, is a configuration error, found
-              before any scenario runs
+              not in the scenario's SCENARIOS defaults, a window key other
+              than lows, highs and topology, an empty list where the default
+              is a non-empty list, or a value that is not an integer where the
+              default is one, is a configuration error, found before any
+              scenario runs
 
 Each scenario produces <output_dir>/<id>.json and <output_dir>/<id>.csv.
 Reports are written only after the last scenario has run, so a run that
 exits 2 or 3 writes no report.
 Exit codes: 0 clean, 1 a verdict was VIOLATION/fail, 2 configuration error
-(including invalid scenario parameters and fewer than 2 replications), 3 runtime
+(including invalid scenario parameters, fewer than 2 replications, points or
+queries whose dimension is not the window's, an ops-preservation shift of
+another length, and a marked-basis mark_mean that is not positive), 3 runtime
 failure (including numerical failures: NumericalError, LinAlgError,
 FloatingPointError).
 """
@@ -31,7 +35,7 @@ import numpy as np
 import yaml
 
 from .geometry import make_stream
-from .scenarios import SCENARIOS, ScenarioResult, check_params, run_scenario
+from .scenarios import SCENARIOS, ScenarioResult, check_params, is_int, run_scenario
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -51,12 +55,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _is_int(value) -> bool:
-    """An integer that is not a bool (YAML ``true`` loads as a bool, and bool
-    is a subclass of int)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _load_config(config_path: str) -> dict:
     path = Path(config_path)
     if not path.is_file():
@@ -73,14 +71,14 @@ def _load_config(config_path: str) -> dict:
     for key in ("seed", "output_dir", "scenarios"):
         if key not in cfg:
             raise ConfigError(f"missing required config key: {key}")
-    if not _is_int(cfg["seed"]):
+    if not is_int(cfg["seed"]):
         raise ConfigError("config key 'seed' must be an integer")
     if not isinstance(cfg["output_dir"], str):
         raise ConfigError("config key 'output_dir' must be a string")
     if not isinstance(cfg["scenarios"], list) or not cfg["scenarios"]:
         raise ConfigError("config key 'scenarios' must be a non-empty list")
     workers = cfg.get("workers", 1)
-    if not _is_int(workers) or workers < 1:
+    if not is_int(workers) or workers < 1:
         raise ConfigError("config key 'workers' must be a positive integer")
     for entry in cfg["scenarios"]:
         if not isinstance(entry, dict) or "id" not in entry:
@@ -108,9 +106,9 @@ def _write_reports(out_dir: Path, result: ScenarioResult, seed: int, params: dic
     (out_dir / f"{result.scenario_id}.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
-    lines = [",".join(result.csv_header)]
-    for row in result.csv_rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(result.rows[0])]
+    for row in result.rows:
+        lines.append(",".join(_fmt(v) for v in row.values()))
     (out_dir / f"{result.scenario_id}.csv").write_text("\n".join(lines) + "\n")
 
 

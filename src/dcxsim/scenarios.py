@@ -31,13 +31,15 @@ from .stats import mixed_palm_estimate, ripley_k
 
 @dataclass
 class ScenarioResult:
+    """A scenario's verdict and report parts; ``rows`` is its CSV, one dict per
+    row keyed by column in column order."""
+
     scenario_id: str
     verdict: str
+    details: dict
+    rows: list[dict]
     per_function: list = field(default_factory=list)
     mean_equality: Optional[dict] = None
-    details: dict = field(default_factory=dict)
-    csv_header: list = field(default_factory=list)
-    csv_rows: list = field(default_factory=list)
 
 
 def _window(p: dict, lows, highs) -> Window:
@@ -70,10 +72,8 @@ def _suite_compare(p: dict, draws, scale, suite_stream, stream, z_crit: float = 
 def _order_result(sid: str, report, details: dict) -> ScenarioResult:
     """The result of a scenario decided by one suite comparison: the records
     are its per_function entries and, one per suite function, its CSV rows."""
-    records = report.records
     return ScenarioResult(
-        sid, report.verdict, records, report.mean_equality, details,
-        list(records[0]), [list(r.values()) for r in records],
+        sid, report.verdict, details, report.records, report.records, report.mean_equality
     )
 
 
@@ -103,6 +103,8 @@ def _ops_arms(p: dict, w: Window, boxes) -> tuple:
     the pre-images B - t.
     """
     shift = np.asarray(p["shift"], dtype=float)
+    if shift.shape != (w.dim,):
+        raise ValueError(f"shift must have {w.dim} coordinates, one per window axis")
     lam_bar, poisson, cox = _box_count_samplers(p, w, boxes)
     unit = processes.make_poisson_counts(1.0, w, boxes)
     thinned = lambda base: lambda gen, size: thin_counts(base(gen, size), 0.5, gen)
@@ -161,26 +163,13 @@ def run_ppcluster_family(p: dict, stream: RngStream) -> ScenarioResult:
         per_function.extend(dict(r, c_pair=[c_hi, c_lo]) for r in rep.records)
         # intensity variance at the first query, from the compared draws
         var_hi, var_lo = float(rep.var_x[0]), float(rep.var_y[0])
-        results.append(
-            {
-                "c_pair": [c_hi, c_lo],
-                "verdict": rep.verdict,
-                "var_hi": var_hi,
-                "var_lo": var_lo,
-                "var_ratio": var_hi / var_lo,
-                "expected_ratio": c_lo / c_hi,
-                "mean_equality": rep.mean_equality,
-            }
-        )
-        rows.append([c_hi, c_lo, rep.verdict, var_hi, var_lo, var_hi / var_lo, c_lo / c_hi])
+        summary = {"verdict": rep.verdict, "var_hi": var_hi, "var_lo": var_lo,
+                 "var_ratio": var_hi / var_lo, "expected_ratio": c_lo / c_hi}
+        results.append(dict(summary, c_pair=[c_hi, c_lo], mean_equality=rep.mean_equality))
+        rows.append({"c_hi": c_hi, "c_lo": c_lo, **summary})
     return ScenarioResult(
-        "ppcluster-family",
-        worst(r["verdict"] for r in results),
+        "ppcluster-family", worst(r["verdict"] for r in results), {"pairs": results}, rows,
         per_function,
-        None,
-        {"pairs": results},
-        ["c_hi", "c_lo", "verdict", "var_hi", "var_lo", "var_ratio", "expected_ratio"],
-        rows,
     )
 
 
@@ -224,14 +213,14 @@ def run_sinr_compare(p: dict, stream: RngStream) -> ScenarioResult:
         "ci_separated": bool(p_th - p_po > 3.0 * sep),
     }
     rows = [
-        ["poisson", "rayleigh", p_po, se_po],
-        ["thomas", "rayleigh", p_th, se_th],
-        ["poisson", "indicator", p_ind, se_ind],
+        {"interferers": germs, "estimator": how, "p_success": p_s, "stderr": se}
+        for germs, how, p_s, se in (
+            ("poisson", "rayleigh", p_po, se_po),
+            ("thomas", "rayleigh", p_th, se_th),
+            ("poisson", "indicator", p_ind, se_ind),
+        )
     ]
-    return ScenarioResult(
-        "sinr-compare", verdict, [], None, details,
-        ["interferers", "estimator", "p_success", "stderr"], rows,
-    )
+    return ScenarioResult("sinr-compare", verdict, details, rows)
 
 
 def run_coverage_compare(p: dict, stream: RngStream) -> ScenarioResult:
@@ -256,17 +245,14 @@ def run_coverage_compare(p: dict, stream: RngStream) -> ScenarioResult:
         "thomas": {k: v.tolist() for k, v in rep_th.items()},
         "poisson_coverage_analytic": analytic,
     }
-    columns = ("p_cover", "p_cover_stderr", "mean_count", "second_moment")
     rows = [
-        [germs, i, *(float(rep[k][i]) for k in columns), extra]
+        {"germs": germs, "query": i, "p_cover": float(rep["p_cover"][i]),
+         "stderr": float(rep["p_cover_stderr"][i]), "mean_count": float(rep["mean_count"][i]),
+         "second_moment": float(rep["second_moment"][i]), "analytic": extra}
         for i in range(queries.shape[0])
         for germs, rep, extra in (("poisson", rep_po, analytic), ("thomas", rep_th, ""))
     ]
-    return ScenarioResult(
-        "coverage-compare", verdict, [], None, details,
-        ["germs", "query", "p_cover", "stderr", "mean_count", "second_moment", "analytic"],
-        rows,
-    )
+    return ScenarioResult("coverage-compare", verdict, details, rows)
 
 
 def run_palm_poisson_check(p: dict, stream: RngStream) -> ScenarioResult:
@@ -281,23 +267,16 @@ def run_palm_poisson_check(p: dict, stream: RngStream) -> ScenarioResult:
     )
     expected = lam * box_a.volume + 1.0
     z = float(_z_scores(est - expected, se))
-    return ScenarioResult(
-        "palm-poisson-check",
-        decide([z, -z]),
-        [],
-        None,
-        {"estimate": est, "stderr": se, "expected": expected},
-        ["estimate", "stderr", "expected"],
-        [[est, se, expected]],
-    )
+    details = {"estimate": est, "stderr": se, "expected": expected}
+    return ScenarioResult("palm-poisson-check", decide([z, -z]), details, [details])
 
 
-def _oracle_result(sid: str, records: list[dict], details: dict, header: list) -> ScenarioResult:
+def _oracle_result(sid: str, records: list[dict], details: dict, columns: list) -> ScenarioResult:
     """The result of an exact-oracle scenario: "pass" iff every record passes,
-    one CSV row of the ``header`` keys per record."""
+    one CSV row of the ``columns`` keys per record."""
     return ScenarioResult(
-        sid, oracle_verdict(all(r["verdict"] == "pass" for r in records)), [], None, details,
-        header, [[r[k] for k in header] for r in records],
+        sid, oracle_verdict(all(r["verdict"] == "pass" for r in records)), details,
+        [{k: r[k] for k in columns} for r in records],
     )
 
 
@@ -333,11 +312,12 @@ def run_lo_extremal(p: dict, stream: RngStream) -> ScenarioResult:
     thresholds = np.array([[t1, t2] for t1 in grid_1d for t2 in grid_1d])
     # the clustered field has more uncovered space: claim U_thomas <= U_poisson (lo)
     rep = lo_compare(extremal(thomas), extremal(poisson), thresholds, int(p["n_reps"]), stream)
-    rows = [[*r["t"], r["cdf_1"], r["cdf_2"], r["stderr"]] for r in rep["per_threshold"]]
-    return ScenarioResult(
-        "lo-extremal", rep["verdict"], [], None, rep,
-        ["t1", "t2", "cdf_thomas", "cdf_poisson", "stderr"], rows,
-    )
+    rows = [
+        {"t1": r["t"][0], "t2": r["t"][1], "cdf_thomas": r["cdf_1"], "cdf_poisson": r["cdf_2"],
+         "stderr": r["stderr"]}
+        for r in rep["per_threshold"]
+    ]
+    return ScenarioResult("lo-extremal", rep["verdict"], rep, rows)
 
 
 def run_levy_grid(p: dict, stream: RngStream) -> ScenarioResult:
@@ -357,6 +337,8 @@ def run_levy_grid(p: dict, stream: RngStream) -> ScenarioResult:
 def run_marked_basis(p: dict, stream: RngStream) -> ScenarioResult:
     lam = float(p["lam"])
     mark_mean = float(p["mark_mean"])
+    if not mark_mean > 0:
+        raise ValueError("mark_mean must be positive")
     w = _window(p, [0.0, 0.0], [1.0, 1.0])
     boxes = _quadrant_boxes(w)
     # Poisson atoms carrying the mean mark E Z vs i.i.d. exponential marks Z
@@ -382,11 +364,8 @@ def run_ops_preservation(p: dict, stream: RngStream) -> ScenarioResult:
         )
         verdicts[name] = rep.verdict
         min_z = min(r["z"] for r in rep.records)
-        rows.append([name, rep.verdict, min_z])
-    return ScenarioResult(
-        "ops-preservation", worst(verdicts.values()), [], None, {"per_op": verdicts},
-        ["operation", "verdict", "min_z"], rows,
-    )
+        rows.append({"operation": name, "verdict": rep.verdict, "min_z": min_z})
+    return ScenarioResult("ops-preservation", worst(verdicts.values()), {"per_op": verdicts}, rows)
 
 
 def run_ripley_poisson(p: dict, stream: RngStream) -> ScenarioResult:
@@ -402,19 +381,12 @@ def run_ripley_poisson(p: dict, stream: RngStream) -> ScenarioResult:
     )
     ref = np.pi * r_grid**2
     z = _z_scores(k_hat - ref, se)
+    details = {"k_hat": k_hat.tolist(), "stderr": se.tolist(), "reference": ref.tolist()}
     rows = [
-        [float(r_grid[i]), float(k_hat[i]), float(se[i]), float(ref[i])]
-        for i in range(r_grid.size)
+        {"r": r, "k_hat": k, "stderr": s, "pi_r_squared": pi_r2}
+        for r, k, s, pi_r2 in zip(r_grid.tolist(), *details.values())
     ]
-    return ScenarioResult(
-        "ripley-poisson",
-        decide(np.concatenate([z, -z])),
-        [],
-        None,
-        {"k_hat": k_hat.tolist(), "stderr": se.tolist(), "reference": ref.tolist()},
-        ["r", "k_hat", "stderr", "pi_r_squared"],
-        rows,
-    )
+    return ScenarioResult("ripley-poisson", decide(np.concatenate([z, -z])), details, rows)
 
 
 # Defaults shared by scenarios: the spin-lattice Cox process, and the Thomas
@@ -496,13 +468,28 @@ SCENARIOS: dict[str, tuple[str, Callable, dict]] = {
 }
 
 
+def is_int(value) -> bool:
+    """An integer that is not a bool (YAML ``true`` loads as a bool, and bool
+    is a subclass of int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_params(scenario_id: str, params) -> None:
     """Raise ValueError for a key of the mapping ``params`` that is not one of
-    the scenario's SCENARIOS defaults, for a ``window`` that is not a mapping,
-    and for a ``window`` key other than lows, highs and topology."""
-    unknown = sorted(str(k) for k in set(params) - set(SCENARIOS[scenario_id][2]))
+    the scenario's SCENARIOS defaults, for an empty list where the default is
+    a non-empty list, for a value that is not an integer where the default is
+    one, for a ``window`` that is not a mapping, and for a ``window`` key other
+    than lows, highs and topology."""
+    defaults = SCENARIOS[scenario_id][2]
+    unknown = sorted(str(k) for k in set(params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown key(s) for scenario {scenario_id}: {', '.join(unknown)}")
+    for key, value in params.items():
+        default = defaults[key]
+        if isinstance(default, list) and default and isinstance(value, list) and not value:
+            raise ValueError(f"scenario parameter {key!r} must be a non-empty list")
+        if is_int(default) and not is_int(value):
+            raise ValueError(f"scenario parameter {key!r} must be an integer")
     wspec = params.get("window", {})
     if not isinstance(wspec, dict):
         raise ValueError("scenario parameter 'window' must be a mapping")

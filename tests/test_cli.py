@@ -7,9 +7,8 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from dcxsim import NumericalError
 from dcxsim.cli import _load_config, main
-from dcxsim.geometry import make_stream
+from dcxsim.geometry import NumericalError, make_stream
 from dcxsim.scenarios import SCENARIOS, run_scenario
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -179,6 +178,21 @@ def test_invalid_parameter_is_config_error(tmp_path):
         # pi r^2 is the torus K only for 0 <= r <= half the shortest window side
         {"id": "ripley-poisson", "n_reps": 50, "r_grid": [0.6]},
         {"id": "ripley-poisson", "n_reps": 50, "r_grid": [-0.1, 0.05]},
+        # an empty list compares nothing, and a count must be an integer
+        {"id": "ginibre-oracle", "b_values": []},
+        {"id": "oracle-poisson-scaling", "a_values": []},
+        {"id": "ppcluster-family", "n_reps": 400, "c_pairs": []},
+        {"id": "ripley-poisson", "n_reps": 50, "r_grid": []},
+        {"id": "coverage-compare", "n_reps": 400, "queries": []},
+        {"id": "lo-extremal", "n_reps": 400, "queries": []},
+        {"id": "palm-poisson-check", "n_reps": 2.5},
+        {"id": "levy-grid", "n_reps": 400, "suite_size": True},
+        # points and queries of another dimension than the window's
+        {"id": "coverage-compare", "n_reps": 400, "queries": [[0.5, 0.5, 0.5]]},
+        {"id": "coverage-compare", "n_reps": 400, "queries": [[0.5]]},
+        {"id": "lo-extremal", "n_reps": 400, "queries": [[0.25, 0.25, 9.0], [0.75, 0.75, 9.0]]},
+        {"id": "ops-preservation", "n_reps": 400, "suite_size": 6, "shift": [0.3]},
+        {"id": "marked-basis", "n_reps": 400, "suite_size": 6, "mark_mean": 0},
     ):
         path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}, entry])
         result = CliRunner().invoke(main, ["run", str(path)])
@@ -291,8 +305,9 @@ def test_every_scenario_round_trips(sid, tmp_path):
         assert key in report
     assert report["scenario_id"] == sid
     header, details, per_function = REPORT_SCHEMA[sid]
-    csv_text = (tmp_path / "out" / f"{sid}.csv").read_text()
-    assert csv_text.splitlines()[0] == header
+    lines = (tmp_path / "out" / f"{sid}.csv").read_text().splitlines()
+    assert lines[0] == header
+    assert all(len(line.split(",")) == len(header.split(",")) for line in lines[1:])
     assert {k: _key_shape(v) for k, v in report["details"].items()} == details
     if per_function is None:
         assert report["per_function"] == []
@@ -316,7 +331,7 @@ def test_exit_one_on_violation(tmp_path, monkeypatch):
     from dcxsim.scenarios import ScenarioResult
 
     def fake_run(sid, params, stream):
-        return ScenarioResult(sid, "VIOLATION", [], None, {}, ["x"], [[1.0]])
+        return ScenarioResult(sid, "VIOLATION", {}, [{"x": 1.0}])
 
     monkeypatch.setattr(cli_mod, "run_scenario", fake_run)
     path = _write_config(tmp_path, [{"id": "ripley-poisson"}])
