@@ -19,9 +19,9 @@ exits 2 or 3 writes no report.
 Exit codes: 0 clean, 1 a verdict was VIOLATION/fail, 2 configuration error
 (including invalid scenario parameters, fewer than 2 replications, points or
 queries whose dimension is not the window's, an ops-preservation shift of
-another length, and a marked-basis mark_mean that is not positive), 3 runtime
-failure (including numerical failures: NumericalError, LinAlgError,
-FloatingPointError).
+another length, a marked-basis mark_mean that is not positive, and lo-extremal
+queries of other than two points), 3 runtime failure (including numerical
+failures: NumericalError, LinAlgError, FloatingPointError).
 """
 from __future__ import annotations
 

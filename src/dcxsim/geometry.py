@@ -111,16 +111,17 @@ def boxes_disjoint(boxes: Sequence[Box]) -> bool:
 # Distances
 
 def pairwise_distances(w: Window, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance matrix (len(a), len(b)) under the window's topology; ValueError
-    when the points of a and b differ in dimension."""
+    """Distance matrix (..., len(a), len(b)) under the window's topology for
+    points a (..., len(a), d) and b (..., len(b), d), whose leading axes
+    broadcast; ValueError when the points of a and b differ in dimension."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"points of dimension {a.shape[1]} and {b.shape[1]} have no distance")
-    # one axis at a time: (len(a), len(b)) temporaries only, summed in axis order
-    sq = np.zeros((a.shape[0], b.shape[0]))
-    for k in range(a.shape[1]):
-        diff = np.abs(a[:, k, None] - b[None, :, k])
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"points of dimension {a.shape[-1]} and {b.shape[-1]} have no distance")
+    # one axis at a time: (..., len(a), len(b)) temporaries only, summed in axis order
+    sq = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-2]))
+    for k in range(a.shape[-1]):
+        diff = np.abs(a[..., :, None, k] - b[..., None, :, k])
         if w.topology == TORUS:
             np.minimum(diff, w.lengths[k] - diff, out=diff)
         diff *= diff

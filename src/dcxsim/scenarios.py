@@ -302,7 +302,10 @@ def run_oracle_poisson_scaling(p: dict, stream: RngStream) -> ScenarioResult:
 
 def run_lo_extremal(p: dict, stream: RngStream) -> ScenarioResult:
     w = _window(p, [0.0, 0.0], [1.0, 1.0])
-    queries = np.asarray(p["queries"], dtype=float)
+    queries = np.atleast_2d(np.asarray(p["queries"], dtype=float))
+    # the thresholds are (t1, t2) pairs, one level per query
+    if len(queries) != 2:
+        raise ValueError("scenario parameter 'queries' must hold exactly 2 points for lo-extremal")
     h = ResponseKernel("power_law", (float(p["beta"]),))
     poisson, thomas = _interferer_samplers(p, w)
     extremal = lambda sampler: lambda gen, size: ragged_sn(

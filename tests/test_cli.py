@@ -213,6 +213,19 @@ def test_unknown_key_is_rejected_before_any_scenario_runs(tmp_path):
         assert not list((tmp_path / str(name) / "out").glob("*"))
 
 
+def test_lo_extremal_needs_exactly_two_queries(tmp_path):
+    # its thresholds are (t1, t2) pairs: one query ran on a one-point field,
+    # three failed inside numpy without naming the parameter
+    for name, queries in enumerate(([[0.5, 0.5]], [[0.2, 0.2], [0.5, 0.5], [0.8, 0.8]])):
+        (tmp_path / str(name)).mkdir()
+        entry = {"id": "lo-extremal", "n_reps": 400, "queries": queries}
+        path = _write_config(tmp_path / str(name), [{"id": "oracle-poisson-scaling"}, entry])
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 2, queries
+        assert "queries" in result.output
+        assert not list((tmp_path / str(name) / "out").glob("*"))
+
+
 def test_unknown_top_level_key_is_a_config_error(tmp_path):
     # misspelt top-level keys must not run the config on its defaults
     path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}], extra={"worker": 4, "sede": 9})

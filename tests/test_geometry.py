@@ -131,3 +131,23 @@ def test_pairwise_distances_topology():
     assert d.shape == (1, 2)
     assert d[0, 0] == pytest.approx(0.1)
     assert d[0, 1] == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("topology", [PLAIN, TORUS])
+def test_pairwise_distances_broadcast_leading_axes(topology):
+    # a (g, n, d) stack gives the stack of the per-slice 2-d calls, bit for bit
+    w = make_window([0, 0], [1.0, 1.5], topology)
+    gen = make_stream(3).generator()
+    a = gen.random((13, 50, 2)) * w.lengths
+    b = gen.random((13, 7, 2)) * w.lengths
+    for y in (a, b):
+        stacked = pairwise_distances(w, a, y)
+        assert stacked.shape == (13, 50, y.shape[1])
+        for i in range(13):
+            assert np.array_equal(stacked[i], pairwise_distances(w, a[i], y[i]))
+    # a 2-d b broadcasts against every slice of a
+    assert np.array_equal(pairwise_distances(w, a, b[0])[5], pairwise_distances(w, a[5], b[0]))
+    with pytest.raises(ValueError):
+        pairwise_distances(w, a, gen.random((13, 7, 3)))
+    with pytest.raises(ValueError):
+        pairwise_distances(w, a[0], gen.random((7, 1)))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from dcxsim.geometry import Box, PatternBatch, PointPattern, count_in, make_stream, make_window
-from dcxsim.ordering import batched
+from dcxsim.geometry import (
+    Box, PatternBatch, PointPattern, count_in, make_stream, make_window, pairwise_distances,
+)
+from dcxsim.ordering import batched, replicate
 from dcxsim.processes import make_poisson_batch, make_thomas_batch, sample_poisson
 from dcxsim import stats
 
@@ -46,6 +48,63 @@ def test_ripley_matches_direct_pair_counting():
     assert np.allclose(k_hat, per_rep.mean(axis=0), rtol=0, atol=1e-12)
     assert np.allclose(se, per_rep.std(axis=0, ddof=1) / 2.0, rtol=0, atol=1e-12)
     assert per_rep[2].sum() == 0 and per_rep[1].sum() == 0
+
+
+def _sorted_pair_k(draw, r_grid, lam, n_reps, stream):
+    """Ripley K by the per-replication reference: each replication's
+    unordered pair distances sorted and searched, one replication at a time."""
+
+    def rows(batch):
+        w = batch.window
+        out = np.zeros((batch.size, r_grid.size))
+        for i, (n, end) in enumerate(zip(batch.counts, np.cumsum(batch.counts))):
+            pts = batch.points[end - n : end]
+            d = np.sort(pairwise_distances(w, pts, pts)[np.triu_indices(n, k=1)])
+            out[i] = 2.0 * np.searchsorted(d, r_grid, side="right") / (lam**2 * w.volume)
+        return out
+
+    (mom,) = replicate((draw,), rows, n_reps, stream)
+    return mom.mean, mom.stderr
+
+
+def _fixed_count_batch(n, w):
+    return lambda gen, size: PatternBatch(
+        w, w.lows + gen.random((size * n, w.dim)) * w.lengths, np.full(size, n)
+    )
+
+
+# a replicated point is a pair at distance 0, counted at r = 0
+_DUPLICATES = PatternBatch(
+    W,
+    np.array([[0.3, 0.3], [0.3, 0.3], [0.99, 0.5], [0.3, 0.3], [0.01, 0.5], [0.7, 0.1]]),
+    np.array([2, 1, 3, 0]),
+)
+_R20 = np.linspace(0.01, 0.2, 20)  # the grid of scripts/ripley_curves.py
+
+
+@pytest.mark.parametrize(
+    "draw, r_grid, lam, n_reps",
+    [
+        # counts of 0 and 1 next to a few pairs
+        (make_poisson_batch(1.5, W), np.array([0.0, 0.3, 0.6]), 1.5, 500),
+        # many distinct counts in each of two chunks; r = 0, unsorted, negative,
+        # above half the side and above the longest torus distance
+        (make_poisson_batch(50.0, W), np.array([0.15, 0.0, 0.5, 0.03, -0.1, 0.6, 0.8]), 50.0, 2500),
+        (make_poisson_batch(50.0, W), _R20, 50.0, 1000),
+        # one count whose group spans many blocks
+        (_fixed_count_batch(40, W), np.array([0.05, 0.1, 0.15, 0.2]), 40.0, 2000),
+        (make_thomas_batch(10.0, 5.0, 0.05, W), _R20, 50.0, 1000),
+        (make_poisson_batch(20.0, make_window([0.0], [3.0])), np.array([0.1, 0.5, 1.5, 2.0]), 20.0, 500),
+        (make_poisson_batch(15.0, make_window([0, 0, 0], [1.0, 1.5, 1.0])), np.array([0.1, 0.4, 0.5]), 15.0, 500),
+        (lambda gen, size: _DUPLICATES, np.array([0.0, 0.02, 0.5]), 2.0, 4),
+    ],
+    ids=["sparse", "poisson", "poisson-r20", "fixed-count", "thomas-r20", "1d", "3d", "duplicates"],
+)
+def test_ripley_equals_sorted_pair_reference(draw, r_grid, lam, n_reps):
+    k_hat, se = stats.ripley_k(draw, r_grid, lam, n_reps, make_stream(41))
+    k_ref, se_ref = _sorted_pair_k(draw, r_grid, lam, n_reps, make_stream(41))
+    assert np.array_equal(k_hat, k_ref)
+    assert np.array_equal(se, se_ref)
 
 
 def test_ripley_requires_torus():
