@@ -13,15 +13,16 @@ key is a configuration error, found before any scenario runs):
               default is one, is a configuration error, found before any
               scenario runs
 
-Each scenario produces <output_dir>/<id>.json and <output_dir>/<id>.csv.
+Each scenario produces <output_dir>/<id>.json and <output_dir>/<id>.csv, so
+an id listed twice is a configuration error, found before any scenario runs.
 Reports are written only after the last scenario has run, so a run that
 exits 2 or 3 writes no report.
 Exit codes: 0 clean, 1 a verdict was VIOLATION/fail, 2 configuration error
-(including invalid scenario parameters, fewer than 2 replications, points or
-queries whose dimension is not the window's, an ops-preservation shift of
-another length, a marked-basis mark_mean that is not positive, and lo-extremal
-queries of other than two points), 3 runtime failure (including numerical
-failures: NumericalError, LinAlgError, FloatingPointError).
+(including a repeated scenario id, invalid scenario parameters, fewer than 2
+replications, points or queries whose dimension is not the window's, an
+ops-preservation shift of another length, a marked-basis mark_mean that is not
+positive, and lo-extremal queries of other than two points), 3 runtime failure
+(including numerical failures: NumericalError, LinAlgError, FloatingPointError).
 """
 from __future__ import annotations
 
@@ -80,11 +81,15 @@ def _load_config(config_path: str) -> dict:
     workers = cfg.get("workers", 1)
     if not is_int(workers) or workers < 1:
         raise ConfigError("config key 'workers' must be a positive integer")
+    seen = set()
     for entry in cfg["scenarios"]:
         if not isinstance(entry, dict) or "id" not in entry:
             raise ConfigError("each scenario entry must be a mapping with an 'id' key")
         if entry["id"] not in SCENARIOS:
             raise ConfigError(f"unknown scenario id: {entry['id']}")
+        if entry["id"] in seen:
+            raise ConfigError(f"scenario id listed twice: {entry['id']}")
+        seen.add(entry["id"])
         try:
             check_params(entry["id"], {k: v for k, v in entry.items() if k != "id"})
         except ValueError as exc:

@@ -3,6 +3,11 @@
 All sampling windows are axis-aligned boxes in R^d with either torus
 (periodic) or plain topology.  Boxes are half-open [low, high) so that a
 partition of a box counts every point exactly once.
+
+Arithmetic on batches of (N, d) points runs one axis at a time, as an (N,)
+column combined with a scalar: numpy broadcasting an (N, d) array against a
+(d,) vector runs one inner loop per row, several times slower for small d.
+``Window.wrap`` calls np.mod only on the coordinates that left the window.
 """
 from __future__ import annotations
 
@@ -63,9 +68,27 @@ class Window:
         return np.all((pts >= self.lows) & (pts <= self.highs), axis=1)
 
     def wrap(self, points: np.ndarray) -> np.ndarray:
-        """Map points into the window by periodic wrapping (torus only)."""
+        """Map points into [lows, highs) by periodic wrapping (torus only):
+        lows + mod(x - lows, lengths) per axis, with a coordinate that rounds
+        to highs or past it mapped to lows (mod of a tiny negative value rounds
+        up to the length, and lows + lengths can exceed highs).  mod runs only
+        where x - lows is not strictly inside (0, length), since it returns
+        such a value unchanged."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.lows + np.mod(pts - self.lows, self.lengths)
+        out = np.empty_like(pts)
+        for k, (lo, hi, length) in enumerate(zip(self.lows, self.highs, self.lengths)):
+            rel = pts[:, k] - lo
+            left = rel <= 0
+            left |= rel >= length
+            i = np.flatnonzero(left)
+            if i.size:
+                rel[i] = np.mod(rel[i], length)
+            rel += lo
+            top = rel >= hi
+            if top.any():
+                rel[top] = lo
+            out[:, k] = rel
+        return out
 
 
 @dataclass(frozen=True)

@@ -404,7 +404,11 @@ def lo_compare(
     thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
 
     def below(u: np.ndarray) -> np.ndarray:
-        return np.all(u[:, None, :] <= thresholds[None, :, :], axis=2)
+        # (size, thresholds) per axis, ANDed over the axes
+        out = u[:, 0, None] <= thresholds[:, 0]
+        for k in range(1, thresholds.shape[1]):
+            out &= u[:, k, None] <= thresholds[:, k]
+        return out
 
     mom_1, mom_2 = replicate((draw_u1, draw_u2), below, n_reps, stream)
     p1, p2 = mom_1.mean, mom_2.mean

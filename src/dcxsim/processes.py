@@ -92,18 +92,21 @@ def _lattice_size(w: Window, spacing: float) -> np.ndarray:
 
 def _lattice_index(
     w: Window, points: np.ndarray, shift: np.ndarray, spacing: float, n_lattice: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spin-lattice cell of each point along each axis, and the lattice size.
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Spin-lattice cell of each point along each axis, one (..., n) array per
+    axis, and the lattice size (d,).
 
     points (..., n, d) and the lattice shift (..., 1, d) broadcast.  On a torus
     the lattice is periodic with n_lattice cells per axis; on a plain window it
-    is the cells the points meet, numbered from 0 along each axis.
+    is the cells the points meet, numbered from 0 along each axis (per leading
+    index), and its size is the largest such count.
     """
     if w.topology == TORUS:
-        return np.floor((points - w.lows - shift) / spacing).astype(int) % n_lattice, n_lattice
-    idx = np.floor((points - shift) / spacing).astype(int)
-    idx -= idx.min(axis=-2, keepdims=True)
-    return idx, idx.max(axis=-2) + 1
+        offsets = (points[..., k] - w.lows[k] - shift[..., k] for k in range(w.dim))
+        return [np.floor(o / spacing).astype(int) % n for o, n in zip(offsets, n_lattice)], n_lattice
+    idx = [np.floor((points[..., k] - shift[..., k]) / spacing).astype(int) for k in range(w.dim)]
+    idx = [i - i.min(axis=-1, keepdims=True) for i in idx]
+    return idx, np.array([i.max() + 1 for i in idx])
 
 
 # Lattice spacing of the spin-lattice field, shared by the point and the count path.
@@ -131,7 +134,7 @@ def sample_ising_field(
     field = GridField(w, cells_per_axis, np.zeros(tuple(np.atleast_1d(cells_per_axis))))
     lattice_idx, n_lattice = _lattice_index(w, field.midpoints(), shift, ISING_SPACING, n_lattice)
     spins = gen.random(tuple(n_lattice)) < p_plus
-    vals = np.where(spins[tuple(lattice_idx.T)], mu1, mu2)
+    vals = np.where(spins[tuple(lattice_idx)], mu1, mu2)
     return GridField(w, cells_per_axis, vals.reshape(field.values.shape))
 
 
@@ -210,9 +213,8 @@ def make_ising_cox_counts(
     def draw(gen: np.random.Generator, size: int) -> np.ndarray:
         shift = gen.random((size, 1, w.dim)) * ISING_SPACING
         idx, n_lat = _lattice_index(w, table, shift, ISING_SPACING, n_lattice)
-        n_lat = np.max(np.reshape(n_lat, (-1, w.dim)), axis=0)
         values = np.where(gen.random((size, *n_lat)) < p_plus, mu1, mu2)
-        occ = [_occupancy(idx[:, : ov.shape[0], k], n_lat[k], ov) for k, ov in enumerate(ovs)]
+        occ = [_occupancy(i[:, : ov.shape[0]], n, ov) for i, n, ov in zip(idx, n_lat, ovs)]
         return gen.poisson(np.einsum(spec, values, *occ))
 
     return draw
@@ -291,7 +293,12 @@ def _poisson_batch(
     if w.topology != TORUS:
         lows, lengths = lows - pad, lengths + 2 * pad
     counts = gen.poisson(lam * float(np.prod(lengths)), size=size)
-    return PatternBatch(w, lows + gen.random((int(counts.sum()), w.dim)) * lengths, counts)
+    # lows + u * lengths one axis at a time, on the same (N, d) draw
+    pts = gen.random((int(counts.sum()), w.dim))
+    for col, lo, length in zip(pts.T, lows, lengths):
+        col *= length
+        col += lo
+    return PatternBatch(w, pts, counts)
 
 
 def ppcluster_intensity_at(
@@ -364,7 +371,7 @@ def sample_gnscp(
     gamma == const, Poisson-parent special case.
     """
     parents = parent_sampler(gen)
-    pts_list = []
+    clusters = [np.empty((0, w.dim))]
     for j in range(parents.n):
         gamma_j = float(gamma_dist.sample(gen))
         b_j = float(b_dist.sample(gen))
@@ -372,14 +379,12 @@ def sample_gnscp(
         if n_j == 0:
             continue
         offs = k1.sample_offsets(gen, n_j, w.dim) * b_j
-        children = parents.points[j] + offs
-        if w.topology == TORUS:
-            pts_list.append(w.wrap(children))
-        else:
-            keep = w.contains(children)
-            pts_list.append(np.atleast_2d(children)[keep])
-    pts = np.vstack(pts_list) if pts_list else np.empty((0, w.dim))
-    return PointPattern(w, pts)
+        clusters.append(parents.points[j] + offs)
+    # wrapping and clipping act point by point, so once over all clusters
+    children = np.concatenate(clusters)
+    if w.topology == TORUS:
+        return PointPattern(w, w.wrap(children))
+    return PointPattern(w, children[w.contains(children)])
 
 
 def make_thomas_sampler(

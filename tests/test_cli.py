@@ -7,7 +7,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from dcxsim.cli import _load_config, main
+from dcxsim.cli import ConfigError, _load_config, main
 from dcxsim.geometry import NumericalError, make_stream
 from dcxsim.scenarios import SCENARIOS, run_scenario
 
@@ -232,6 +232,22 @@ def test_unknown_top_level_key_is_a_config_error(tmp_path):
     result = CliRunner().invoke(main, ["run", str(path)])
     assert result.exit_code == 2
     assert "sede, worker" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_scenario_id_is_a_config_error(tmp_path):
+    # both entries write palm-poisson-check.json/.csv: the second overwrote the first
+    entries = [
+        {"id": "palm-poisson-check", "n_reps": 200},
+        {"id": "oracle-poisson-scaling"},
+        {"id": "palm-poisson-check", "n_reps": 300},
+    ]
+    path = _write_config(tmp_path, entries)
+    with pytest.raises(ConfigError, match="palm-poisson-check"):
+        _load_config(str(path))
+    result = CliRunner().invoke(main, ["run", str(path)])
+    assert result.exit_code == 2
+    assert "palm-poisson-check" in result.output
     assert not (tmp_path / "out").exists()
 
 

@@ -36,6 +36,64 @@ def test_wrap_and_contains():
     assert w.contains(wrapped).all()
 
 
+def _wrap_oracle(w, pts):
+    """The broadcast formula, with a coordinate rounded up to highs or past it taken to lows."""
+    out = w.lows + np.mod(np.atleast_2d(pts) - w.lows, w.lengths)
+    return np.where(out >= w.highs, w.lows, out)
+
+
+def test_wrap_never_returns_the_upper_edge():
+    # mod(1 - 1e-17, 1) rounds up to 1, a point no half-open box of a
+    # partition of the window counts
+    w = make_window([0, 0], [1, 1])
+    assert (w.lows + np.mod(np.array([[-1e-17, 0.5]]) - w.lows, w.lengths))[0, 0] == 1.0
+    wrapped = w.wrap([[-1e-17, 0.5]])
+    assert np.array_equal(wrapped, [[0.0, 0.5]])
+    halves = [Box([0, 0], [0.5, 1]), Box([0.5, 0], [1, 1])]
+    assert sum(count_in(PointPattern(w, wrapped), b) for b in halves) == 1
+    # non-zero lows: the coordinate just below lows[0] wraps to just below highs[0]
+    w = make_window([0.125, -2.0], [1.125, 1.0])
+    x = np.nextafter(0.125, -np.inf)
+    assert (w.lows + np.mod(np.array([[x, 0.0]]) - w.lows, w.lengths))[0, 0] == 1.125
+    assert np.array_equal(w.wrap([[x, 0.0]]), [[0.125, 0.0]])
+    assert np.array_equal(w.wrap([[1.125, 1.0]]), [[0.125, -2.0]])
+    # 0.8 - -0.4 rounds to 1.2000000000000002, mod(-1.1e-16, that) rounds up to
+    # it, and -0.4 + it is 0.8000000000000002: the formula lands past highs
+    w = make_window([-0.4, 1.25], [0.8, 3.0])
+    x = np.nextafter(np.nextafter(-0.4, -np.inf), -np.inf)
+    assert (w.lows + np.mod(np.array([[x, 2.0]]) - w.lows, w.lengths))[0, 0] > 0.8
+    assert np.array_equal(w.wrap([[x, 2.0]]), [[-0.4, 2.0]])
+
+
+@pytest.mark.parametrize("lows, highs", [
+    ([0.3], [2.1]),
+    ([-0.4, 1.25], [0.8, 3.0]),
+    ([0.1, -2.0, 5.0], [1.3, -1.1, 5.7]),
+    ([0.0, 0.0], [1.0, 1.0]),
+    # lows + (highs - lows) rounds below highs on both axes
+    ([0.2, -2.0], [0.9, 1.3]),
+])
+def test_wrap_matches_broadcast_formula(lows, highs):
+    w = make_window(lows, highs)
+    lo, hi, length = w.lows, w.highs, w.lengths
+    k = np.arange(-3, 4)[:, None]
+    special = np.vstack([
+        lo, hi, -lo, -hi,
+        lo + k * length, hi + k * length,  # at +-k L
+        lo + 1e6 * length, lo - 1e12 * length, np.full_like(lo, 1e300), np.full_like(lo, -1e300),
+        np.full_like(lo, -0.0), np.full_like(lo, 0.0),
+        np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), np.nextafter(hi, -np.inf),
+    ])
+    gen = make_stream(4).generator()
+    spread = lo + gen.normal(0.5, 0.8, size=(2000, w.dim)) * length
+    inside = lo + gen.random((500, w.dim)) * length
+    for pts in (special, spread, inside, special[:, ::-1] if w.dim > 1 else special):
+        got = w.wrap(pts)
+        assert np.array_equal(got, _wrap_oracle(w, pts))
+        assert np.array_equal(np.signbit(got), np.signbit(_wrap_oracle(w, pts)))
+        assert np.all((got >= lo) & (got < hi))
+
+
 def test_torus_distance_min_image():
     a, b = [[0.05, 0.5]], [[0.95, 0.5]]
     w = make_window([0, 0], [1, 1], TORUS)

@@ -210,6 +210,20 @@ def test_lo_compare_directions():
     assert rep2["verdict"] == VIOLATION
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lo_compare_cdfs_match_broadcast_formula(dim):
+    # integer-valued draws tie with the thresholds, which must count as below
+    draw_1 = lambda gen, size: gen.integers(0, 4, size=(size, dim)).astype(float)
+    draw_2 = lambda gen, size: gen.poisson(1.5, size=(size, dim)).astype(float)
+    grid = np.array([0.0, 1.0, 1.5, 3.0])
+    ts = np.stack(np.meshgrid(*[grid] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    rep = lo_compare(draw_1, draw_2, ts, 600, make_stream(5))
+    below = lambda u: np.all(u[:, None, :] <= ts[None, :, :], axis=2)
+    mom_1, mom_2 = ordering.replicate((draw_1, draw_2), below, 600, make_stream(5))
+    assert [r["cdf_1"] for r in rep["per_threshold"]] == mom_1.mean.tolist()
+    assert [r["cdf_2"] for r in rep["per_threshold"]] == mom_2.mean.tolist()
+
+
 def test_cx_compare_exact_basics():
     # a two-point law vs its mean: constant is convex-smaller
     const = (np.array([1.0]), np.array([1.0]))

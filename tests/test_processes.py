@@ -378,3 +378,87 @@ def test_batch_samplers_match_per_realization_samplers_in_law(case):
     mom_b, mom_s = replicate((batch, batched(single)), reduce, n, make_stream(32))
     z = (mom_s.mean - mom_b.mean) / np.sqrt((mom_b.var + mom_s.var) / n)
     assert decide(np.concatenate([z, -z])) == CONSISTENT
+
+
+# ---------------------------------------------------------------------------
+# Exact oracles: the batch samplers' per-axis arithmetic against the
+# broadcast formulas it replaced, on the same generator state
+
+AXIS_WINDOWS = [
+    ([0.3], [2.1]),
+    ([-0.4, 1.25], [0.8, 3.0]),
+    ([0.1, -2.0, 5.0], [1.3, -1.1, 5.7]),
+]
+
+
+def _wrap_oracle(w, pts):
+    out = w.lows + np.mod(pts - w.lows, w.lengths)
+    return np.where(out >= w.highs, w.lows, out)
+
+
+def _poisson_batch_oracle(lam, w, pad, gen, size):
+    lows, lengths = w.lows, w.lengths
+    if w.topology != "torus":
+        lows, lengths = lows - pad, lengths + 2 * pad
+    counts = gen.poisson(lam * float(np.prod(lengths)), size=size)
+    return lows + gen.random((int(counts.sum()), w.dim)) * lengths, counts
+
+
+def _thomas_batch_oracle(parent_lam, cluster_size, sigma, w, gen, size):
+    kernel = ClusterKernel(sigma)
+    parents, counts = _poisson_batch_oracle(parent_lam, w, kernel.truncation_radius(), gen, size)
+    n_child = gen.poisson(cluster_size, size=parents.shape[0])
+    children = np.repeat(parents, n_child, axis=0)
+    children += kernel.sample_offsets(gen, children.shape[0], w.dim)
+    rep = np.repeat(np.repeat(np.arange(size), counts), n_child)
+    if w.topology == "torus":
+        children = _wrap_oracle(w, children)
+    else:
+        keep = np.all((children >= w.lows) & (children <= w.highs), axis=1)
+        children, rep = children[keep], rep[keep]
+    return children, np.bincount(rep, minlength=size)
+
+
+@pytest.mark.parametrize("topology", ["torus", "plain"])
+@pytest.mark.parametrize("lows, highs", AXIS_WINDOWS)
+def test_batch_samplers_match_broadcast_formulas(lows, highs, topology):
+    w = make_window(lows, highs, topology)
+    lam = 60.0 / w.volume
+    for seed in range(3):
+        batch = processes.make_poisson_batch(lam, w)(make_stream(seed).generator(), 50)
+        pts, counts = _poisson_batch_oracle(lam, w, 0.0, make_stream(seed).generator(), 50)
+        assert np.array_equal(batch.points, pts) and np.array_equal(batch.counts, counts)
+        # sigma near the shortest side: many children leave the window
+        sigma = 0.3 * float(w.lengths.min())
+        batch = processes.make_thomas_batch(lam / 5, 5.0, sigma, w)(make_stream(seed).generator(), 50)
+        pts, counts = _thomas_batch_oracle(lam / 5, 5.0, sigma, w, make_stream(seed).generator(), 50)
+        assert np.array_equal(batch.points, pts) and np.array_equal(batch.counts, counts)
+        assert batch.points.shape[0] > 1000
+
+
+def _lattice_index_oracle(w, points, shift, spacing, n_lattice):
+    if w.topology == "torus":
+        return np.floor((points - w.lows - shift) / spacing).astype(int) % n_lattice, n_lattice
+    idx = np.floor((points - shift) / spacing).astype(int)
+    idx -= idx.min(axis=-2, keepdims=True)
+    return idx, np.max(np.reshape(idx.max(axis=-2) + 1, (-1, w.dim)), axis=0)
+
+
+@pytest.mark.parametrize("topology", ["torus", "plain"])
+@pytest.mark.parametrize("lows, highs, cells", [
+    ([0.5], [7.5], [20]),
+    ([0.5, -1.0], [4.5, 2.0], [12, 7]),
+    ([-2.0, 0.0, 3.0], [1.0, 2.0, 4.0], [5, 4, 3]),
+])
+def test_lattice_index_matches_broadcast_formula(lows, highs, cells, topology):
+    w = make_window(lows, highs, topology)
+    mids = GridField(w, cells, np.zeros(cells)).midpoints()
+    n_lattice = processes._lattice_size(w, 1.0)
+    gen = make_stream(6).generator()
+    # the field's (cells, d) midpoints with one (d,) shift, and the count
+    # sampler's (size, cells, d) table shifts
+    for shift in (gen.random(w.dim), gen.random((40, 1, w.dim))):
+        idx, n_lat = processes._lattice_index(w, mids, shift, 1.0, n_lattice)
+        want, want_n = _lattice_index_oracle(w, mids, shift, 1.0, n_lattice)
+        assert np.array_equal(np.stack(idx, axis=-1), want)
+        assert np.array_equal(n_lat, want_n)
