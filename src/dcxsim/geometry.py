@@ -18,6 +18,12 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; every stream draws from it, so load it here
 
 
+# points (or pair entries) per block of the ragged reducers, shotnoise.ragged_sn
+# and stats.ripley_k: large enough that numpy's per-call cost is spread over
+# many entries, small enough that a block's temporaries stay in the cache
+_BLOCK = 1 << 14
+
+
 class NumericalError(ArithmeticError, ValueError):
     """A numerical failure rather than a bad input: a non-PSD covariance,
     quadrature non-convergence, non-finite values, all-zero weights.  It is a
@@ -64,8 +70,8 @@ class Window:
         return float(np.prod(self.lengths))
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((pts >= self.lows) & (pts <= self.highs), axis=1)
+        """Closed membership: low <= x <= high per axis."""
+        return _inside(points, self.lows, self.highs, np.less_equal)
 
     def wrap(self, points: np.ndarray) -> np.ndarray:
         """Map points into [lows, highs) by periodic wrapping (torus only):
@@ -112,8 +118,25 @@ class Box:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Half-open membership: low <= x < high per axis."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((pts >= self.lows) & (pts < self.highs), axis=1)
+        return _inside(points, self.lows, self.highs, np.less)
+
+
+def _as_points(points, dim: int) -> np.ndarray:
+    """Points as an (N, dim) float array; ValueError for another dimension."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[-1] != dim:
+        raise ValueError(f"points of dimension {pts.shape[-1]} in {dim}-d space")
+    return pts
+
+
+def _inside(points, lows: np.ndarray, highs: np.ndarray, below) -> np.ndarray:
+    """(N,) lows[k] <= x_k and below(x_k, highs[k]) on every axis k."""
+    pts = _as_points(points, lows.shape[0])
+    out = np.ones(pts.shape[0], dtype=bool)
+    for k, (lo, hi) in enumerate(zip(lows, highs)):
+        out &= pts[:, k] >= lo
+        out &= below(pts[:, k], hi)
+    return out
 
 
 def make_window(lows, highs, topology: str = TORUS) -> Window:
@@ -133,22 +156,33 @@ def boxes_disjoint(boxes: Sequence[Box]) -> bool:
 # ---------------------------------------------------------------------------
 # Distances
 
-def pairwise_distances(w: Window, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance matrix (..., len(a), len(b)) under the window's topology for
-    points a (..., len(a), d) and b (..., len(b), d), whose leading axes
-    broadcast; ValueError when the points of a and b differ in dimension."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+def sq_distances(w: Window, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances under the window's topology between the points
+    a (..., d) and b (..., d), paired by broadcasting their leading axes.
+    One axis at a time: per axis k the gap |a_k - b_k| (on a torus, the
+    shorter way round), squared and added to the sum of the earlier axes."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"points of dimension {a.shape[-1]} and {b.shape[-1]} have no distance")
-    # one axis at a time: (..., len(a), len(b)) temporaries only, summed in axis order
-    sq = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-2]))
+    sq = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
     for k in range(a.shape[-1]):
-        diff = np.abs(a[..., :, None, k] - b[..., None, :, k])
+        diff = np.abs(a[..., k] - b[..., k])
         if w.topology == TORUS:
             np.minimum(diff, w.lengths[k] - diff, out=diff)
         diff *= diff
         sq += diff
+    return sq
+
+
+def pairwise_distances(w: Window, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance matrix (..., len(a), len(b)) under the window's topology for
+    points a (..., len(a), d) and b (..., len(b), d), whose leading axes
+    broadcast: the square root of ``sq_distances`` of every (a, b) pair;
+    ValueError when the points of a and b differ in dimension."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    sq = sq_distances(w, a[..., :, None, :], b[..., None, :, :])
     return np.sqrt(sq, out=sq)
 
 
@@ -243,10 +277,13 @@ class GridField:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def value_at(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = np.floor((pts - self.window.lows) / self.cell_lengths).astype(int)
-        idx = np.clip(idx, 0, self.cells_per_axis - 1)
-        return self.values[tuple(idx.T)]
+        pts = _as_points(points, self.window.dim)
+        lows, cell, n = self.window.lows, self.cell_lengths, self.cells_per_axis
+        idx = [
+            np.clip(np.floor((pts[:, k] - lows[k]) / cell[k]).astype(int), 0, n[k] - 1)
+            for k in range(self.window.dim)
+        ]
+        return self.values[tuple(idx)]
 
 
 @dataclass(frozen=True)

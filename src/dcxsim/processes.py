@@ -8,7 +8,7 @@ return (size, boxes) box counts, box-mass samplers
 boxes) box masses, and ragged samplers (``make_poisson_batch``,
 ``make_thomas_batch``) return a ``PatternBatch``: the points (N, d) of all
 realizations in replication order and the per-replication counts (size,),
-which ``shotnoise.ragged_sn`` reduces in one pass.
+which ``shotnoise.ragged_sn`` reduces in replication-aligned blocks.
 """
 from __future__ import annotations
 

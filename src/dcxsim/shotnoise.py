@@ -1,9 +1,9 @@
 """Additive and extremal shot-noise fields over patterns, grids and atomic measures.
 
 ``additive_sn`` and ``extremal_sn`` reduce one realization.  ``ragged_sn``
-reduces a whole batch of realizations (a ``PatternBatch``) in one pass: the
-Monte-Carlo estimators use it, and the per-realization functions are its
-reference.
+reduces a whole batch of realizations (a ``PatternBatch``) in
+replication-aligned blocks: the Monte-Carlo estimators use it, and the
+per-realization functions are its reference.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import numpy as np
 
 from .distributions import TRUNCATION_REL_TOL
 from .geometry import (
+    _BLOCK,
     TORUS,
     AtomicMeasure,
     GridField,
@@ -111,39 +112,63 @@ def extremal_sn(p: PointPattern, h: ResponseKernel, queries: np.ndarray) -> np.n
 def ragged_sn(
     batch: PatternBatch,
     queries: np.ndarray,
-    response: Callable[[np.ndarray], np.ndarray],
+    response: Callable[..., np.ndarray],
     how: str = "sum",
-    weights: Optional[np.ndarray] = None,
+    marks: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Shot noise of every replication of a batch at the queries, (size, q).
 
-    For each query y, ``response`` maps the (N,) distances from the batch's
-    points to y to their contributions, multiplied by ``weights[:, j]`` when
-    per point-query weights (N, q) are given.  how="sum" adds the
-    contributions of each replication (additive shot noise, as additive_sn),
-    how="max" takes their maximum (extremal shot noise, as extremal_sn); a
-    replication without points gives 0.  Queries are reduced one at a time,
-    so no (N, q, d) array is built.
+    For each query y, ``response`` maps distances from points to y to their
+    contributions, elementwise: response(d) without marks; with per-point
+    marks (N,) or per point-query marks (N, q), response(d, m), where m holds
+    the marks of the same points (column j of them for query j).  how="sum"
+    adds the contributions of each replication (additive shot noise, as
+    additive_sn), how="max" takes their maximum (extremal shot noise, as
+    extremal_sn); a replication without points gives 0.
+
+    The batch is walked in replication-aligned blocks of about
+    ``geometry._BLOCK`` points: a block ends at the first replication that
+    starts at or after a multiple of the block size, so every replication is
+    reduced whole, in point order, and the sums and maxima do not depend on
+    the blocks.  Queries are reduced one at a time, so no (N, q, d) array is
+    built.
     """
     if how not in ("sum", "max"):
         raise ValueError(f"unknown reduction {how!r}")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     out = np.zeros((batch.size, queries.shape[0]))
-    if batch.points.shape[0] == 0:
+    n_points = batch.points.shape[0]
+    if n_points == 0:
         return out
-    if how == "sum":
-        rep = batch.replication()
-    else:
-        filled = batch.counts > 0
-        starts = (np.cumsum(batch.counts) - batch.counts)[filled]
-    for j, y in enumerate(queries):
-        vals = response(pairwise_distances(batch.window, batch.points, y)[:, 0])
-        if weights is not None:
-            vals = vals * weights[:, j]
+    counts = batch.counts
+    starts = np.cumsum(counts) - counts
+    # replication cuts, ascending; a replication longer than a block repeats
+    # its cut, and empty replications can follow the last point, so a block
+    # may hold no points (its rows stay 0)
+    cuts = np.append(np.searchsorted(starts, np.arange(0, n_points, _BLOCK)), batch.size)
+    offsets = np.append(starts, n_points)
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        first, last = offsets[lo], offsets[hi]
+        if first == last:
+            continue
+        pts = batch.points[first:last]
+        m = None if marks is None else marks[first:last]
+        block_counts = counts[lo:hi]
         if how == "sum":
-            out[:, j] = np.bincount(rep, vals, batch.size)
+            rep = np.repeat(np.arange(hi - lo), block_counts)
         else:
-            out[filled, j] = np.maximum.reduceat(vals, starts)
+            filled = np.flatnonzero(block_counts) + lo
+            block_starts = starts[filled] - first
+        for j, y in enumerate(queries):
+            d = pairwise_distances(batch.window, pts, y)[:, 0]
+            if m is None:
+                vals = response(d)
+            else:
+                vals = response(d, m if m.ndim == 1 else m[:, j])
+            if how == "sum":
+                out[lo:hi, j] = np.bincount(rep, vals, hi - lo)
+            else:
+                out[filled, j] = np.maximum.reduceat(vals, block_starts)
     return out
 
 

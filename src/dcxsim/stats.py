@@ -1,16 +1,22 @@
 """Summary statistics of realizations: Ripley's K, Boolean-model coverage
 counts, and mixed-Palm (size-biased) reweighting; the Ripley and Palm
-estimates reduce batch draws through ``ordering.replicate``.  Ripley's K
-counts a chunk's pairs in blocks of replications with equal point counts,
-stacked (g, n, d): ``geometry.pairwise_distances`` broadcasts over such
-leading axes."""
+estimates reduce batch draws through ``ordering.replicate``.
+
+Ripley's K counts each unordered pair of a replication once, on squared
+distances: a pair is within r exactly when its squared distance is at most
+t(r), the largest double whose square root is at most r.  A chunk's
+replications are grouped by point count and stacked (g, n, d), a block of
+about ``geometry._BLOCK`` pair entries at a time."""
 from __future__ import annotations
 
+import math
 from typing import Callable, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import (
+    _BLOCK,
     TORUS,
     AtomicMeasure,
     GridField,
@@ -19,14 +25,24 @@ from .geometry import (
     PointPattern,
     RngStream,
     pairwise_distances,
+    sq_distances,
 )
 from .ordering import replicate
 
 
-# distance entries per block of equal-count replications: large enough that
-# numpy's per-call cost is spread over many pairs, small enough for the cache
-# (the r comparisons hold len(r_grid) bytes per entry)
-_BLOCK_ENTRIES = 1 << 14
+def _sq_threshold(r: float) -> float:
+    """t(r), the largest double whose sqrt is <= r, so that sq <= t(r) holds
+    exactly when sqrt(sq) <= r: sqrt is correctly rounded, hence monotone.
+    -1 (below every squared distance) when r < 0 or r is NaN."""
+    if not r >= 0:
+        return -1.0
+    # r * r (inf once it overflows) is within a few ulps of t(r)
+    t = r * r
+    while math.sqrt(t) > r:
+        t = math.nextafter(t, 0.0)
+    while t < math.inf and math.sqrt(math.nextafter(t, math.inf)) <= r:
+        t = math.nextafter(t, math.inf)
+    return t
 
 
 def ripley_k(
@@ -38,6 +54,7 @@ def ripley_k(
     Returns (K_hat, stderr); for homogeneous Poisson in the plane K(r) = pi r^2.
     """
     r_grid = np.asarray(r_grid, dtype=float)
+    thresholds = [_sq_threshold(r) for r in r_grid.tolist()]
 
     def k_rows(batch: PatternBatch) -> np.ndarray:
         w = batch.window
@@ -45,23 +62,30 @@ def ripley_k(
             raise ValueError("ripley_k requires a torus window")
         counts = batch.counts
         starts = np.cumsum(counts) - counts
-        scale = lam**2 * w.volume
-        with_diagonal = r_grid >= 0
+        # ordered pairs: each unordered pair counted once stands for two
+        scale = lam**2 * w.volume / 2.0
         out = np.zeros((batch.size, r_grid.size))
-        # replications of n points are stacked (g, n, d) and their n x n
-        # distance matrices counted together, a block of them at a time
         present = np.flatnonzero(np.bincount(counts))
         for n in present[present >= 2]:
             reps = np.flatnonzero(counts == n)
-            per_block = max(1, _BLOCK_ENTRIES // (n * n))
+            # point i pairs with point i + s (mod n) for s = 1..h: the points
+            # followed by their first h, seen through windows of n.  When n is
+            # even, the row s = n/2 holds each of its pairs twice, bit-equal,
+            # and only its first half is kept: the first n(n-1)/2 entries of
+            # a replication's (h, n) rows hold each pair once
+            h = n // 2
+            ring = np.arange(n + h) % n
+            pairs = n * (n - 1) // 2
+            per_block = max(1, _BLOCK // (n * h))
             for lo in range(0, reps.size, per_block):
                 block = reps[lo : lo + per_block]
-                pts = batch.points[starts[block, None] + np.arange(n)]
-                d = pairwise_distances(w, pts, pts).reshape(block.size, n * n)
-                # ordered pairs: the matrix is exactly symmetric, and its zero
-                # diagonal counts once r >= 0
-                pairs = np.count_nonzero(d[:, None, :] <= r_grid[:, None], axis=2)
-                out[block] = (pairs - n * with_diagonal) / scale
+                pts = batch.points[starts[block, None] + ring]
+                shifted = sliding_window_view(pts, n, axis=1)[:, 1:]
+                sq = sq_distances(w, pts[:, None, :n], np.moveaxis(shifted, -1, -2))
+                sq = sq.reshape(block.size, n * h)[:, :pairs]
+                for j, t in enumerate(thresholds):
+                    out[block, j] = np.count_nonzero(sq <= t, axis=1)
+        out /= scale
         return out
 
     (mom,) = replicate((draw,), k_rows, n_reps, stream)

@@ -3,9 +3,10 @@ joint SINR coverage of a set of links and Boolean-model coverage counts.
 
 The estimators take ragged batch samplers (gen, size) -> PatternBatch: a
 chunk's points (N, d) in replication order and its per-replication counts
-(size,).  Fading is drawn as (N, links) arrays, and ``shotnoise.ragged_sn``
-reduces the chunk in one pass; noise power and grain radius are fixed
-numbers.  The chunks are those of ``ordering.replicate``."""
+(size,).  Fading is drawn as (N, links) arrays and reaches
+``shotnoise.ragged_sn`` as its marks, with the response value(d) * f, and
+the chunk is reduced in replication-aligned blocks; noise power and grain
+radius are fixed numbers.  The chunks are those of ``ordering.replicate``."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -89,7 +90,7 @@ def _sinr_estimate(
         cross = np.asarray(fading.sample(gen, size=(size, n, n)), dtype=float) * cross_gains
         fades = np.asarray(fading.sample(gen, size=(interferers.points.shape[0], n)), dtype=float)
         i_pow = cross.sum(axis=1) + ragged_sn(
-            interferers, layout.receivers, layout.path_loss.value, weights=fades
+            interferers, layout.receivers, lambda d, f: layout.path_loss.value(d) * f, marks=fades
         )
         s = layout.threshold * (layout.noise + i_pow) / gains
         if rayleigh:

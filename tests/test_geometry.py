@@ -16,6 +16,7 @@ from dcxsim.geometry import (
     make_window,
     mass_in,
     pairwise_distances,
+    sq_distances,
 )
 
 
@@ -92,6 +93,60 @@ def test_wrap_matches_broadcast_formula(lows, highs):
         assert np.array_equal(got, _wrap_oracle(w, pts))
         assert np.array_equal(np.signbit(got), np.signbit(_wrap_oracle(w, pts)))
         assert np.all((got >= lo) & (got < hi))
+
+
+@pytest.mark.parametrize("lows, highs", [
+    ([0.0], [3.0]),
+    ([0.2, -2.0], [0.9, 1.3]),
+    ([0.0, 0.0, 0.0], [1.0, 1.5, 1.0]),
+])
+def test_membership_and_value_at_match_broadcast_formulas(lows, highs):
+    # the per-axis membership tests and cell lookup against the (N, d)-by-(d,)
+    # broadcast formulas they replace, bit for bit, with points on lows and
+    # highs and one ulp either side of them
+    w = make_window(lows, highs, PLAIN)
+    lo, hi = w.lows, w.highs
+    gen = make_stream(5).generator()
+    edges = np.vstack([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+                       np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf)])
+    # every combination of edge values across the axes, and random points
+    # around the window
+    mixed = np.stack(np.meshgrid(*edges.T, indexing="ij"), axis=-1).reshape(-1, w.dim)
+    spread = lo + gen.uniform(-0.2, 1.2, size=(3000, w.dim)) * w.lengths
+    box = Box(lo + 0.25 * w.lengths, hi - 0.25 * w.lengths)
+    bedges = np.vstack([box.lows, box.highs, np.nextafter(box.lows, -np.inf),
+                        np.nextafter(box.highs, -np.inf), np.nextafter(box.highs, np.inf)])
+    bmixed = np.stack(np.meshgrid(*bedges.T, indexing="ij"), axis=-1).reshape(-1, w.dim)
+    field = GridField(w, np.arange(3, 3 + w.dim), gen.random(int(np.prod(np.arange(3, 3 + w.dim)))))
+    for pts in (edges, mixed, spread, bmixed):
+        assert np.array_equal(w.contains(pts), np.all((pts >= w.lows) & (pts <= w.highs), axis=1))
+        assert np.array_equal(box.contains(pts), np.all((pts >= box.lows) & (pts < box.highs), axis=1))
+        idx = np.floor((pts - w.lows) / field.cell_lengths).astype(int)
+        idx = np.clip(idx, 0, field.cells_per_axis - 1)
+        assert np.array_equal(field.value_at(pts), field.values[tuple(idx.T)])
+    assert w.contains(edges[:2]).all() and not w.contains(edges[[2, 5]]).any()
+    assert box.contains(bedges[[0, 3]]).all() and not box.contains(bedges[[1, 2, 4]]).any()
+    # points of another dimension are refused, as the broadcast refused them
+    # (except a single column, which it spread over every axis)
+    for pts in (np.zeros((2, w.dim + 1)), np.zeros((2, 1)) if w.dim > 1 else np.zeros((2, 2))):
+        for f in (w.contains, box.contains, field.value_at):
+            with pytest.raises(ValueError):
+                f(pts)
+
+
+def test_sq_distances_pairs_by_broadcasting():
+    # elementwise pairs of broadcast points; pairwise_distances is the sqrt of
+    # every (a, b) pair of them, bit for bit
+    w = make_window([0, 0, 0], [1.0, 1.5, 2.0])
+    gen = make_stream(6).generator()
+    a = gen.random((4, 9, 3)) * w.lengths
+    b = gen.random((9, 3)) * w.lengths
+    sq = sq_distances(w, a, b)
+    assert sq.shape == (4, 9)
+    assert np.array_equal(np.sqrt(sq), pairwise_distances(w, a, b[None]).diagonal(axis1=1, axis2=2))
+    assert np.array_equal(np.sqrt(sq_distances(w, a[0], b[3])), pairwise_distances(w, a[0], b[3])[:, 0])
+    with pytest.raises(ValueError):
+        sq_distances(w, a, b[:, :2])
 
 
 def test_torus_distance_min_image():

@@ -30,6 +30,7 @@ from dcxsim.processes import (
     sample_ising_field,
     sample_poisson,
 )
+from dcxsim import shotnoise
 from dcxsim.shotnoise import ResponseKernel, additive_sn, campbell_mean, extremal_sn, ragged_sn
 from dcxsim.stats import coverage_field
 
@@ -166,7 +167,7 @@ def test_ragged_sn_equals_per_realization_reducers():
     radii = gen.exponential(0.2, size=batch.points.shape[0])
     total = ragged_sn(batch, QUERIES, h.value)
     top = ragged_sn(batch, QUERIES, h.value, "max")
-    count = ragged_sn(batch, QUERIES, lambda d: d <= radii)
+    count = ragged_sn(batch, QUERIES, lambda d, r: d <= r, marks=radii)
     ends = np.cumsum(batch.counts)
     for r, p in enumerate(pats):
         grains = PointPattern(W, p.points, radii[ends[r] - p.n : ends[r]])
@@ -182,6 +183,62 @@ def test_ragged_sn_equals_per_realization_reducers():
         ragged_sn(batch, QUERIES, h.value, "mean")
 
 
+def _single_pass_sn(batch, queries, response, how="sum", weights=None):
+    """ragged_sn as one pass over the whole batch per query, multiplied by
+    weights[:, j] when point-query weights are given: the blocked reducer's
+    reference."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    out = np.zeros((batch.size, queries.shape[0]))
+    if batch.points.shape[0] == 0:
+        return out
+    if how == "sum":
+        rep = batch.replication()
+    else:
+        filled = batch.counts > 0
+        starts = (np.cumsum(batch.counts) - batch.counts)[filled]
+    for j, y in enumerate(queries):
+        vals = response(pairwise_distances(batch.window, batch.points, y)[:, 0])
+        if weights is not None:
+            vals = vals * weights[:, j]
+        if how == "sum":
+            out[:, j] = np.bincount(rep, vals, batch.size)
+        else:
+            out[filled, j] = np.maximum.reduceat(vals, starts)
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 14])
+def test_blocked_ragged_sn_equals_single_pass(monkeypatch, block):
+    # empty replications on the block edges (multiples of 7) and at both ends,
+    # a replication of 15 points, longer than a block of 7, and a Poisson batch
+    # of 20 000 points, more than one block of 2^14
+    monkeypatch.setattr(shotnoise, "_BLOCK", block)
+    gen = make_stream(23).generator()
+    counts = np.array([0, 3, 4, 0, 0, 7, 15, 0, 1, 2, 0, 0])
+    edges = PatternBatch(W, gen.random((counts.sum(), 2)), counts)
+    big = make_poisson_batch(50.0, W)(gen, 400)
+    h = ResponseKernel("power_law", (4.0,))
+    for batch in (edges, big):
+        n = batch.points.shape[0]
+        fades = gen.exponential(1.0, size=(n, QUERIES.shape[0]))
+        radii = gen.exponential(0.2, size=n)
+        for how in ("sum", "max"):
+            assert np.array_equal(
+                ragged_sn(batch, QUERIES, h.value, how), _single_pass_sn(batch, QUERIES, h.value, how)
+            )
+            assert np.array_equal(
+                ragged_sn(batch, QUERIES, lambda d, f: h.value(d) * f, how, marks=fades),
+                _single_pass_sn(batch, QUERIES, h.value, how, weights=fades),
+            )
+            assert np.array_equal(
+                ragged_sn(batch, QUERIES, lambda d, r: d <= r, how, marks=radii),
+                _single_pass_sn(batch, QUERIES, lambda d: d <= radii, how),
+            )
+    none = PatternBatch(W, np.empty((0, 2)), np.zeros(5, dtype=int))
+    for how in ("sum", "max"):
+        assert np.array_equal(ragged_sn(none, QUERIES, h.value, how), np.zeros((5, 2)))
+
+
 WP = make_window([0.0, 0.0], [1.0, 1.0], "plain")
 PL = ResponseKernel("power_law", (4.0,))
 FADING = exponential(1.0)
@@ -193,7 +250,7 @@ def _interference_batch(gen, size):
     # interferer-query pair, as the SINR estimators draw it
     b = make_poisson_batch(5.0, W)(gen, size)
     fades = FADING.sample(gen, size=(b.points.shape[0], QUERIES.shape[0]))
-    return ragged_sn(b, QUERIES, PL.value, weights=fades)
+    return ragged_sn(b, QUERIES, lambda d, f: PL.value(d) * f, marks=fades)
 
 
 def _interference_single(gen):
@@ -205,7 +262,7 @@ def _interference_single(gen):
 def _coverage_batch(gen, size):
     b = make_thomas_batch(4.0, 5.0, 0.05, W)(gen, size)
     radii = RADIUS.sample(gen, size=b.points.shape[0])
-    return ragged_sn(b, QUERIES, lambda d: d <= radii)
+    return ragged_sn(b, QUERIES, lambda d, r: d <= r, marks=radii)
 
 
 def _coverage_single(gen):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,65 @@ def test_ripley_equals_sorted_pair_reference(draw, r_grid, lam, n_reps):
     k_ref, se_ref = _sorted_pair_k(draw, r_grid, lam, n_reps, make_stream(41))
     assert np.array_equal(k_hat, k_ref)
     assert np.array_equal(se, se_ref)
+
+
+def test_sq_threshold_is_the_largest_square_within_r():
+    # sqrt(t) <= r < sqrt(next double after t): sq <= t exactly when sqrt(sq) <= r
+    gen = make_stream(7).generator()
+    tiny = np.finfo(float).smallest_subnormal
+    rs = np.concatenate([
+        gen.random(3000) * 0.8,
+        gen.random(500) * 1e6,
+        np.arange(0, 64) / 8.0,  # exact squares
+        np.sqrt(np.arange(1.0, 500.0)),  # squares within an ulp of an integer
+        [0.0, -0.0, tiny, 1e-310, np.finfo(float).tiny, 1e-300, 1e300,
+         np.sqrt(np.finfo(float).max), np.finfo(float).max],
+    ])
+    for r in rs.tolist():
+        t = stats._sq_threshold(r)
+        assert math.sqrt(t) <= r < math.sqrt(math.nextafter(t, math.inf))
+    assert stats._sq_threshold(0.0) == 0.0 and stats._sq_threshold(1e-310) == 0.0
+    assert stats._sq_threshold(1e300) == np.finfo(float).max
+    assert stats._sq_threshold(math.inf) == math.inf
+    # below every squared distance
+    for r in (-0.1, -tiny, -math.inf, math.nan):
+        assert stats._sq_threshold(r) < 0
+
+
+def test_ripley_counts_no_pair_below_zero_or_at_nan():
+    r_grid = np.array([-0.1, np.nan, -np.inf, -0.0, 0.0, 0.5])
+    k_hat, se = stats.ripley_k(lambda gen, size: _DUPLICATES, r_grid, 2.0, 4, make_stream(0))
+    assert np.all(k_hat[:3] == 0) and np.all(se[:3] == 0)
+    # -0.0 >= 0: the duplicated point counts, as at r = 0
+    assert k_hat[3] == k_hat[4] > 0
+
+
+def _ulp_steps(gen, n):
+    """n points on a line through the torus, the gaps a few ulps apart, so
+    that squared distances land next to one another."""
+    x = 0.2 + np.cumsum(np.full(n, 0.07))
+    x = x + gen.integers(-3, 4, n) * np.spacing(x)
+    return np.column_stack([x, np.full(n, 0.4)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ripley_counts_pairs_at_r_and_not_one_ulp_past(n):
+    # r on every pair distance (the pair counts) and one ulp below it (the
+    # pair is one ulp past r and does not count), on replications of n points
+    gen = make_stream(50 + n).generator()
+    pts = np.vstack([_ulp_steps(gen, n) for _ in range(4)] + [gen.random((4 * n, 2))])
+    batch = PatternBatch(W, pts, np.full(8, n))
+    d = np.unique(np.concatenate([
+        pairwise_distances(W, p, p)[np.triu_indices(n, k=1)] for p in np.split(pts, 8)
+    ]))
+    r_grid = np.concatenate([d, np.nextafter(d, -np.inf), np.nextafter(d, np.inf)])
+    draw = lambda gen, size: batch
+    k_hat, se = stats.ripley_k(draw, r_grid, 3.0, 8, make_stream(0))
+    k_ref, se_ref = _sorted_pair_k(draw, r_grid, 3.0, 8, make_stream(0))
+    assert np.array_equal(k_hat, k_ref)
+    assert np.array_equal(se, se_ref)
+    at, below = np.split(k_hat[: 2 * d.size], 2)
+    assert np.all(at > below)
 
 
 def test_ripley_requires_torus():
