@@ -2,7 +2,7 @@
 
 Config files are YAML with these top-level keys and no others (any other
 key is a configuration error, found before any scenario runs):
-  seed        integer master seed
+  seed        integer master seed in [0, 2**64)
   output_dir  directory for the emitted reports
   workers     optional positive integer, accepted for existing configs; it has
               no effect, since scenarios run their replications serially
@@ -18,10 +18,12 @@ an id listed twice is a configuration error, found before any scenario runs.
 Reports are written only after the last scenario has run, so a run that
 exits 2 or 3 writes no report.
 Exit codes: 0 clean, 1 a verdict was VIOLATION/fail, 2 configuration error
-(including a repeated scenario id, invalid scenario parameters, fewer than 2
-replications, points or queries whose dimension is not the window's, an
-ops-preservation shift of another length, a marked-basis mark_mean that is not
-positive, and lo-extremal queries of other than two points), 3 runtime failure
+(including a seed outside [0, 2**64), a repeated scenario id, invalid scenario
+parameters, fewer than 2 replications, points or queries whose dimension is not
+the window's, an ops-preservation shift of another length, a marked-basis
+mark_mean that is not positive, kernel and mass-law parameters that are not
+finite and positive (a power may be 0), non-finite lo-extremal thresholds, and
+lo-extremal queries of other than two points), 3 runtime failure
 (including numerical failures: NumericalError, LinAlgError, FloatingPointError).
 """
 from __future__ import annotations
@@ -72,8 +74,8 @@ def _load_config(config_path: str) -> dict:
     for key in ("seed", "output_dir", "scenarios"):
         if key not in cfg:
             raise ConfigError(f"missing required config key: {key}")
-    if not is_int(cfg["seed"]):
-        raise ConfigError("config key 'seed' must be an integer")
+    if not is_int(cfg["seed"]) or not 0 <= cfg["seed"] < 2**64:
+        raise ConfigError("config key 'seed' must be an integer in [0, 2**64)")
     if not isinstance(cfg["output_dir"], str):
         raise ConfigError("config key 'output_dir' must be a string")
     if not isinstance(cfg["scenarios"], list) or not cfg["scenarios"]:

@@ -62,6 +62,8 @@ class MassDistribution:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.kind not in ("constant", "exponential", "sum_of_exponentials"):
             raise ValueError(f"unknown mass distribution kind {self.kind!r}")
+        if not all(0 < p < math.inf or p == 0 and self.kind == "constant" for p in self.params):
+            raise ValueError("mass params must be finite: a constant >= 0, exponential means > 0")
 
     def mean(self) -> float:
         if self.kind == "sum_of_exponentials":

@@ -359,32 +359,29 @@ def cell_overlaps(w: Window, cells_per_axis, lows, highs) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # Random streams
 
-def _splitmix64(x: int) -> int:
-    """One splitmix64 step; decorrelates derived stream ids."""
-    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
-
-
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based splittable stream: (seed, stream_id) keys a Philox generator."""
+    """A master seed and the path of split indices from it, keying Philox
+    through numpy's SeedSequence, which hashes distinct paths to independent
+    keys.  SeedSequence cuts ints into 32-bit words, so an index of 2**32 or
+    more, or a seed of 2**128 or more, would alias a longer path."""
 
     seed: int
-    stream_id: int = 0
+    path: tuple[int, ...] = ()
 
     def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.seed % 2**64, self.stream_id % 2**64], dtype=np.uint64
-        )
-        return np.random.Generator(np.random.Philox(key=key))
+        seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
+        return np.random.Generator(np.random.Philox(seq))
 
     def split(self, i: int) -> "RngStream":
-        """Derive an independent substream; deterministic in (stream_id, i)."""
-        return RngStream(self.seed, _splitmix64(self.stream_id * 0x10001 + i + 1))
+        """The substream at path + (i,); ValueError unless 0 <= i < 2**32."""
+        if not 0 <= i < 2**32:
+            raise ValueError(f"substream index {i} outside [0, 2**32)")
+        return RngStream(self.seed, self.path + (int(i),))
 
 
-def make_stream(seed: int, stream_id: int = 0) -> RngStream:
-    return RngStream(int(seed), int(stream_id))
+def make_stream(seed: int, k: int = 0) -> RngStream:
+    """Substream k of the master seed; ValueError unless 0 <= seed < 2**64."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} outside [0, 2**64)")
+    return RngStream(int(seed)).split(k)

@@ -5,10 +5,10 @@ A claim "X <= Y in dcx order" is tested by estimating E f(X) and E f(Y) for
 a randomized suite of functions f certified to be dcx.  Monte Carlo can only
 falsify an ordering, so passing verdicts are CONSISTENT rather than proven.
 
-Monte-Carlo estimates come from ``replicate``, which asks each side for one
-batch draw (gen, size) -> (size, k) per chunk.  The scenarios pass the batch
-samplers of ``processes``; ``batched`` turns a per-replication draw into one
-for the reference paths (``compare_on_boxes`` and the law tests).
+Monte-Carlo estimates come from ``replicate``: chunk ci of side s is one batch
+draw (gen, size) -> (size, k) from ``stream.split(ci).split(s)``.  Scenarios
+pass the batch samplers of ``processes``; ``batched`` turns a per-replication
+draw into one for the reference paths (``compare_on_boxes``, the law tests).
 
 Every Monte-Carlo verdict comes from ``decide``: a family of z-scores, signed
 so that negative values count against the claim (a two-sided test enters as
@@ -188,8 +188,8 @@ def worst(verdicts) -> str:
 
 
 # Replications per chunk of every Monte-Carlo estimate.  Chunk ci of side s
-# draws from stream.split(n_sides * ci + s), so the chunk size fixes which
-# random numbers each replication sees and must stay constant.
+# draws from stream.split(ci).split(s), so the chunk size fixes which random
+# numbers each replication sees and must stay constant.
 _CHUNK = 2000
 
 
@@ -271,20 +271,20 @@ def replicate(
     Each chunk of _CHUNK replications (the last one holds the remainder)
     calls ``draw(gen, size)`` once for a (size, k) array of independent
     replications, and ``reduce`` maps it to the rows whose moments are kept.
-    Chunk ci of side s draws from ``stream.split(len(draws) * ci + s)`` and
-    chunks merge in chunk order, so the result depends only on the stream.
+    Chunk ci of side s draws from ``stream.split(ci).split(s)``, one index
+    deeper than the suite streams ``stream.split(j)``, so the two never share
+    a path; chunks merge in chunk order, so the result depends only on the stream.
     """
     if n_reps < 2:
         raise ValueError("need at least 2 replications")
     sizes = _chunk_sizes(n_reps)
-    n_sides = len(draws)
 
     def worker(ci: int) -> list[Moments]:
-        out = []
-        for s, draw in enumerate(draws):
-            gen = stream.split(n_sides * ci + s).generator()
-            out.append(Moments.of(reduce(draw(gen, sizes[ci]))))
-        return out
+        chunk = stream.split(ci)
+        return [
+            Moments.of(reduce(draw(chunk.split(s).generator(), sizes[ci])))
+            for s, draw in enumerate(draws)
+        ]
 
     parts = _run_chunks(worker, len(sizes))
     merged = parts[0]
@@ -402,6 +402,8 @@ def lo_compare(
     draw_u1 and draw_u2 are batch draws, as in compare_vectors.  Returns
     {"verdict", "per_threshold": [{"t", "cdf_1", "cdf_2", "stderr"}, ...]}."""
     thresholds = np.atleast_2d(np.asarray(thresholds, dtype=float))
+    if not np.all(np.isfinite(thresholds)):
+        raise ValueError("lower-orthant thresholds must be finite")
 
     def below(u: np.ndarray) -> np.ndarray:
         # (size, thresholds) per axis, ANDed over the axes

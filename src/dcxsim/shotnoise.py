@@ -44,8 +44,8 @@ class ResponseKernel:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.kind not in ("gaussian", "power_law"):
             raise ValueError(f"unknown response kernel kind {self.kind!r}")
-        if self.emitted_power < 0:
-            raise ValueError("emitted_power must be non-negative")
+        if not (all(0 < p < math.inf for p in self.params) and 0 <= self.emitted_power < math.inf):
+            raise ValueError("response kernel needs finite params > 0 and emitted_power >= 0")
 
     def _profile(self, r: np.ndarray) -> np.ndarray:
         if self.kind == "gaussian":

@@ -150,6 +150,18 @@ def test_non_integer_seed(tmp_path):
         assert key in result.output
 
 
+def test_seed_outside_stream_range_is_config_error(tmp_path):
+    # streams take seeds in [0, 2**64): -1 wrote the reports of 2**64 - 1
+    for seed in (-1, 2**64):
+        path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}], seed=seed)
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 2, seed
+        assert "seed" in result.output
+        assert not (tmp_path / "out").exists()
+    path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}], seed=2**64 - 1)
+    assert CliRunner().invoke(main, ["run", str(path)]).exit_code == 0
+
+
 def test_non_string_output_dir_is_config_error(tmp_path):
     path = _write_config(tmp_path, [{"id": "ripley-poisson"}], extra={"output_dir": 5})
     result = CliRunner().invoke(main, ["run", str(path)])
@@ -193,6 +205,14 @@ def test_invalid_parameter_is_config_error(tmp_path):
         {"id": "lo-extremal", "n_reps": 400, "queries": [[0.25, 0.25, 9.0], [0.75, 0.75, 9.0]]},
         {"id": "ops-preservation", "n_reps": 400, "suite_size": 6, "shift": [0.3]},
         {"id": "marked-basis", "n_reps": 400, "suite_size": 6, "mark_mean": 0},
+        # kernel, mass-law and threshold values that are not positive or finite
+        {"id": "sinr-compare", "n_reps": 400, "beta": 0},
+        {"id": "lo-extremal", "n_reps": 400, "beta": 0},
+        {"id": "lo-extremal", "n_reps": 400, "beta": -2},
+        {"id": "sinr-compare", "n_reps": 400, "fading_mean": 0},
+        {"id": "sinr-compare", "n_reps": 400, "power": float("inf")},
+        {"id": "marked-basis", "n_reps": 400, "suite_size": 6, "mark_mean": float("inf")},
+        {"id": "lo-extremal", "n_reps": 400, "threshold_grid": [float("nan")]},
     ):
         path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}, entry])
         result = CliRunner().invoke(main, ["run", str(path)])

@@ -1,8 +1,13 @@
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcxsim import geometry
 from dcxsim.geometry import (
     PLAIN,
     TORUS,
@@ -10,6 +15,7 @@ from dcxsim.geometry import (
     Box,
     GridField,
     PointPattern,
+    RngStream,
     boxes_disjoint,
     count_in,
     make_stream,
@@ -18,6 +24,11 @@ from dcxsim.geometry import (
     pairwise_distances,
     sq_distances,
 )
+from dcxsim.scenarios import SCENARIOS, run_scenario
+from test_acceptance import FAST_PARAMS, SEED
+
+# calls that build a generator or a seed: only RngStream.generator may make them
+_RNG_BUILDERS = {"Philox", "SeedSequence", "default_rng", "Generator", "RandomState"}
 
 
 def test_window_validation():
@@ -234,6 +245,72 @@ def test_rng_stream_reproducible_and_split():
     d = s.split(1).generator().random(5)
     assert not np.array_equal(c, d)
     assert s.split(0) == s.split(0)
+
+
+def test_paths_a_linear_id_mix_merged_draw_different_numbers():
+    # a child key linear in (parent id, index) before mixing made each pair
+    # one stream; the second is scenario 0's suite stream and chunk 8472,
+    # side 1, of scenario 15
+    for x, y in (
+        (make_stream(7, 0).split(65537), make_stream(7, 1).split(0)),
+        (make_stream(7, 0).split(10**6), make_stream(7, 15).split(16945)),
+    ):
+        assert not np.array_equal(x.generator().random(8), y.generator().random(8))
+
+
+def test_split_index_and_seed_ranges():
+    # SeedSequence cuts larger ints into 32-bit words that alias longer paths
+    s = make_stream(7)
+    for i in (-1, 2**32):
+        with pytest.raises(ValueError, match="index"):
+            s.split(i)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            make_stream(seed)
+    assert s.split(2**32 - 1).path == (0, 2**32 - 1)
+    assert make_stream(2**64 - 1, 3) == RngStream(2**64 - 1, (3,))
+
+
+def test_distinct_paths_give_distinct_philox_keys():
+    # edge paths, then random paths of one to four small or full-width indices
+    gen = make_stream(1).generator()
+    paths = {(), (0,), (0, 0), (2**32 - 1,), (1, 0), (0, 1), (0, 65537), (1, 0, 0)}
+    while len(paths) < 1000:
+        high = (2, 2**16, 2**32)[gen.integers(3)]
+        paths.add(tuple(gen.integers(0, high, gen.integers(1, 5)).tolist()))
+    streams = [RngStream(seed, path) for seed in (0, 2**64 - 1) for path in sorted(paths)]
+    keys = {tuple(s.generator().bit_generator.state["state"]["key"]) for s in streams}
+    assert len(keys) == len(streams)
+
+
+def test_no_two_generators_of_a_run_share_a_path(monkeypatch):
+    # every scenario in one process, as one config runs them
+    paths = []
+    generator = RngStream.generator
+
+    def recording(self):
+        paths.append((self.seed, self.path))
+        return generator(self)
+
+    monkeypatch.setattr(RngStream, "generator", recording)
+    for k, sid in enumerate(SCENARIOS):
+        run_scenario(sid, FAST_PARAMS[sid], make_stream(SEED, k))
+    assert paths and len(set(paths)) == len(paths)
+
+
+def test_randomness_flows_only_through_rng_stream():
+    # a generator built anywhere else could repeat a stream's numbers
+    src = Path(geometry.__file__).parent
+    lines, start = inspect.getsourcelines(RngStream.generator)
+    allowed = {("geometry.py", n) for n in range(start, start + len(lines))}
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name.split(".")[-1] in _RNG_BUILDERS or name.startswith("np.random."):
+                    found.add((path.name, node.lineno))
+    assert found and found <= allowed, sorted(found - allowed)
 
 
 def test_pairwise_distances_topology():

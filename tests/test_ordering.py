@@ -129,9 +129,9 @@ def test_moments_merged_chunks_match_one_pass(n, k, cuts, offset, seed):
     np.testing.assert_allclose(merged.var, rows.var(axis=0, ddof=1), rtol=1e-12, atol=0)
 
 
-def test_replicate_draws_chunk_ci_of_side_s_from_substream_2ci_plus_s():
+def test_replicate_draws_chunk_ci_of_side_s_from_substream_ci_then_s():
     # two full chunks and a remainder per side; rebuilding each side's draws
-    # chunk by chunk from stream.split(2 * ci + s) must give the same moments
+    # chunk by chunk from stream.split(ci).split(s) must give the same moments
     sides = (
         lambda gen, size: gen.standard_normal((size, 2)),
         lambda gen, size: gen.exponential(2.0, (size, 2)),
@@ -142,7 +142,7 @@ def test_replicate_draws_chunk_ci_of_side_s_from_substream_2ci_plus_s():
     moms = ordering.replicate(sides, reduce, sum(sizes), stream)
     for s, draw in enumerate(sides):
         rows = np.vstack([
-            reduce(draw(stream.split(2 * ci + s).generator(), size))
+            reduce(draw(stream.split(ci).split(s).generator(), size))
             for ci, size in enumerate(sizes)
         ])
         ref = Moments.of(rows)
