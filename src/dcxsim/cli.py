@@ -22,18 +22,20 @@ Exit codes: 0 clean, 1 a verdict was VIOLATION/fail, 2 configuration error
 parameters, fewer than 2 replications, points or queries whose dimension is not
 the window's, an ops-preservation shift of another length, a marked-basis
 mark_mean that is not positive, kernel and mass-law parameters that are not
-finite and positive (a power may be 0), non-finite lo-extremal thresholds, and
-lo-extremal queries of other than two points), 3 runtime failure
-(including numerical failures: NumericalError, LinAlgError, FloatingPointError).
+finite and positive (a power may be 0), non-finite lo-extremal thresholds,
+lo-extremal queries of other than two points, and usage errors: no command, an
+unknown command, or run without CONFIG_PATH), 3 runtime failure (including
+numerical failures: NumericalError, LinAlgError, FloatingPointError). An
+interrupt (Ctrl-C) propagates as KeyboardInterrupt, so it never exits 1.
 """
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import time
 from pathlib import Path
 
-import click
 import numpy as np
 import yaml
 
@@ -119,14 +121,7 @@ def _write_reports(out_dir: Path, result: ScenarioResult, seed: int, params: dic
     (out_dir / f"{result.scenario_id}.csv").write_text("\n".join(lines) + "\n")
 
 
-@click.group()
-def main():
-    """Stochastic-order simulation experiments for spatial processes."""
-
-
-@main.command("run")
-@click.argument("config_path", type=str)
-def run_cmd(config_path: str):
+def run_cmd(config_path: str) -> int:
     """Run the scenarios named in CONFIG_PATH and write JSON/CSV reports."""
     try:
         cfg = _load_config(config_path)
@@ -136,8 +131,8 @@ def run_cmd(config_path: str):
         probe.write_text("")
         probe.unlink()
     except (ConfigError, OSError) as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     seed = cfg["seed"]
     finished = []
@@ -149,34 +144,45 @@ def run_cmd(config_path: str):
         try:
             result = run_scenario(sid, params, stream)
         except (np.linalg.LinAlgError, ArithmeticError) as exc:
-            click.echo(f"runtime failure in scenario {sid}: {exc}", err=True)
-            sys.exit(EXIT_RUNTIME)
+            print(f"runtime failure in scenario {sid}: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
         except (ValueError, KeyError, TypeError) as exc:
-            click.echo(f"configuration error in scenario {sid}: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
+            print(f"configuration error in scenario {sid}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 3
-            click.echo(f"runtime failure in scenario {sid}: {exc}", err=True)
-            sys.exit(EXIT_RUNTIME)
+            print(f"runtime failure in scenario {sid}: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
         runtime = time.perf_counter() - t0
-        click.echo(f"{sid}: {result.verdict} ({runtime:.2f}s)")
+        print(f"{sid}: {result.verdict} ({runtime:.2f}s)", flush=True)
         finished.append((result, params, runtime))
 
     try:
         for result, params, runtime in finished:
             _write_reports(out_dir, result, seed, params, runtime)
     except OSError as exc:
-        click.echo(f"configuration error: cannot write reports: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        print(f"configuration error: cannot write reports: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     any_bad = any(result.verdict in _BAD_VERDICTS for result, _, _ in finished)
-    sys.exit(EXIT_VIOLATION if any_bad else EXIT_OK)
+    return EXIT_VIOLATION if any_bad else EXIT_OK
 
 
-@main.command("list-scenarios")
-def list_scenarios_cmd():
+def list_scenarios_cmd() -> int:
     """Print the scenario ids with one-line descriptions."""
     width = max(len(sid) for sid in SCENARIOS)
     for sid, (desc, _, _) in SCENARIOS.items():
-        click.echo(f"{sid.ljust(width)}  {desc}")
+        print(f"{sid.ljust(width)}  {desc}")
+    return EXIT_OK
+
+
+def main(args=None, prog_name=None):
+    """Stochastic-order simulation experiments for spatial processes."""
+    parser = argparse.ArgumentParser(prog=prog_name, description=main.__doc__)
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    run = commands.add_parser("run", help=run_cmd.__doc__, description=run_cmd.__doc__)
+    run.add_argument("config_path", metavar="CONFIG_PATH")
+    commands.add_parser("list-scenarios", help=list_scenarios_cmd.__doc__)
+    ns = parser.parse_args(args)
+    sys.exit(run_cmd(ns.config_path) if ns.command == "run" else list_scenarios_cmd())
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ _BLOCK = 1 << 14
 
 class NumericalError(ArithmeticError, ValueError):
     """A numerical failure rather than a bad input: a non-PSD covariance,
-    quadrature non-convergence, non-finite values, all-zero weights.  It is a
-    ValueError too, so callers that catch ValueError still catch it."""
+    non-finite values, all-zero weights.  It is a ValueError too, so callers
+    that catch ValueError still catch it."""
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import numpy as np
 from .distributions import TRUNCATION_REL_TOL
 from .geometry import (
     _BLOCK,
-    TORUS,
     AtomicMeasure,
     GridField,
     NumericalError,
@@ -171,38 +170,3 @@ def ragged_sn(
                 out[filled, j] = np.maximum.reduceat(vals, block_starts)
     return out
 
-
-def campbell_mean(h: ResponseKernel, mean_intensity: float, w: Window) -> float:
-    """mean_intensity * integral of h over the window by adaptive quadrature.
-
-    Torus windows only: the minimum-image distance from any query sweeps the
-    centered fundamental domain exactly, so the integral is query-independent.
-    """
-    if w.topology != TORUS:
-        raise ValueError("campbell_mean requires a torus window")
-    from scipy import integrate  # scipy.integrate is slow to import: only here
-    half = w.lengths / 2.0
-    r_cut = h.truncation_radius()
-
-    if r_cut <= half.min():
-        # kernel support fits in the inscribed ball: exact radial reduction
-        d = w.dim
-        surf = 2 * np.pi ** (d / 2) / math.gamma(d / 2)
-        val, err = integrate.quad(
-            lambda r: surf * r ** (d - 1) * float(h.value(r)), 0.0, r_cut,
-            epsabs=0.0, epsrel=1e-10, limit=200,
-        )
-        if not np.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
-            raise NumericalError("quadrature non-convergence in campbell_mean")
-        return mean_intensity * val
-
-    def integrand(*u):
-        r = float(np.sqrt(sum(x * x for x in u)))
-        return float(h.value(r))
-
-    ranges = [(-hl, hl) for hl in half]
-    opts = [{"limit": 200, "points": [-r_cut, 0.0, r_cut]} for _ in ranges]
-    val, err = integrate.nquad(integrand, ranges, opts=opts)
-    if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-        raise NumericalError("quadrature non-convergence in campbell_mean")
-    return mean_intensity * val

@@ -8,9 +8,7 @@ import time
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 
-from dcxsim.cli import main as cli_main
 from dcxsim.distributions import ClusterKernel, exponential
 from dcxsim.geometry import Box, make_stream, make_window
 from dcxsim import processes, wireless
@@ -260,7 +258,7 @@ FAST_PARAMS = {
 }
 
 
-def test_criterion_12_determinism_across_worker_counts(tmp_path):
+def test_criterion_12_determinism_across_worker_counts(tmp_path, invoke):
     outputs = {}
     for workers in (1, 8):
         out_dir = tmp_path / f"w{workers}"
@@ -272,8 +270,8 @@ def test_criterion_12_determinism_across_worker_counts(tmp_path):
         }
         cfg_path = tmp_path / f"cfg{workers}.yaml"
         cfg_path.write_text(yaml.safe_dump(cfg))
-        result = CliRunner().invoke(cli_main, ["run", str(cfg_path)])
-        assert result.exit_code in (0, 1), result.output
+        code, output = invoke(["run", str(cfg_path)])
+        assert code in (0, 1), output
         outputs[workers] = out_dir
     ok = True
     for sid in SCENARIOS:

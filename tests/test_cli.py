@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 
 from dcxsim.cli import ConfigError, _load_config, main
 from dcxsim.geometry import NumericalError, make_stream
@@ -109,67 +108,81 @@ def _write_config(tmp_path, scenarios, seed=7, extra=None):
     return path
 
 
-def test_list_scenarios_contains_all_ids():
-    result = CliRunner().invoke(main, ["list-scenarios"])
-    assert result.exit_code == 0
+def test_list_scenarios_contains_all_ids(invoke):
+    code, output = invoke(["list-scenarios"])
+    assert code == 0
     for sid in SCENARIOS:
-        assert sid in result.output
+        assert sid in output
     # stable ordering
-    again = CliRunner().invoke(main, ["list-scenarios"])
-    assert again.output == result.output
+    _, again = invoke(["list-scenarios"])
+    assert again == output
 
 
-def test_missing_config_key_is_config_error(tmp_path):
+def test_command_line_contract(invoke, capsys):
+    # the calls the shell and the benchmark make: bench/child.py calls main
+    # with these keywords and reads the code of the SystemExit it raises
+    with pytest.raises(SystemExit) as exc:
+        main(args=["list-scenarios"], prog_name="dcxsim")
+    assert exc.value.code == 0
+    listed = capsys.readouterr().out
+    assert all(sid in listed for sid in SCENARIOS)
+    # usage errors exit 2, the code of a configuration error
+    for argv in ([], ["no-such-command"], ["run"]):
+        assert invoke(argv)[0] == 2, argv
+    assert invoke(["--help"])[0] == 0
+
+
+def test_missing_config_key_is_config_error(tmp_path, invoke):
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump({"seed": 1, "scenarios": [{"id": "ripley-poisson"}]}))
-    result = CliRunner().invoke(main, ["run", str(path)])
-    assert result.exit_code == 2
-    assert "output_dir" in result.output
+    code, output = invoke(["run", str(path)])
+    assert code == 2
+    assert "output_dir" in output
 
 
-def test_unknown_scenario_is_config_error(tmp_path):
+def test_unknown_scenario_is_config_error(tmp_path, invoke):
     path = _write_config(tmp_path, [{"id": "nonexistent-scenario"}])
-    result = CliRunner().invoke(main, ["run", str(path)])
-    assert result.exit_code == 2
-    assert "nonexistent-scenario" in result.output
+    code, output = invoke(["run", str(path)])
+    assert code == 2
+    assert "nonexistent-scenario" in output
 
 
-def test_unparseable_config(tmp_path):
+def test_unparseable_config(tmp_path, invoke):
     path = tmp_path / "broken.yaml"
     path.write_text("seed: [unclosed\n")
-    result = CliRunner().invoke(main, ["run", str(path)])
-    assert result.exit_code == 2
+    code, _ = invoke(["run", str(path)])
+    assert code == 2
 
 
-def test_non_integer_seed(tmp_path):
+def test_non_integer_seed(tmp_path, invoke):
     # YAML true loads as a bool, an int subclass; it is no seed or worker count
     for key, value in (("seed", "abc"), ("seed", True), ("workers", True)):
         path = _write_config(tmp_path, [{"id": "ripley-poisson"}], extra={key: value})
-        result = CliRunner().invoke(main, ["run", str(path)])
-        assert result.exit_code == 2, (key, value)
-        assert key in result.output
+        code, output = invoke(["run", str(path)])
+        assert code == 2, (key, value)
+        assert key in output
 
 
-def test_seed_outside_stream_range_is_config_error(tmp_path):
+def test_seed_outside_stream_range_is_config_error(tmp_path, invoke):
     # streams take seeds in [0, 2**64): -1 wrote the reports of 2**64 - 1
     for seed in (-1, 2**64):
         path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}], seed=seed)
-        result = CliRunner().invoke(main, ["run", str(path)])
-        assert result.exit_code == 2, seed
-        assert "seed" in result.output
+        code, output = invoke(["run", str(path)])
+        assert code == 2, seed
+        assert "seed" in output
         assert not (tmp_path / "out").exists()
     path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}], seed=2**64 - 1)
-    assert CliRunner().invoke(main, ["run", str(path)]).exit_code == 0
+    assert invoke(["run", str(path)])[0] == 0
 
 
-def test_non_string_output_dir_is_config_error(tmp_path):
+def test_non_string_output_dir_is_config_error(tmp_path, invoke):
     path = _write_config(tmp_path, [{"id": "ripley-poisson"}], extra={"output_dir": 5})
-    result = CliRunner().invoke(main, ["run", str(path)])
-    assert result.exit_code == 2
-    assert "output_dir" in result.output
+    code, output = invoke(["run", str(path)])
+    assert code == 2
+    assert "output_dir" in output
 
 
-def test_invalid_parameter_is_config_error(tmp_path):
+def test_invalid_parameter_is_config_error(tmp_path, invoke):
     # each bad entry follows a good scenario: values are checked only when
     # their scenario runs, and the good one must not leave its reports behind
     for entry in (
@@ -215,47 +228,47 @@ def test_invalid_parameter_is_config_error(tmp_path):
         {"id": "lo-extremal", "n_reps": 400, "threshold_grid": [float("nan")]},
     ):
         path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}, entry])
-        result = CliRunner().invoke(main, ["run", str(path)])
-        assert result.exit_code == 2, entry
+        code, _ = invoke(["run", str(path)])
+        assert code == 2, entry
         assert not list((tmp_path / "out").glob("*")), entry
 
 
-def test_unknown_key_is_rejected_before_any_scenario_runs(tmp_path):
+def test_unknown_key_is_rejected_before_any_scenario_runs(tmp_path, invoke):
     for name, (first, bad, key) in enumerate((
         ("ginibre-oracle", {"n_rep": 10}, "n_rep"),
         ("oracle-poisson-scaling", {"window": {"low": [0, 0]}}, "low"),
     )):
         (tmp_path / str(name)).mkdir()
         path = _write_config(tmp_path / str(name), [{"id": first}, dict(bad, id="ripley-poisson")])
-        result = CliRunner().invoke(main, ["run", str(path)])
-        assert result.exit_code == 2
-        assert key in result.output
+        code, output = invoke(["run", str(path)])
+        assert code == 2
+        assert key in output
         assert not list((tmp_path / str(name) / "out").glob("*"))
 
 
-def test_lo_extremal_needs_exactly_two_queries(tmp_path):
+def test_lo_extremal_needs_exactly_two_queries(tmp_path, invoke):
     # its thresholds are (t1, t2) pairs: one query ran on a one-point field,
     # three failed inside numpy without naming the parameter
     for name, queries in enumerate(([[0.5, 0.5]], [[0.2, 0.2], [0.5, 0.5], [0.8, 0.8]])):
         (tmp_path / str(name)).mkdir()
         entry = {"id": "lo-extremal", "n_reps": 400, "queries": queries}
         path = _write_config(tmp_path / str(name), [{"id": "oracle-poisson-scaling"}, entry])
-        result = CliRunner().invoke(main, ["run", str(path)])
-        assert result.exit_code == 2, queries
-        assert "queries" in result.output
+        code, output = invoke(["run", str(path)])
+        assert code == 2, queries
+        assert "queries" in output
         assert not list((tmp_path / str(name) / "out").glob("*"))
 
 
-def test_unknown_top_level_key_is_a_config_error(tmp_path):
+def test_unknown_top_level_key_is_a_config_error(tmp_path, invoke):
     # misspelt top-level keys must not run the config on its defaults
     path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}], extra={"worker": 4, "sede": 9})
-    result = CliRunner().invoke(main, ["run", str(path)])
-    assert result.exit_code == 2
-    assert "sede, worker" in result.output
+    code, output = invoke(["run", str(path)])
+    assert code == 2
+    assert "sede, worker" in output
     assert not (tmp_path / "out").exists()
 
 
-def test_repeated_scenario_id_is_a_config_error(tmp_path):
+def test_repeated_scenario_id_is_a_config_error(tmp_path, invoke):
     # both entries write palm-poisson-check.json/.csv: the second overwrote the first
     entries = [
         {"id": "palm-poisson-check", "n_reps": 200},
@@ -265,9 +278,9 @@ def test_repeated_scenario_id_is_a_config_error(tmp_path):
     path = _write_config(tmp_path, entries)
     with pytest.raises(ConfigError, match="palm-poisson-check"):
         _load_config(str(path))
-    result = CliRunner().invoke(main, ["run", str(path)])
-    assert result.exit_code == 2
-    assert "palm-poisson-check" in result.output
+    code, output = invoke(["run", str(path)])
+    assert code == 2
+    assert "palm-poisson-check" in output
     assert not (tmp_path / "out").exists()
 
 
@@ -307,15 +320,15 @@ def test_declared_keys_are_the_keys_read(sid):
 
 
 @pytest.mark.parametrize("sid", sorted(SCENARIOS))
-def test_defaults_written_into_the_config_change_no_report(sid, tmp_path):
+def test_defaults_written_into_the_config_change_no_report(sid, tmp_path, invoke):
     # every default is a plain config value: spelled out in YAML, it gives the
     # reports of the run that leaves the keys out
     reports = []
     for name, entry in (("implicit", {}), ("explicit", SCENARIOS[sid][2])):
         (tmp_path / name).mkdir()
         path = _write_config(tmp_path / name, [dict(entry, **FAST_PARAMS[sid], id=sid)])
-        result = CliRunner().invoke(main, ["run", str(path)])
-        assert result.exit_code in (0, 1), result.output
+        code, output = invoke(["run", str(path)])
+        assert code in (0, 1), output
         out = tmp_path / name / "out"
         report = json.loads((out / f"{sid}.json").read_text())
         for key in ("params_echo", "runtime_seconds"):
@@ -335,19 +348,19 @@ def test_shipped_configs_load(config):
     "sid, n_reps",
     [("marked-basis", 1), ("palm-poisson-check", 1), ("ripley-poisson", 1), ("sinr-compare", 0)],
 )
-def test_too_few_replications_is_config_error(sid, n_reps, tmp_path):
+def test_too_few_replications_is_config_error(sid, n_reps, tmp_path, invoke):
     path = _write_config(tmp_path, [{"id": sid, "n_reps": n_reps}])
-    result = CliRunner().invoke(main, ["run", str(path)])
-    assert result.exit_code == 2, result.output
+    code, output = invoke(["run", str(path)])
+    assert code == 2, output
     for report in (tmp_path / "out").glob("*"):
         assert "NaN" not in report.read_text()
 
 
 @pytest.mark.parametrize("sid", sorted(SCENARIOS))
-def test_every_scenario_round_trips(sid, tmp_path):
+def test_every_scenario_round_trips(sid, tmp_path, invoke):
     path = _write_config(tmp_path, [dict(FAST_PARAMS[sid], id=sid)])
-    result = CliRunner().invoke(main, ["run", str(path)])
-    assert result.exit_code in (0, 1), result.output
+    code, output = invoke(["run", str(path)])
+    assert code in (0, 1), output
     report = json.loads((tmp_path / "out" / f"{sid}.json").read_text())
     for key in ("scenario_id", "seed", "params_echo", "verdict", "per_function",
                 "mean_equality", "runtime_seconds"):
@@ -366,16 +379,16 @@ def test_every_scenario_round_trips(sid, tmp_path):
             assert set(entry) == per_function
 
 
-def test_csv_floats_have_12_significant_digits(tmp_path):
+def test_csv_floats_have_12_significant_digits(tmp_path, invoke):
     path = _write_config(tmp_path, [dict(FAST_PARAMS["palm-poisson-check"], id="palm-poisson-check")])
-    assert CliRunner().invoke(main, ["run", str(path)]).exit_code == 0
+    assert invoke(["run", str(path)])[0] == 0
     lines = (tmp_path / "out" / "palm-poisson-check.csv").read_text().splitlines()
     value = lines[1].split(",")[0]
     digits = re.sub(r"[^0-9]", "", value.split("e")[0])
     assert len(digits.lstrip("0")) >= 11  # 12 significant digits requested
 
 
-def test_exit_one_on_violation(tmp_path, monkeypatch):
+def test_exit_one_on_violation(tmp_path, monkeypatch, invoke):
     import dcxsim.cli as cli_mod
     from dcxsim.scenarios import ScenarioResult
 
@@ -384,12 +397,12 @@ def test_exit_one_on_violation(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "run_scenario", fake_run)
     path = _write_config(tmp_path, [{"id": "ripley-poisson"}])
-    result = CliRunner().invoke(main, ["run", str(path)])
-    assert result.exit_code == 1
+    code, _ = invoke(["run", str(path)])
+    assert code == 1
 
 
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError, NumericalError])
-def test_exit_three_on_runtime_failure(tmp_path, monkeypatch, error):
+def test_exit_three_on_runtime_failure(tmp_path, monkeypatch, error, invoke):
     import dcxsim.cli as cli_mod
 
     def boom(sid, params, stream):
@@ -400,6 +413,23 @@ def test_exit_three_on_runtime_failure(tmp_path, monkeypatch, error):
     # the failure comes second: the first scenario's reports must not be written
     monkeypatch.setattr(cli_mod, "run_scenario", boom)
     path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}, {"id": "ripley-poisson"}])
-    result = CliRunner().invoke(main, ["run", str(path)])
-    assert result.exit_code == 3
+    code, _ = invoke(["run", str(path)])
+    assert code == 3
+    assert not list((tmp_path / "out").glob("*"))
+
+
+def test_interrupt_propagates_and_writes_no_report(tmp_path, monkeypatch):
+    # exit 1 means a VIOLATION verdict: Ctrl-C must reach the shell as an
+    # interrupt, and the finished first scenario must leave no report
+    import dcxsim.cli as cli_mod
+
+    def interrupted(sid, params, stream):
+        if sid == "ripley-poisson":
+            raise KeyboardInterrupt
+        return run_scenario(sid, params, stream)
+
+    monkeypatch.setattr(cli_mod, "run_scenario", interrupted)
+    path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}, {"id": "ripley-poisson"}])
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", str(path)])
     assert not list((tmp_path / "out").glob("*"))

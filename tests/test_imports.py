@@ -17,10 +17,11 @@ def _fresh(code: str) -> subprocess.CompletedProcess:
 
 def test_cli_import_skips_slow_scipy_modules():
     # importing any of scipy costs more than the rest of the start-up, and
-    # the program needs none of it on its way to the first scenario
+    # the program needs none of it on its way to the first scenario; the
+    # command line is argparse, so click is not loaded either
     out = _fresh(
         "import dcxsim.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'click')))\n"
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

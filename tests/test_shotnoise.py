@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcxsim.distributions import exponential
+from dcxsim.distributions import TRUNCATION_REL_TOL, exponential
 from dcxsim.geometry import (
     AtomicMeasure,
     GridField,
@@ -31,7 +31,7 @@ from dcxsim.processes import (
     sample_poisson,
 )
 from dcxsim import shotnoise
-from dcxsim.shotnoise import ResponseKernel, additive_sn, campbell_mean, extremal_sn, ragged_sn
+from dcxsim.shotnoise import ResponseKernel, additive_sn, extremal_sn, ragged_sn
 from dcxsim.stats import coverage_field
 
 W = make_window([0.0, 0.0], [1.0, 1.0])
@@ -103,29 +103,23 @@ def test_extremal_never_exceeds_additive():
         assert np.all(extremal_sn(p, h, QUERIES) <= additive_sn(p, h, QUERIES) + 1e-12)
 
 
-def test_campbell_mean_gaussian_closed_form():
-    # the kernel, cut where it falls to 1e-6 of its peak, integrates to
-    # P * 2 pi sigma^2 * (1 - 1e-6); quadrature must not reject a narrow kernel
-    h = ResponseKernel("gaussian", (0.05,), emitted_power=2.0)
-    val = campbell_mean(h, 5.0, W)
-    assert val == pytest.approx(5.0 * 2.0 * 2 * np.pi * 0.05**2 * (1 - 1e-6), rel=1e-9)
+def _gaussian_campbell_mean(h: ResponseKernel, lam: float) -> float:
+    # planar Campbell mean of the Gaussian kernel, cut where it falls to
+    # TRUNCATION_REL_TOL of its peak: lam * P * 2 pi sigma^2 * (1 - tol)
+    (sigma,) = h.params
+    return lam * h.emitted_power * 2 * np.pi * sigma**2 * (1 - TRUNCATION_REL_TOL)
 
 
 def test_campbell_mean_matches_monte_carlo():
-    h = ResponseKernel("power_law", (4.0,))
+    # sigma 0.05 keeps the truncated kernel inside the unit torus
+    h = ResponseKernel("gaussian", (0.05,), emitted_power=2.0)
     lam = 10.0
-    target = campbell_mean(h, lam, W)
+    target = _gaussian_campbell_mean(h, lam)
     gen = make_stream(17).generator()
     vals = np.array(
         [additive_sn(sample_poisson(lam, W, gen), h, np.array([[0.5, 0.5]]))[0] for _ in range(20_000)]
     )
     assert vals.mean() == pytest.approx(target, abs=4 * vals.std() / np.sqrt(vals.size))
-
-
-def test_campbell_mean_requires_torus():
-    h = ResponseKernel("gaussian", (0.1,))
-    with pytest.raises(ValueError):
-        campbell_mean(h, 1.0, make_window([0, 0], [1, 1], "plain"))
 
 
 def test_dcx_ordered_measures_give_ordered_additive_shot_noise():
@@ -140,7 +134,7 @@ def test_dcx_ordered_measures_give_ordered_additive_shot_noise():
         sample_cox(sample_ising_field(2.0, 0.0, 0.5, w, [32, 32], gen), gen), h, queries
     ))
     stream = make_stream(12)
-    suite = make_suite("dcx", 3, 30, stream.split(10**6), scale=np.full(3, campbell_mean(h, 1.0, w)))
+    suite = make_suite("dcx", 3, 30, stream.split(10**6), scale=np.full(3, _gaussian_campbell_mean(h, 1.0)))
     fwd = compare_vectors(draw_po, draw_cox, suite, 4000, stream.split(0))
     assert fwd.verdict != VIOLATION
     assert any(r["z"] > 3 for r in fwd.records)
