@@ -9,8 +9,9 @@ key is a configuration error, found before any scenario runs):
   scenarios   list of {id: <scenario id>, ...scenario parameters...}; a key
               not in the scenario's SCENARIOS defaults, a window key other
               than lows, highs and topology, an empty list where the default
-              is a non-empty list, or a value that is not an integer where the
-              default is one, is a configuration error, found before any
+              is a non-empty list, a value that is not an integer where the
+              default is one, or a number that is not finite where the default
+              holds floats, is a configuration error, found before any
               scenario runs
 
 Each scenario produces <output_dir>/<id>.json and <output_dir>/<id>.csv, so
@@ -23,8 +24,9 @@ parameters, fewer than 2 replications, points or queries whose dimension is not
 the window's, an ops-preservation shift of another length, a marked-basis
 mark_mean that is not positive, kernel and mass-law parameters that are not
 finite and positive (a power may be 0), non-finite lo-extremal thresholds,
-lo-extremal queries of other than two points, and usage errors: no command, an
-unknown command, or run without CONFIG_PATH), 3 runtime failure (including
+lo-extremal queries of other than two points, window bounds that are not
+finite, a ripley-poisson window that is not 2-d, and usage errors: no command,
+an unknown command, or run without CONFIG_PATH), 3 runtime failure (including
 numerical failures: NumericalError, LinAlgError, FloatingPointError). An
 interrupt (Ctrl-C) propagates as KeyboardInterrupt, so it never exits 1.
 """
@@ -40,6 +42,7 @@ import numpy as np
 import yaml
 
 from .geometry import make_stream
+from .ordering import VIOLATION, oracle_verdict
 from .scenarios import SCENARIOS, ScenarioResult, check_params, is_int, run_scenario
 
 EXIT_OK = 0
@@ -47,7 +50,7 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-_BAD_VERDICTS = ("VIOLATION", "fail")
+_BAD_VERDICTS = (VIOLATION, oracle_verdict(False))
 
 
 class ConfigError(Exception):

@@ -50,6 +50,8 @@ class Window:
         highs = np.atleast_1d(np.asarray(self.highs, dtype=float))
         if lows.shape != highs.shape or lows.ndim != 1:
             raise ValueError("lows/highs must be 1-D vectors of equal length")
+        if not (np.isfinite(lows).all() and np.isfinite(highs).all()):
+            raise ValueError("window bounds must be finite")
         if np.any(lows >= highs):
             raise ValueError("degenerate axis: need lows[i] < highs[i] for all i")
         if self.topology not in (TORUS, PLAIN):
@@ -109,6 +111,8 @@ class Box:
         highs = np.atleast_1d(np.asarray(self.highs, dtype=float))
         if lows.shape != highs.shape or np.any(lows >= highs):
             raise ValueError("box needs lows[i] < highs[i] for all i")
+        if not (np.isfinite(lows).all() and np.isfinite(highs).all()):
+            raise ValueError("box bounds must be finite")
         object.__setattr__(self, "lows", lows)
         object.__setattr__(self, "highs", highs)
 
@@ -122,8 +126,10 @@ class Box:
 
 
 def _as_points(points, dim: int) -> np.ndarray:
-    """Points as an (N, dim) float array; ValueError for another dimension."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    """Points as an (N, dim) float array, (0, dim) when there are none;
+    ValueError for another dimension."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts.reshape(0, dim) if pts.size == 0 else np.atleast_2d(pts)
     if pts.shape[-1] != dim:
         raise ValueError(f"points of dimension {pts.shape[-1]} in {dim}-d space")
     return pts
@@ -137,6 +143,16 @@ def _inside(points, lows: np.ndarray, highs: np.ndarray, below) -> np.ndarray:
         out &= pts[:, k] >= lo
         out &= below(pts[:, k], hi)
     return out
+
+
+def _in_window(points, w: Window, what: str) -> np.ndarray:
+    """Points as ``_as_points`` gives them; ValueError unless each lies in the
+    closed window (NaN does not).  One comparison per bound over the whole
+    array: containers are built per realization, a few points at a time."""
+    pts = _as_points(points, w.dim)
+    if not ((pts >= w.lows).all() and (pts <= w.highs).all()):
+        raise ValueError(f"{what} outside window")
+    return pts
 
 
 def make_window(lows, highs, topology: str = TORUS) -> Window:
@@ -198,14 +214,7 @@ class PointPattern:
     marks: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.size == 0:
-            pts = pts.reshape(0, self.window.dim)
-        pts = np.atleast_2d(pts)
-        if pts.shape[1] != self.window.dim:
-            raise ValueError("point dimension does not match window")
-        if pts.shape[0] and not self.window.contains(pts).all():
-            raise ValueError("point outside window")
+        pts = _in_window(self.points, self.window, "point")
         object.__setattr__(self, "points", pts)
         if self.marks is not None:
             marks = np.asarray(self.marks)
@@ -295,17 +304,12 @@ class AtomicMeasure:
     masses: np.ndarray
 
     def __post_init__(self):
-        locs = np.asarray(self.locations, dtype=float)
-        if locs.size == 0:
-            locs = locs.reshape(0, self.window.dim)
-        locs = np.atleast_2d(locs)
+        locs = _in_window(self.locations, self.window, "atom")
         masses = np.atleast_1d(np.asarray(self.masses, dtype=float))
         if locs.shape[0] != masses.shape[0]:
             raise ValueError("locations/masses length mismatch")
         if np.any(masses < 0):
             raise ValueError("masses must be non-negative")
-        if locs.shape[0] and not self.window.contains(locs).all():
-            raise ValueError("atom outside window")
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "masses", masses)
 

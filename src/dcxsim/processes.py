@@ -81,30 +81,32 @@ def _check_spins(mu1: float, mu2: float, p_plus: float) -> None:
         raise ValueError("p_plus must be a probability")
 
 
-def _lattice_size(w: Window, spacing: float) -> np.ndarray:
+def _lattice_size(w: Window) -> np.ndarray:
     """Spin-lattice cells per axis; on a torus each side must be a whole
     multiple of the spacing."""
-    n_lattice = np.rint(w.lengths / spacing).astype(int)
-    if w.topology == TORUS and np.any(np.abs(n_lattice * spacing - w.lengths) > 1e-9 * w.lengths):
+    n_lattice = np.rint(w.lengths / ISING_SPACING).astype(int)
+    if w.topology == TORUS and np.any(np.abs(n_lattice * ISING_SPACING - w.lengths) > 1e-9 * w.lengths):
         raise ValueError("on a torus each window side must be a whole multiple of the spacing")
     return n_lattice
 
 
 def _lattice_index(
-    w: Window, points: np.ndarray, shift: np.ndarray, spacing: float, n_lattice: np.ndarray
+    w: Window, axes: list[np.ndarray], shift: np.ndarray, n_lattice: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Spin-lattice cell of each point along each axis, one (..., n) array per
-    axis, and the lattice size (d,).
+    """Spin-lattice cell of each grid cell along each axis, one (..., cells_k)
+    array per axis, and the lattice size (d,).
 
-    points (..., n, d) and the lattice shift (..., 1, d) broadcast.  On a torus
-    the lattice is periodic with n_lattice cells per axis; on a plain window it
-    is the cells the points meet, numbered from 0 along each axis (per leading
-    index), and its size is the largest such count.
+    axes holds the grid's cell midpoints along each axis (cells_k,), and the
+    lattice shift is (..., d).  On a torus the lattice is periodic with
+    n_lattice cells per axis; on a plain window it is the cells the grid
+    meets, numbered from 0 along each axis (per leading index), and its size
+    is the largest such count.
     """
+    shift = [shift[..., k, None] for k in range(w.dim)]
     if w.topology == TORUS:
-        offsets = (points[..., k] - w.lows[k] - shift[..., k] for k in range(w.dim))
-        return [np.floor(o / spacing).astype(int) % n for o, n in zip(offsets, n_lattice)], n_lattice
-    idx = [np.floor((points[..., k] - shift[..., k]) / spacing).astype(int) for k in range(w.dim)]
+        offsets = (a - lo - s for a, lo, s in zip(axes, w.lows, shift))
+        return [np.floor(o / ISING_SPACING).astype(int) % n for o, n in zip(offsets, n_lattice)], n_lattice
+    idx = [np.floor((a - s) / ISING_SPACING).astype(int) for a, s in zip(axes, shift)]
     idx = [i - i.min(axis=-1, keepdims=True) for i in idx]
     return idx, np.array([i.max() + 1 for i in idx])
 
@@ -129,13 +131,12 @@ def sample_ising_field(
     the spacing), so the cell that wraps around the window has one spin.
     """
     _check_spins(mu1, mu2, p_plus)
-    n_lattice = _lattice_size(w, ISING_SPACING)
+    n_lattice = _lattice_size(w)
     shift = gen.random(w.dim) * ISING_SPACING
     field = GridField(w, cells_per_axis, np.zeros(tuple(np.atleast_1d(cells_per_axis))))
-    lattice_idx, n_lattice = _lattice_index(w, field.midpoints(), shift, ISING_SPACING, n_lattice)
+    lattice_idx, n_lattice = _lattice_index(w, field.axis_midpoints(), shift, n_lattice)
     spins = gen.random(tuple(n_lattice)) < p_plus
-    vals = np.where(spins[tuple(lattice_idx)], mu1, mu2)
-    return GridField(w, cells_per_axis, vals.reshape(field.values.shape))
+    return GridField(w, cells_per_axis, np.where(spins[np.ix_(*lattice_idx)], mu1, mu2))
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +201,18 @@ def make_ising_cox_counts(
     B.  Only (size, lattice cells, boxes) arrays are built, never the grid.
     """
     _check_spins(mu1, mu2, p_plus)
-    n_lattice = _lattice_size(w, ISING_SPACING)
+    n_lattice = _lattice_size(w)
     field = GridField(w, cells_per_axis, np.zeros(tuple(np.atleast_1d(cells_per_axis))))
     axes = field.axis_midpoints()
-    # per-axis midpoints side by side, padded with each axis's last midpoint
-    rows = np.arange(max(a.size for a in axes))
-    table = np.stack([a[np.minimum(rows, a.size - 1)] for a in axes], axis=1)
     ovs = _preimage_overlaps(w, field.cells_per_axis, boxes, translate)
     letters = "ijklmnopqr"[: w.dim]
     spec = f"s{letters}," + ",".join(f"s{c}b" for c in letters) + "->sb"
 
     def draw(gen: np.random.Generator, size: int) -> np.ndarray:
-        shift = gen.random((size, 1, w.dim)) * ISING_SPACING
-        idx, n_lat = _lattice_index(w, table, shift, ISING_SPACING, n_lattice)
+        shift = gen.random((size, w.dim)) * ISING_SPACING
+        idx, n_lat = _lattice_index(w, axes, shift, n_lattice)
         values = np.where(gen.random((size, *n_lat)) < p_plus, mu1, mu2)
-        occ = [_occupancy(i[:, : ov.shape[0]], n, ov) for i, n, ov in zip(idx, n_lat, ovs)]
+        occ = [_occupancy(i, n, ov) for i, n, ov in zip(idx, n_lat, ovs)]
         return gen.poisson(np.einsum(spec, values, *occ))
 
     return draw

@@ -2,6 +2,7 @@
 estimators together; each runner returns a verdict plus plot-ready tables."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -93,9 +94,10 @@ def _box_count_samplers(p: dict, w: Window, boxes, translate=0.0) -> tuple:
     )
 
 
-def _ops_arms(p: dict, w: Window, boxes) -> tuple:
-    """lam_bar and, per operation of ops-preservation, the batch count samplers
-    of the operated Poisson and spin-lattice Cox processes.
+def _ops_arms(p: dict, w: Window, boxes) -> dict:
+    """Per operation of ops-preservation, the batch count samplers of the
+    operated Poisson and spin-lattice Cox processes, and the closed-form mean
+    of their box counts, which calibrates the operation's suite.
 
     Counts are operated on directly: independent thinning is binomial thinning
     of the counts, superposing a unit Poisson process adds independent
@@ -109,10 +111,11 @@ def _ops_arms(p: dict, w: Window, boxes) -> tuple:
     unit = processes.make_poisson_counts(1.0, w, boxes)
     thinned = lambda base: lambda gen, size: thin_counts(base(gen, size), 0.5, gen)
     superposed = lambda base: lambda gen, size: base(gen, size) + unit(gen, size)
-    return lam_bar, {
-        "thin_iid_half": (thinned(poisson), thinned(cox)),
-        "displace_shift": _box_count_samplers(p, w, boxes, shift)[1:],
-        "superpose_poisson": (superposed(poisson), superposed(cox)),
+    mean = np.array([lam_bar * b.volume for b in boxes])
+    return {
+        "thin_iid_half": ((thinned(poisson), thinned(cox)), 0.5 * mean),
+        "displace_shift": (_box_count_samplers(p, w, boxes, shift)[1:], mean),
+        "superpose_poisson": ((superposed(poisson), superposed(cox)), mean + w.volume / len(boxes)),
     }
 
 
@@ -355,13 +358,10 @@ def run_marked_basis(p: dict, stream: RngStream) -> ScenarioResult:
 def run_ops_preservation(p: dict, stream: RngStream) -> ScenarioResult:
     w = _window(p, [0.0, 0.0], [4.0, 4.0])
     boxes = _quadrant_boxes(w)
-    lam_bar, arms = _ops_arms(p, w, boxes)
+    arms = _ops_arms(p, w, boxes)
     rows, verdicts = [], {}
     z_crit = bonferroni_z(Z_CRIT, len(arms))  # one scenario rate, split over the ops
-    for op_idx, (name, draws) in enumerate(arms.items()):
-        extra = 1.0 * w.volume if name == "superpose_poisson" else 0.0
-        factor = 0.5 if name == "thin_iid_half" else 1.0
-        scale = np.array([factor * lam_bar * b.volume + extra / len(boxes) for b in boxes])
+    for op_idx, (name, (draws, scale)) in enumerate(arms.items()):
         rep = _suite_compare(
             p, draws, scale, stream.split(10**6 + op_idx), stream.split(op_idx), z_crit
         )
@@ -375,6 +375,8 @@ def run_ripley_poisson(p: dict, stream: RngStream) -> ScenarioResult:
     lam = float(p["lam"])
     r_grid = np.asarray(p["r_grid"], dtype=float)
     w = _window(p, [0.0, 0.0], [1.0, 1.0])
+    if w.dim != 2:
+        raise ValueError("ripley-poisson needs a 2-d window: its reference pi r^2 is the planar K")
     # pi r^2 is the torus K only while the ball of radius r does not wrap
     r_max = float(np.min(w.highs - w.lows)) / 2.0
     if not np.all((r_grid >= 0) & (r_grid <= r_max)):
@@ -477,12 +479,20 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _leaves(value) -> list:
+    """The entries of a scalar or of a list nested to any depth."""
+    if isinstance(value, list):
+        return [x for v in value for x in _leaves(v)]
+    return [value]
+
+
 def check_params(scenario_id: str, params) -> None:
     """Raise ValueError for a key of the mapping ``params`` that is not one of
     the scenario's SCENARIOS defaults, for an empty list where the default is
     a non-empty list, for a value that is not an integer where the default is
-    one, for a ``window`` that is not a mapping, and for a ``window`` key other
-    than lows, highs and topology."""
+    one, for a float that is not finite where the default holds floats (as a
+    scalar or in a nested list), for a ``window`` that is not a mapping, and
+    for a ``window`` key other than lows, highs and topology."""
     defaults = SCENARIOS[scenario_id][2]
     unknown = sorted(str(k) for k in set(params) - set(defaults))
     if unknown:
@@ -493,6 +503,10 @@ def check_params(scenario_id: str, params) -> None:
             raise ValueError(f"scenario parameter {key!r} must be a non-empty list")
         if is_int(default) and not is_int(value):
             raise ValueError(f"scenario parameter {key!r} must be an integer")
+        if any(isinstance(x, float) for x in _leaves(default)) and not all(
+            math.isfinite(x) for x in _leaves(value) if isinstance(x, float)
+        ):
+            raise ValueError(f"scenario parameter {key!r} must be finite")
     wspec = params.get("window", {})
     if not isinstance(wspec, dict):
         raise ValueError("scenario parameter 'window' must be a mapping")

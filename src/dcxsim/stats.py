@@ -10,7 +10,7 @@ about ``geometry._BLOCK`` pair entries at a time."""
 from __future__ import annotations
 
 import math
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -18,8 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .geometry import (
     _BLOCK,
     TORUS,
-    AtomicMeasure,
-    GridField,
     NumericalError,
     PatternBatch,
     PointPattern,
@@ -28,6 +26,7 @@ from .geometry import (
     sq_distances,
 )
 from .ordering import replicate
+from .shotnoise import Source, _atoms_of
 
 
 def _sq_threshold(r: float) -> float:
@@ -102,20 +101,14 @@ def coverage_field(p: PointPattern, queries: np.ndarray) -> np.ndarray:
     return (d <= radii).sum(axis=0)
 
 
-Realization = Union[PointPattern, AtomicMeasure, GridField]
-
-
-def integrate_weight(real: Realization, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Integral of the point weight f against a realization's measure."""
-    if isinstance(real, PointPattern):
-        if real.n == 0:
-            return 0.0
-        return float(np.sum(f(real.points)))
-    if isinstance(real, AtomicMeasure):
-        if real.n == 0:
-            return 0.0
-        return float(np.sum(real.masses * f(real.locations)))
-    return float(np.sum(real.values.ravel() * real.cell_volume * f(real.midpoints())))
+def integrate_weight(real: Source, f: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Integral of the point weight f against a realization's measure: the
+    sum of mass * f(location) over its atoms (``shotnoise._atoms_of``), so a
+    pattern with 1-d marks is weighted by its marks."""
+    _, locs, masses = _atoms_of(real)
+    if locs.shape[0] == 0:
+        return 0.0
+    return float(np.sum(masses * f(locs)))
 
 
 def mixed_palm_estimate(

@@ -226,6 +226,17 @@ def test_invalid_parameter_is_config_error(tmp_path, invoke):
         {"id": "sinr-compare", "n_reps": 400, "power": float("inf")},
         {"id": "marked-basis", "n_reps": 400, "suite_size": 6, "mark_mean": float("inf")},
         {"id": "lo-extremal", "n_reps": 400, "threshold_grid": [float("nan")]},
+        # a float that is not finite where the default holds floats
+        {"id": "sinr-compare", "n_reps": 400, "T": float("nan")},
+        {"id": "sinr-compare", "n_reps": 400, "T": float("inf")},
+        {"id": "sinr-compare", "n_reps": 400, "noise": float("inf")},
+        {"id": "coverage-compare", "n_reps": 400, "r": float("inf")},
+        {"id": "coverage-compare", "n_reps": 400, "queries": [[float("nan"), 0.5]]},
+        {"id": "ppcluster-family", "n_reps": 400, "queries": [[float("nan"), 0.5]]},
+        {"id": "lo-extremal", "n_reps": 400, "queries": [[float("nan"), 0.25], [0.75, 0.75]]},
+        # pi r^2 is the planar K
+        {"id": "ripley-poisson", "n_reps": 50, "window": {"lows": [0.0], "highs": [1.0]}},
+        {"id": "ripley-poisson", "n_reps": 50, "window": {"lows": [0, 0, 0], "highs": [1, 1, 1]}},
     ):
         path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}, entry])
         code, _ = invoke(["run", str(path)])

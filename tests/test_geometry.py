@@ -25,6 +25,7 @@ from dcxsim.geometry import (
     sq_distances,
 )
 from dcxsim.scenarios import SCENARIOS, run_scenario
+from conftest import wrap_oracle
 from test_acceptance import FAST_PARAMS, SEED
 
 # calls that build a generator or a seed: only RngStream.generator may make them
@@ -36,6 +37,11 @@ def test_window_validation():
         make_window([0, 0], [1, 0])
     with pytest.raises(ValueError):
         make_window([0], [1], "klein-bottle")
+    for lows, highs in (([0, np.nan], [1, 1]), ([0, 0], [1, np.inf]), ([-np.inf], [1])):
+        with pytest.raises(ValueError, match="finite"):
+            make_window(lows, highs)
+        with pytest.raises(ValueError, match="finite"):
+            Box(lows, highs)
     w = make_window([0, 0], [2, 3])
     assert w.dim == 2
     assert w.volume == 6.0
@@ -46,12 +52,6 @@ def test_wrap_and_contains():
     wrapped = w.wrap([[1.25, -0.25]])
     assert np.allclose(wrapped, [[0.25, 0.75]])
     assert w.contains(wrapped).all()
-
-
-def _wrap_oracle(w, pts):
-    """The broadcast formula, with a coordinate rounded up to highs or past it taken to lows."""
-    out = w.lows + np.mod(np.atleast_2d(pts) - w.lows, w.lengths)
-    return np.where(out >= w.highs, w.lows, out)
 
 
 def test_wrap_never_returns_the_upper_edge():
@@ -101,8 +101,8 @@ def test_wrap_matches_broadcast_formula(lows, highs):
     inside = lo + gen.random((500, w.dim)) * length
     for pts in (special, spread, inside, special[:, ::-1] if w.dim > 1 else special):
         got = w.wrap(pts)
-        assert np.array_equal(got, _wrap_oracle(w, pts))
-        assert np.array_equal(np.signbit(got), np.signbit(_wrap_oracle(w, pts)))
+        assert np.array_equal(got, wrap_oracle(w, pts))
+        assert np.array_equal(np.signbit(got), np.signbit(wrap_oracle(w, pts)))
         assert np.all((got >= lo) & (got < hi))
 
 
@@ -234,6 +234,15 @@ def test_pattern_validation():
         PointPattern(w, np.array([[2.0, 0.5]]))
     with pytest.raises(ValueError):
         PointPattern(w, np.array([[0.5, 0.5]]), marks=np.array([1.0, 2.0]))
+    # both containers: the closed window holds its corners, not NaN, and
+    # points of another dimension are refused
+    assert PointPattern(w, [[0.0, 1.0], [1.0, 0.0]]).n == 2
+    assert AtomicMeasure(w, [[1.0, 1.0]], [1.0]).n == 1
+    for pts, match in (([[np.nan, 0.5]], "outside window"), ([[0.5, 0.5, 0.5]], "dimension")):
+        with pytest.raises(ValueError, match=match):
+            PointPattern(w, pts)
+        with pytest.raises(ValueError, match=match):
+            AtomicMeasure(w, pts, [1.0])
 
 
 def test_rng_stream_reproducible_and_split():

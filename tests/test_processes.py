@@ -8,9 +8,10 @@ from dcxsim.geometry import (
     Box, GridField, count_in, make_stream, make_window, mass_in, pairwise_distances,
 )
 from dcxsim import ops, processes
-from dcxsim.ordering import CONSISTENT, batched, counts_on_boxes, decide, replicate
+from dcxsim.ordering import CONSISTENT, batched, counts_on_boxes
 from dcxsim.scenarios import SCENARIOS, _box_count_samplers, _ops_arms, _quadrant_boxes
 from dcxsim.shotnoise import ResponseKernel, additive_sn, ragged_sn
+from conftest import law_verdict, wrap_oracle
 
 
 W = make_window([0.0, 0.0], [1.0, 1.0])
@@ -223,7 +224,7 @@ def test_count_samplers_match_point_path_in_law(topology, cells, dim, op):
     if op is None:
         count = _box_count_samplers(params, w, boxes)[1:]
     else:
-        count = _ops_arms(params, w, boxes)[1][op]
+        count = _ops_arms(params, w, boxes)[op][0]
     base = [
         lambda gen: processes.sample_poisson(1.0, w, gen),
         lambda gen: processes.sample_cox(
@@ -234,20 +235,8 @@ def test_count_samplers_match_point_path_in_law(topology, cells, dim, op):
     point = [
         batched(counts_on_boxes(lambda gen, b=b: operate(b(gen), gen), boxes)) for b in base
     ]
-    centre = count[1](make_stream(1).generator(), 1000).mean(axis=0)
-    iu = np.triu_indices(len(boxes), 1)
-
-    def reduce(x):
-        d = x - centre
-        return np.hstack([x, d**2, d[:, iu[0]] * d[:, iu[1]]])
-
-    n = 3000
-    moms = replicate((count[0], point[0], count[1], point[1]), reduce, n, make_stream(31))
-    z = [
-        (b.mean - a.mean) / np.sqrt((a.var + b.var) / n)
-        for a, b in (moms[:2], moms[2:])
-    ]
-    assert decide(np.concatenate(z + [-zz for zz in z])) == CONSISTENT
+    draws = (count[0], point[0], count[1], point[1])
+    assert law_verdict(3000, (draws, count[1], make_stream(31))) == CONSISTENT
 
 
 # disjoint boxes holding 8, 6, 4 and 1 atoms of the lattice of spacing 0.5,
@@ -283,19 +272,8 @@ def test_box_mass_samplers_match_measure_path_in_law(topology):
         batched(lambda gen, m=m: np.array([mass_in(m(gen), b) for b in MASS_BOXES]))
         for m in measures
     ]
-    iu = np.triu_indices(len(MASS_BOXES), 1)
-    n = 2000
-    z = []
-    for k, (b, s) in enumerate(zip(batch, single)):
-        centre = b(make_stream(1).generator(), 1000).mean(axis=0)
-
-        def reduce(x):
-            d = x - centre
-            return np.hstack([x, d**2, d[:, iu[0]] * d[:, iu[1]]])
-
-        mom_b, mom_s = replicate((b, s), reduce, n, make_stream(34, k))
-        z.append((mom_s.mean - mom_b.mean) / np.sqrt((mom_b.var + mom_s.var) / n))
-    assert decide(np.concatenate(z + [-zz for zz in z])) == CONSISTENT
+    pairs = [((b, s), b, make_stream(34, k)) for k, (b, s) in enumerate(zip(batch, single))]
+    assert law_verdict(2000, *pairs) == CONSISTENT
 
 
 def test_count_samplers_reject_bad_boxes():
@@ -367,17 +345,7 @@ def test_batch_samplers_match_per_realization_samplers_in_law(case):
     # moment, batch draw against per-realization draw, judged as one
     # two-sided family
     batch, single = BATCH_CASES[case]
-    centre = batch(make_stream(1).generator(), 1000).mean(axis=0)
-    iu = np.triu_indices(centre.size, 1)
-
-    def reduce(x):
-        d = x - centre
-        return np.hstack([x, d**2, d[:, iu[0]] * d[:, iu[1]]])
-
-    n = 4000
-    mom_b, mom_s = replicate((batch, batched(single)), reduce, n, make_stream(32))
-    z = (mom_s.mean - mom_b.mean) / np.sqrt((mom_b.var + mom_s.var) / n)
-    assert decide(np.concatenate([z, -z])) == CONSISTENT
+    assert law_verdict(4000, ((batch, batched(single)), batch, make_stream(32))) == CONSISTENT
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +357,6 @@ AXIS_WINDOWS = [
     ([-0.4, 1.25], [0.8, 3.0]),
     ([0.1, -2.0, 5.0], [1.3, -1.1, 5.7]),
 ]
-
-
-def _wrap_oracle(w, pts):
-    out = w.lows + np.mod(pts - w.lows, w.lengths)
-    return np.where(out >= w.highs, w.lows, out)
 
 
 def _poisson_batch_oracle(lam, w, pad, gen, size):
@@ -412,7 +375,7 @@ def _thomas_batch_oracle(parent_lam, cluster_size, sigma, w, gen, size):
     children += kernel.sample_offsets(gen, children.shape[0], w.dim)
     rep = np.repeat(np.repeat(np.arange(size), counts), n_child)
     if w.topology == "torus":
-        children = _wrap_oracle(w, children)
+        children = wrap_oracle(w, children)
     else:
         keep = np.all((children >= w.lows) & (children <= w.highs), axis=1)
         children, rep = children[keep], rep[keep]
@@ -452,13 +415,16 @@ def _lattice_index_oracle(w, points, shift, spacing, n_lattice):
 ])
 def test_lattice_index_matches_broadcast_formula(lows, highs, cells, topology):
     w = make_window(lows, highs, topology)
-    mids = GridField(w, cells, np.zeros(cells)).midpoints()
-    n_lattice = processes._lattice_size(w, 1.0)
+    field = GridField(w, cells, np.zeros(cells))
+    n_lattice = processes._lattice_size(w)
     gen = make_stream(6).generator()
-    # the field's (cells, d) midpoints with one (d,) shift, and the count
-    # sampler's (size, cells, d) table shifts
-    for shift in (gen.random(w.dim), gen.random((40, 1, w.dim))):
-        idx, n_lat = processes._lattice_index(w, mids, shift, 1.0, n_lattice)
-        want, want_n = _lattice_index_oracle(w, mids, shift, 1.0, n_lattice)
-        assert np.array_equal(np.stack(idx, axis=-1), want)
+    # one (d,) shift, as the field draws it, and the count sampler's (size, d)
+    # shifts; the oracle takes the grid's (cells, d) midpoints
+    grid = [g.ravel() for g in np.meshgrid(*[np.arange(c) for c in cells], indexing="ij")]
+    for shift in (gen.random(w.dim), gen.random((40, w.dim))):
+        idx, n_lat = processes._lattice_index(w, field.axis_midpoints(), shift, n_lattice)
+        # each axis's (..., cells_k) index spread over the grid, in midpoints() order
+        got = np.stack([i[..., g] for i, g in zip(idx, grid)], axis=-1)
+        want, want_n = _lattice_index_oracle(w, field.midpoints(), shift[..., None, :], 1.0, n_lattice)
+        assert np.array_equal(got, want)
         assert np.array_equal(n_lat, want_n)

@@ -18,9 +18,7 @@ from dcxsim.ordering import (
     VIOLATION,
     batched,
     compare_vectors,
-    decide,
     make_suite,
-    replicate,
 )
 from dcxsim.processes import (
     make_poisson_batch,
@@ -33,6 +31,7 @@ from dcxsim.processes import (
 from dcxsim import shotnoise
 from dcxsim.shotnoise import ResponseKernel, additive_sn, extremal_sn, ragged_sn
 from dcxsim.stats import coverage_field
+from conftest import law_verdict
 
 W = make_window([0.0, 0.0], [1.0, 1.0])
 QUERIES = np.array([[0.5, 0.5], [0.1, 0.9]])
@@ -282,13 +281,4 @@ def test_ragged_reductions_match_per_realization_in_law(case):
     # two queries, of the batch draw against the per-realization draw,
     # judged as one two-sided family
     batch, single = REDUCTION_CASES[case]
-    centre = batch(make_stream(1).generator(), 1000).mean(axis=0)
-
-    def reduce(x):
-        d = x - centre
-        return np.column_stack([x, d**2, d[:, 0] * d[:, 1]])
-
-    n = 4000
-    mom_b, mom_s = replicate((batch, batched(single)), reduce, n, make_stream(33))
-    z = (mom_s.mean - mom_b.mean) / np.sqrt((mom_b.var + mom_s.var) / n)
-    assert decide(np.concatenate([z, -z])) == CONSISTENT
+    assert law_verdict(4000, ((batch, batched(single)), batch, make_stream(33))) == CONSISTENT

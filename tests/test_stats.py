@@ -195,6 +195,15 @@ def test_integrate_weight_dispatch():
     assert stats.integrate_weight(g, f) == pytest.approx(4.0 * 0.5)
 
 
+def test_integrate_weight_weighs_a_marked_pattern_by_its_marks():
+    # as additive_sn does: 1-d marks are masses, other marks are not
+    f = lambda pts: pts[:, 0]
+    pts = np.array([[0.25, 0.5], [0.75, 0.5]])
+    assert stats.integrate_weight(PointPattern(W, pts, np.array([3.0, 1.0])), f) == 1.5
+    assert stats.integrate_weight(PointPattern(W, pts, np.ones((2, 3)) * 7), f) == 1.0
+    assert stats.integrate_weight(PointPattern(W, np.empty((0, 2)), np.empty(0)), f) == 0.0
+
+
 def test_mixed_palm_poisson_identity():
     # the per-realization point path is the reference for the count-level draw
     lam = 5.0
