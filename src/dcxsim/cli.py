@@ -10,8 +10,9 @@ key is a configuration error, found before any scenario runs):
               not in the scenario's SCENARIOS defaults, a window key other
               than lows, highs and topology, an empty list where the default
               is a non-empty list, a value that is not an integer where the
-              default is one, or a number that is not finite where the default
-              holds floats, is a configuration error, found before any
+              default is one, or a value that is not an integer or a finite
+              number where the default holds floats (a bool or a string such
+              as "nan", say), is a configuration error, found before any
               scenario runs
 
 Each scenario produces <output_dir>/<id>.json and <output_dir>/<id>.csv, so
@@ -20,7 +21,8 @@ Reports are written only after the last scenario has run, so a run that
 exits 2 or 3 writes no report.
 Exit codes: 0 clean, 1 a verdict was VIOLATION/fail, 2 configuration error
 (including a seed outside [0, 2**64), a repeated scenario id, invalid scenario
-parameters, fewer than 2 replications, points or queries whose dimension is not
+parameters, among them a bool or a string where the default holds floats,
+fewer than 2 replications, points or queries whose dimension is not
 the window's, an ops-preservation shift of another length, a marked-basis
 mark_mean that is not positive, kernel and mass-law parameters that are not
 finite and positive (a power may be 0), non-finite lo-extremal thresholds,

@@ -173,6 +173,76 @@ def _occupancy(idx: np.ndarray, n_lat: int, ov: np.ndarray) -> np.ndarray:
     return np.stack(sums, axis=-1).reshape(size, n_lat, -1)
 
 
+def _shift_breaks(w: Window, axes: list[np.ndarray]) -> list[np.ndarray]:
+    """Per axis k, the sorted shifts in (0, ISING_SPACING) at which a grid
+    cell's lattice index along k changes: per cell with midpoint ``axes[k][c]``,
+    the smallest double s with floor((x - s) / ISING_SPACING) below its value
+    at s = 0, where x is the offset _lattice_index takes.
+
+    The index is non-increasing in s and falls by one just past
+    g = x - floor(x / spacing) * spacing, so each search bisects the bit
+    patterns of non-negative doubles, which are ordered as the doubles are,
+    between g -/+ 4 ulps of |x| + spacing, or over [0, spacing) where rounding
+    puts the change outside that bracket.  All axes' cells search together.
+    """
+    x = np.concatenate([a - lo if w.topology == TORUS else a for a, lo in zip(axes, w.lows)])
+    start = np.floor(x / ISING_SPACING)
+
+    def changed(s):
+        return np.floor((x - s) / ISING_SPACING) < start
+
+    top = np.nextafter(ISING_SPACING, 0.0)
+    guess = x - start * ISING_SPACING
+    eps = 4 * np.spacing(np.abs(x) + ISING_SPACING)
+    lo, hi = np.clip(guess - eps, 0.0, top), np.clip(guess + eps, 0.0, top)
+    miss = changed(lo) | ~changed(hi)
+    lo[miss], hi[miss] = 0.0, top
+    # a cell whose index holds up to the spacing has no breakpoint
+    found = changed(hi)
+    lo, hi = lo.view(np.int64), hi.view(np.int64)
+    lo[~found] = hi[~found] - 1
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        past = changed(mid.view(float))
+        lo, hi = np.where(past, lo, mid), np.where(past, mid, hi)
+    cuts = np.cumsum([a.size for a in axes])[:-1]
+    return [np.sort(b[f]) for b, f in zip(np.split(hi.view(float), cuts), np.split(found, cuts))]
+
+
+def _occupancy_tables(w: Window, axes, ovs, n_lattice: np.ndarray) -> list[tuple]:
+    """Per axis k, the lattice shifts' breakpoints (_shift_breaks), the
+    (intervals, n_lat_k, boxes) _occupancy of each interval between them, and
+    each interval's lattice size n_lat_k.
+
+    A shift s_k in interval m = searchsorted(breaks, s_k, side="right") maps
+    every grid cell as the interval's start does, so its occupancy is row m,
+    made by _lattice_index and _occupancy at that start: the same sums in the
+    same order as for s_k itself.  On a plain window a row is padded with
+    zero lattice cells up to the widest row.
+    """
+    tables = []
+    for k, (breaks, ov) in enumerate(zip(_shift_breaks(w, axes), ovs)):
+        starts = np.zeros((breaks.size + 1, w.dim))
+        starts[1:, k] = breaks
+        idx, n_lat = _lattice_index(w, axes, starts, n_lattice)
+        rows = np.full(starts.shape[0], n_lat[k]) if w.topology == TORUS else idx[k].max(axis=1) + 1
+        tables.append((breaks, _occupancy(idx[k], n_lat[k], ov), rows))
+    return tables
+
+
+def _lookup_occupancy(tables: list[tuple], shift: np.ndarray) -> tuple[list[np.ndarray], list]:
+    """For (size, d) lattice shifts, the per-axis (size, n_lat_k, boxes)
+    occupancies and the lattice size, as _occupancy of _lattice_index gives
+    them: on a plain window n_lat_k is the widest row the shifts meet."""
+    occ, n_lat = [], []
+    for k, (breaks, table, rows) in enumerate(tables):
+        m = np.searchsorted(breaks, shift[:, k], side="right")
+        n = rows[m].max()
+        occ.append(table[m, :n])
+        n_lat.append(n)
+    return occ, n_lat
+
+
 def make_poisson_counts(lam: float, w: Window, boxes, translate=0.0) -> Callable:
     """Counts of the homogeneous Poisson process on the boxes (translated by
     ``translate`` as ops.displace does): independent Poisson(lam |B - t|)."""
@@ -199,20 +269,21 @@ def make_ising_cox_counts(
     L(B) = sum over lattice cells l of value(l) * prod_k occ_k(l_k, B), where
     occ_k(l, B) is the length along axis k of the grid cells mapped to l inside
     B.  Only (size, lattice cells, boxes) arrays are built, never the grid.
+    Each occ_k takes one of at most cells_k + 1 values as the shift runs over
+    a lattice cell, so they are tabled once (_occupancy_tables) and looked up.
     """
     _check_spins(mu1, mu2, p_plus)
     n_lattice = _lattice_size(w)
     field = GridField(w, cells_per_axis, np.zeros(tuple(np.atleast_1d(cells_per_axis))))
-    axes = field.axis_midpoints()
     ovs = _preimage_overlaps(w, field.cells_per_axis, boxes, translate)
+    tables = _occupancy_tables(w, field.axis_midpoints(), ovs, n_lattice)
     letters = "ijklmnopqr"[: w.dim]
     spec = f"s{letters}," + ",".join(f"s{c}b" for c in letters) + "->sb"
 
     def draw(gen: np.random.Generator, size: int) -> np.ndarray:
         shift = gen.random((size, w.dim)) * ISING_SPACING
-        idx, n_lat = _lattice_index(w, axes, shift, n_lattice)
+        occ, n_lat = _lookup_occupancy(tables, shift)
         values = np.where(gen.random((size, *n_lat)) < p_plus, mu1, mu2)
-        occ = [_occupancy(i, n, ov) for i, n, ov in zip(idx, n_lat, ovs)]
         return gen.poisson(np.einsum(spec, values, *occ))
 
     return draw

@@ -242,7 +242,9 @@ def run_coverage_compare(p: dict, stream: RngStream) -> ScenarioResult:
         for k in ("p_cover", "mean_count", "second_moment")
     }
     verdict = decide([-z["p_cover"], z["mean_count"], -z["mean_count"], z["second_moment"]])
-    analytic = 1.0 - float(np.exp(-lam * np.pi * r**2))
+    # one minus the Poisson void probability exp(-lam |ball of radius r|) in d dimensions
+    d = w.dim
+    analytic = 1.0 - float(np.exp(-lam * np.pi ** (d / 2) / math.gamma(d / 2 + 1) * r**d))
     details = {
         "poisson": {k: v.tolist() for k, v in rep_po.items()},
         "thomas": {k: v.tolist() for k, v in rep_th.items()},
@@ -490,9 +492,10 @@ def check_params(scenario_id: str, params) -> None:
     """Raise ValueError for a key of the mapping ``params`` that is not one of
     the scenario's SCENARIOS defaults, for an empty list where the default is
     a non-empty list, for a value that is not an integer where the default is
-    one, for a float that is not finite where the default holds floats (as a
-    scalar or in a nested list), for a ``window`` that is not a mapping, and
-    for a ``window`` key other than lows, highs and topology."""
+    one, for a value that is not an integer or a finite float where the
+    default holds floats (as a scalar or in a nested list; a bool or a string
+    such as "nan" is neither), for a ``window`` that is not a mapping, and for
+    a ``window`` key other than lows, highs and topology."""
     defaults = SCENARIOS[scenario_id][2]
     unknown = sorted(str(k) for k in set(params) - set(defaults))
     if unknown:
@@ -504,9 +507,9 @@ def check_params(scenario_id: str, params) -> None:
         if is_int(default) and not is_int(value):
             raise ValueError(f"scenario parameter {key!r} must be an integer")
         if any(isinstance(x, float) for x in _leaves(default)) and not all(
-            math.isfinite(x) for x in _leaves(value) if isinstance(x, float)
+            is_int(x) or (isinstance(x, float) and math.isfinite(x)) for x in _leaves(value)
         ):
-            raise ValueError(f"scenario parameter {key!r} must be finite")
+            raise ValueError(f"scenario parameter {key!r} must be a finite number")
     wspec = params.get("window", {})
     if not isinstance(wspec, dict):
         raise ValueError("scenario parameter 'window' must be a mapping")

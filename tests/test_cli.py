@@ -234,6 +234,10 @@ def test_invalid_parameter_is_config_error(tmp_path, invoke):
         {"id": "coverage-compare", "n_reps": 400, "queries": [[float("nan"), 0.5]]},
         {"id": "ppcluster-family", "n_reps": 400, "queries": [[float("nan"), 0.5]]},
         {"id": "lo-extremal", "n_reps": 400, "queries": [[float("nan"), 0.25], [0.75, 0.75]]},
+        # a string or a bool where the default holds floats: "nan" is no number,
+        # and YAML true would run as 1.0
+        {"id": "sinr-compare", "n_reps": 400, "T": "nan"},
+        {"id": "ising-vs-poisson", "n_reps": 400, "suite_size": 6, "mu1": True},
         # pi r^2 is the planar K
         {"id": "ripley-poisson", "n_reps": 50, "window": {"lows": [0.0], "highs": [1.0]}},
         {"id": "ripley-poisson", "n_reps": 50, "window": {"lows": [0, 0, 0], "highs": [1, 1, 1]}},

@@ -249,13 +249,14 @@ MASS_BOXES = [
 ]
 
 
-@pytest.mark.parametrize("topology", ["torus", "plain"])
-def test_box_mass_samplers_match_measure_path_in_law(topology):
+def test_box_mass_samplers_match_measure_path_in_law():
     # the scenarios' box-mass samplers against random measure -> mass_in: per
     # box the mean and second moment, per pair of boxes the cross moment, for
     # both lattice masses and both marked sides, judged as one family.  The
-    # mark mean 2.5 tells the constant side N E Z apart from the count N.
-    w = make_window([0.0, 0.0], [3.0, 2.0], topology)
+    # mark mean 2.5 tells the constant side N E Z apart from the count N.  The
+    # atoms and MASS_BOXES lie inside the window, so no sampler here depends
+    # on its topology.
+    w = make_window([0.0, 0.0], [3.0, 2.0])
     mark = exponential(2.5)
     lattice = [MassDistribution("sum_of_exponentials", (0.5, 0.5)), exponential(1.0)]
     batch = [processes.make_levy_grid_masses(0.5, m, w, MASS_BOXES) for m in lattice] + [
@@ -428,3 +429,37 @@ def test_lattice_index_matches_broadcast_formula(lows, highs, cells, topology):
         want, want_n = _lattice_index_oracle(w, field.midpoints(), shift[..., None, :], 1.0, n_lattice)
         assert np.array_equal(got, want)
         assert np.array_equal(n_lat, want_n)
+
+
+@pytest.mark.parametrize("topology", ["torus", "plain"])
+@pytest.mark.parametrize("lows, highs, cells, translate", [
+    ([0.5], [7.5], [20], 0.0),
+    # the midpoints 1.0 and 3.0 of axis 0 lie on lattice lines
+    ([0.0, -1.0], [4.0, 2.0], [2, 7], [0.35, 0.15]),
+    ([-2.0, 0.0, 3.0], [1.0, 2.0, 4.0], [5, 4, 3], [0.3, -0.45, 0.1]),
+])
+def test_occupancy_lookup_matches_lattice_index(lows, highs, cells, translate, topology):
+    # the tabled occupancies of make_ising_cox_counts against _occupancy of
+    # _lattice_index, bit for bit, at each axis's breakpoints, one ulp below
+    # them, 0 and the largest shift below the spacing
+    w = make_window(lows, highs, topology)
+    field = GridField(w, cells, np.zeros(cells))
+    axes, n_lattice = field.axis_midpoints(), processes._lattice_size(w)
+    ovs = processes._preimage_overlaps(w, field.cells_per_axis, _quadrant_boxes(w), translate)
+    tables = processes._occupancy_tables(w, axes, ovs, n_lattice)
+    top = np.nextafter(processes.ISING_SPACING, 0.0)
+    gen = make_stream(8).generator()
+    for k, (breaks, _, _) in enumerate(tables):
+        assert breaks.size > 0
+        points = np.concatenate([breaks, np.nextafter(breaks, 0.0), [0.0, top]])
+        shift = gen.random((points.size, w.dim))
+        shift[:, k] = points
+        # the whole batch, and each shift alone, since a plain window's
+        # lattice size is the largest in the batch
+        for s in [shift, *shift[:, None]]:
+            occ, n_lat = processes._lookup_occupancy(tables, s)
+            idx, want_n = processes._lattice_index(w, axes, s, n_lattice)
+            assert np.array_equal(n_lat, want_n)
+            for got, i, n, ov in zip(occ, idx, want_n, ovs):
+                want = processes._occupancy(i, n, ov)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -4,6 +4,7 @@ import pytest
 from dcxsim.distributions import MassDistribution, constant, exponential
 from dcxsim.geometry import PatternBatch, make_stream, make_window
 from dcxsim.processes import make_poisson_batch
+from dcxsim.scenarios import run_scenario
 from dcxsim.shotnoise import ResponseKernel
 from dcxsim import wireless
 
@@ -96,6 +97,22 @@ def test_boolean_coverage_poisson_matches_void_probability():
     # Campbell: E V = lam * pi r^2
     assert abs(rep["mean_count"][0] - lam * np.pi * r**2) <= 3 * rep["mean_count_stderr"][0]
 
+
+
+def test_coverage_compare_analytic_is_the_void_probability_of_its_dimension():
+    # 1 - exp(-lam |ball of radius r|): the ball is 2 r long on a line and
+    # pi r^2 in the plane, where the value keeps its planar formula's bits
+    lam, r = 20.0, 0.1
+    for window, queries, want in (
+        ({"lows": [0.0], "highs": [1.0]}, [[0.5]], 1.0 - np.exp(-2 * lam * r)),
+        ({}, [[0.5, 0.5]], None),
+    ):
+        params = {"lam": lam, "r": r, "n_reps": 200, "window": window, "queries": queries}
+        got = run_scenario("coverage-compare", params, make_stream(5)).details["poisson_coverage_analytic"]
+        if want is None:
+            assert got == 1.0 - float(np.exp(-lam * np.pi * r**2))
+        else:
+            assert got == pytest.approx(want, rel=1e-12)
 
 def test_boolean_coverage_empty_germs():
     rep = wireless.boolean_coverage(
