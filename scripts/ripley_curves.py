@@ -9,14 +9,12 @@ import argparse
 
 import numpy as np
 
-from dcxsim.cli import keep_freed_memory
 from dcxsim.geometry import make_stream, make_window
 from dcxsim.processes import make_poisson_batch, make_thomas_batch
 from dcxsim.stats import ripley_k
 
 
 def main() -> None:
-    keep_freed_memory()
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--lam", type=float, default=50.0)
     ap.add_argument("--reps", type=int, default=2000)

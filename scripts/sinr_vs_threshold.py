@@ -10,7 +10,6 @@ import argparse
 
 import numpy as np
 
-from dcxsim.cli import keep_freed_memory
 from dcxsim.distributions import exponential
 from dcxsim.geometry import make_stream, make_window
 from dcxsim.processes import make_poisson_batch, make_thomas_batch
@@ -19,7 +18,6 @@ from dcxsim.wireless import LinkLayout, sinr_success_rayleigh
 
 
 def main() -> None:
-    keep_freed_memory()
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--lam", type=float, default=5.0)
     ap.add_argument("--beta", type=float, default=4.0)

@@ -143,11 +143,10 @@ def keep_freed_memory() -> None:
     By default glibc maps such blocks with mmap, unmaps them on free and trims
     the heap top, so every chunk faults the same pages in again. Setting
     either threshold turns off glibc's dynamic threshold, so the trim
-    threshold is set only once the mmap one took. A silent no-op off Linux or
-    wherever the C library has no mallopt.
+    threshold is set only once the mmap one took. A silent no-op wherever the
+    C library cannot be loaded (TypeError from CDLL(None) on Windows) or has
+    no mallopt (AttributeError on macOS and the BSDs).
     """
-    if not sys.platform.startswith("linux"):
-        return
     try:
         mallopt = ctypes.CDLL(None).mallopt
         mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
