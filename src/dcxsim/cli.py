@@ -20,11 +20,14 @@ an id listed twice is a configuration error, found before any scenario runs.
 Reports are written only after the last scenario has run, so a run that
 exits 2 or 3 writes no report.
 Exit codes: 0 clean, 1 a verdict was VIOLATION/fail, 2 configuration error
-(including a seed outside [0, 2**64), a repeated scenario id, invalid scenario
+(including a seed outside [0, 2**64), a scenario id that is not a scenario's
+name, such as a list or a mapping, a repeated scenario id, invalid scenario
 parameters, among them a bool or a string where the default holds floats,
 fewer than 2 replications, points or queries whose dimension is not
-the window's, an ops-preservation shift of another length, a marked-basis
-mark_mean that is not positive, kernel and mass-law parameters that are not
+the window's, SINR emitters or receivers or coverage-compare,
+ppcluster-family or lo-extremal queries outside the window, an
+ops-preservation shift of another length, a marked-basis mark_mean that is
+not positive, kernel and mass-law parameters that are not
 finite and positive (a power may be 0), non-finite lo-extremal thresholds,
 lo-extremal queries of other than two points, window bounds that are not
 finite, a ripley-poisson window that is not 2-d, and usage errors: no command,
@@ -105,7 +108,7 @@ def _load_config(config_path: str) -> dict:
     for entry in cfg["scenarios"]:
         if not isinstance(entry, dict) or "id" not in entry:
             raise ConfigError("each scenario entry must be a mapping with an 'id' key")
-        if entry["id"] not in SCENARIOS:
+        if not isinstance(entry["id"], str) or entry["id"] not in SCENARIOS:
             raise ConfigError(f"unknown scenario id: {entry['id']}")
         if entry["id"] in seen:
             raise ConfigError(f"scenario id listed twice: {entry['id']}")

@@ -38,11 +38,16 @@ def poisson_pmf_tail(mean: float) -> tuple[np.ndarray, np.ndarray]:
     return pmf, np.cumsum(pmf[::-1])[::-1]
 
 
-def poisson_tail_order(mean: float) -> int:
-    """Smallest m with P(Poisson(mean) >= m) < POISSON_TAIL; the tail is
-    non-increasing from tail[0] = 1, so m >= 1 counts the entries at or above it."""
-    _, tail = poisson_pmf_tail(mean)
+def tail_order(tail: np.ndarray) -> int:
+    """Smallest m with tail[m] < POISSON_TAIL for a tail of poisson_pmf_tail;
+    it is non-increasing from tail[0] = 1, so m >= 1 counts the entries at or
+    above it."""
     return int(np.count_nonzero(tail >= POISSON_TAIL))
+
+
+def poisson_tail_order(mean: float) -> int:
+    """Smallest m with P(Poisson(mean) >= m) < POISSON_TAIL."""
+    return tail_order(poisson_pmf_tail(mean)[1])
 
 
 @dataclass(frozen=True)

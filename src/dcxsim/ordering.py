@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .distributions import poisson_pmf_tail, poisson_tail_order
+from .distributions import poisson_pmf_tail, tail_order
 from .geometry import Box, RngStream, boxes_disjoint, count_in
 
 CONSISTENT = "CONSISTENT"
@@ -468,19 +468,20 @@ def cx_compare_exact(
     }
 
 
-def _poisson_pmf_truncated(mean: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Poisson(mean) pmf on 0..m, m one past poisson_tail_order(mean)."""
-    m = poisson_tail_order(mean) + 1
-    pmf, _ = poisson_pmf_tail(mean)
-    return np.arange(m + 1, dtype=float), pmf[: m + 1]
+def _poisson_pmf_truncated(mean: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The support 0..m and the Poisson(mean) pmf on it, m one past
+    poisson_tail_order(mean), and the tail of poisson_pmf_tail: one table."""
+    pmf, tail = poisson_pmf_tail(mean)
+    m = tail_order(tail) + 1
+    return np.arange(m + 1, dtype=float), pmf[: m + 1], tail
 
 
 def oracle_poisson_scaling(a: float, c: float) -> dict:
     """Exact check that Poisson(c a) <= c * Poisson(a) in convex order (c >= 1)."""
     if a <= 0 or c < 1:
         raise ValueError("need a > 0 and c >= 1")
-    kx, px = _poisson_pmf_truncated(c * a)
-    ky, py = _poisson_pmf_truncated(a)
+    kx, px, _ = _poisson_pmf_truncated(c * a)
+    ky, py, _ = _poisson_pmf_truncated(a)
     return cx_compare_exact((kx, px), (c * ky, py))
 
 
@@ -501,11 +502,9 @@ def oracle_ginibre_radii(b: float) -> dict:
     must both be b for a pass."""
     if b <= 0:
         raise ValueError("b must be positive")
-    m = poisson_tail_order(b) + 1
-    _, tail = poisson_pmf_tail(b)
-    bern = tail[1 : m + 1]  # P(N_b >= k), k = 1..m
+    ky, py, tail = _poisson_pmf_truncated(b)
+    bern = tail[1 : ky.size]  # P(N_b >= k), k = 1..m
     pmf_x = _poisson_binomial_pmf(bern)
-    ky, py = _poisson_pmf_truncated(b)
     cx = cx_compare_exact((np.arange(pmf_x.size, dtype=float), pmf_x), (ky, py))
     mean_x = float(np.arange(pmf_x.size) @ pmf_x)
     mean_y = float(ky @ py)

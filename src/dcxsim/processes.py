@@ -90,6 +90,21 @@ def _lattice_size(w: Window) -> np.ndarray:
     return n_lattice
 
 
+def _lattice_offsets(w: Window, axes: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The lattice rule, per axis: each grid cell's lattice cell at shift 0,
+    floor(u), and its fraction g = ISING_SPACING * (u - floor(u)), where u is
+    the cell's midpoint over the spacing, less the window's lower corner on a
+    torus.  A shift s moves the cell to floor(u) - (s > g); for u >= 0 the
+    fraction is exact (Sterbenz), so that is the exact floor of u - s / spacing.
+    """
+    out = []
+    for a, lo in zip(axes, w.lows):
+        u = (a - lo if w.topology == TORUS else a) / ISING_SPACING
+        start = np.floor(u)
+        out.append((start.astype(int), ISING_SPACING * (u - start)))
+    return out
+
+
 def _lattice_index(
     w: Window, axes: list[np.ndarray], shift: np.ndarray, n_lattice: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -97,16 +112,15 @@ def _lattice_index(
     array per axis, and the lattice size (d,).
 
     axes holds the grid's cell midpoints along each axis (cells_k,), and the
-    lattice shift is (..., d).  On a torus the lattice is periodic with
-    n_lattice cells per axis; on a plain window it is the cells the grid
-    meets, numbered from 0 along each axis (per leading index), and its size
-    is the largest such count.
+    lattice shift is (..., d); each axis follows _lattice_offsets.  On a torus
+    the lattice is periodic with n_lattice cells per axis; on a plain window it
+    is the cells the grid meets, numbered from 0 along each axis (per leading
+    index), and its size is the largest such count.
     """
-    shift = [shift[..., k, None] for k in range(w.dim)]
+    rule = _lattice_offsets(w, axes)
+    idx = [start - (shift[..., k, None] > frac) for k, (start, frac) in enumerate(rule)]
     if w.topology == TORUS:
-        offsets = (a - lo - s for a, lo, s in zip(axes, w.lows, shift))
-        return [np.floor(o / ISING_SPACING).astype(int) % n for o, n in zip(offsets, n_lattice)], n_lattice
-    idx = [np.floor((a - s) / ISING_SPACING).astype(int) for a, s in zip(axes, shift)]
+        return [i % n for i, n in zip(idx, n_lattice)], n_lattice
     idx = [i - i.min(axis=-1, keepdims=True) for i in idx]
     return idx, np.array([i.max() + 1 for i in idx])
 
@@ -173,55 +187,23 @@ def _occupancy(idx: np.ndarray, n_lat: int, ov: np.ndarray) -> np.ndarray:
     return np.stack(sums, axis=-1).reshape(size, n_lat, -1)
 
 
-def _shift_breaks(w: Window, axes: list[np.ndarray]) -> list[np.ndarray]:
-    """Per axis k, the sorted shifts in (0, ISING_SPACING) at which a grid
-    cell's lattice index along k changes: per cell with midpoint ``axes[k][c]``,
-    the smallest double s with floor((x - s) / ISING_SPACING) below its value
-    at s = 0, where x is the offset _lattice_index takes.
-
-    The index is non-increasing in s and falls by one just past
-    g = x - floor(x / spacing) * spacing, so each search bisects the bit
-    patterns of non-negative doubles, which are ordered as the doubles are,
-    between g -/+ 4 ulps of |x| + spacing, or over [0, spacing) where rounding
-    puts the change outside that bracket.  All axes' cells search together.
-    """
-    x = np.concatenate([a - lo if w.topology == TORUS else a for a, lo in zip(axes, w.lows)])
-    start = np.floor(x / ISING_SPACING)
-
-    def changed(s):
-        return np.floor((x - s) / ISING_SPACING) < start
-
-    top = np.nextafter(ISING_SPACING, 0.0)
-    guess = x - start * ISING_SPACING
-    eps = 4 * np.spacing(np.abs(x) + ISING_SPACING)
-    lo, hi = np.clip(guess - eps, 0.0, top), np.clip(guess + eps, 0.0, top)
-    miss = changed(lo) | ~changed(hi)
-    lo[miss], hi[miss] = 0.0, top
-    # a cell whose index holds up to the spacing has no breakpoint
-    found = changed(hi)
-    lo, hi = lo.view(np.int64), hi.view(np.int64)
-    lo[~found] = hi[~found] - 1
-    while np.any(hi - lo > 1):
-        mid = lo + (hi - lo) // 2
-        past = changed(mid.view(float))
-        lo, hi = np.where(past, lo, mid), np.where(past, mid, hi)
-    cuts = np.cumsum([a.size for a in axes])[:-1]
-    return [np.sort(b[f]) for b, f in zip(np.split(hi.view(float), cuts), np.split(found, cuts))]
-
-
 def _occupancy_tables(w: Window, axes, ovs, n_lattice: np.ndarray) -> list[tuple]:
-    """Per axis k, the lattice shifts' breakpoints (_shift_breaks), the
-    (intervals, n_lat_k, boxes) _occupancy of each interval between them, and
-    each interval's lattice size n_lat_k.
+    """Per axis k, the sorted shifts in (0, ISING_SPACING) at which a grid
+    cell's lattice index changes, the (intervals, n_lat_k, boxes) _occupancy of
+    each interval between them, and each interval's lattice size n_lat_k.
 
-    A shift s_k in interval m = searchsorted(breaks, s_k, side="right") maps
-    every grid cell as the interval's start does, so its occupancy is row m,
-    made by _lattice_index and _occupancy at that start: the same sums in the
-    same order as for s_k itself.  On a plain window a row is padded with
-    zero lattice cells up to the widest row.
+    A cell with fraction g (_lattice_offsets) changes index at s > g, that is
+    at s >= nextafter(g, inf), so these breakpoints are read off the rule
+    _lattice_index follows.  A shift s_k in interval m = searchsorted(breaks,
+    s_k, side="right") thus maps every grid cell as the interval's start does,
+    and its occupancy is row m, made by _lattice_index and _occupancy at that
+    start: the same sums in the same order as for s_k itself.  On a plain
+    window a row is padded with zero lattice cells up to the widest row.
     """
     tables = []
-    for k, (breaks, ov) in enumerate(zip(_shift_breaks(w, axes), ovs)):
+    for k, ((_, frac), ov) in enumerate(zip(_lattice_offsets(w, axes), ovs)):
+        breaks = np.sort(np.nextafter(frac, np.inf))
+        breaks = breaks[breaks < ISING_SPACING]
         starts = np.zeros((breaks.size + 1, w.dim))
         starts[1:, k] = breaks
         idx, n_lat = _lattice_index(w, axes, starts, n_lattice)
@@ -270,7 +252,9 @@ def make_ising_cox_counts(
     occ_k(l, B) is the length along axis k of the grid cells mapped to l inside
     B.  Only (size, lattice cells, boxes) arrays are built, never the grid.
     Each occ_k takes one of at most cells_k + 1 values as the shift runs over
-    a lattice cell, so they are tabled once (_occupancy_tables) and looked up.
+    a lattice cell, changing only where it passes a grid cell's fraction
+    (_lattice_offsets), so they are tabled once at those breakpoints
+    (_occupancy_tables) and looked up, as _lattice_index would map each shift.
     """
     _check_spins(mu1, mu2, p_plus)
     n_lattice = _lattice_size(w)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import processes, wireless
 from .distributions import ClusterKernel, MassDistribution, constant, exponential
-from .geometry import Box, RngStream, Window, make_window
+from .geometry import Box, RngStream, Window, _in_window, make_window
 from .ops import thin_counts
 from .ordering import (
     CONSISTENT,
@@ -150,7 +150,7 @@ def run_ppcluster_family(p: dict, stream: RngStream) -> ScenarioResult:
     pairs = p["c_pairs"]
     w = _window(p, [0.0, 0.0], [1.0, 1.0])
     kernel = ClusterKernel(p["sigma"])
-    queries = np.asarray(p["queries"], dtype=float)
+    queries = _in_window(p["queries"], w, "query")
 
     results, per_function, rows = [], [], []
     z_crit = bonferroni_z(Z_CRIT, len(pairs))  # one scenario rate, split over the pairs
@@ -231,7 +231,7 @@ def run_coverage_compare(p: dict, stream: RngStream) -> ScenarioResult:
     r = float(p["r"])
     n_reps = int(p["n_reps"])
     w = _window(p, [0.0, 0.0], [1.0, 1.0])
-    queries = np.asarray(p["queries"], dtype=float)
+    queries = _in_window(p["queries"], w, "query")
     poisson, thomas = _interferer_samplers(p, w)
     rep_po = wireless.boolean_coverage(poisson, r, queries, n_reps, stream.split(0))
     rep_th = wireless.boolean_coverage(thomas, r, queries, n_reps, stream.split(1))
@@ -307,7 +307,7 @@ def run_oracle_poisson_scaling(p: dict, stream: RngStream) -> ScenarioResult:
 
 def run_lo_extremal(p: dict, stream: RngStream) -> ScenarioResult:
     w = _window(p, [0.0, 0.0], [1.0, 1.0])
-    queries = np.atleast_2d(np.asarray(p["queries"], dtype=float))
+    queries = _in_window(p["queries"], w, "query")
     # the thresholds are (t1, t2) pairs, one level per query
     if len(queries) != 2:
         raise ValueError("scenario parameter 'queries' must hold exactly 2 points for lo-extremal")

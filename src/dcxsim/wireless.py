@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import MassDistribution
-from .geometry import RngStream, Window, pairwise_distances
+from .geometry import RngStream, Window, _in_window, pairwise_distances
 from .ordering import replicate
 from .shotnoise import ResponseKernel, ragged_sn
 
@@ -38,9 +38,11 @@ class LinkLayout:
     noise: float
 
     def __post_init__(self):
-        tx = np.atleast_2d(np.asarray(self.transmitters, dtype=float))
-        rx = np.atleast_2d(np.asarray(self.receivers, dtype=float))
-        if tx.shape != rx.shape or tx.shape[1] != self.window.dim:
+        # a torus distance takes the shorter way round, which is wrong from
+        # a point outside the window
+        tx = _in_window(self.transmitters, self.window, "transmitter")
+        rx = _in_window(self.receivers, self.window, "receiver")
+        if tx.shape != rx.shape:
             raise ValueError("transmitters/receivers must be matching (n, d) arrays")
         if tx.shape[0] == 0:
             raise ValueError("need at least one link")

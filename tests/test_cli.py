@@ -141,10 +141,13 @@ def test_missing_config_key_is_config_error(tmp_path, invoke):
 
 
 def test_unknown_scenario_is_config_error(tmp_path, invoke):
-    path = _write_config(tmp_path, [{"id": "nonexistent-scenario"}])
-    code, output = invoke(["run", str(path)])
-    assert code == 2
-    assert "nonexistent-scenario" in output
+    # a list or a mapping is no id: it raised TypeError (unhashable) and exited 1
+    for sid, shown in (("nonexistent-scenario", "nonexistent-scenario"), ([1, 2], "[1, 2]"),
+                       ({"a": 1}, "{'a': 1}")):
+        path = _write_config(tmp_path, [{"id": sid}])
+        code, output = invoke(["run", str(path)])
+        assert code == 2, sid
+        assert shown in output
 
 
 def test_unparseable_config(tmp_path, invoke):
@@ -218,6 +221,13 @@ def test_invalid_parameter_is_config_error(tmp_path, invoke):
         {"id": "lo-extremal", "n_reps": 400, "queries": [[0.25, 0.25, 9.0], [0.75, 0.75, 9.0]]},
         {"id": "ops-preservation", "n_reps": 400, "suite_size": 6, "shift": [0.3]},
         {"id": "marked-basis", "n_reps": 400, "suite_size": 6, "mark_mean": 0},
+        # points outside the window: a torus distance from [2.7, 0.7] took the
+        # gap to the wrap image [0.7, 0.7] and ran as if the emitter sat there
+        {"id": "sinr-compare", "n_reps": 400, "emitters": [[0.3, 0.3], [2.7, 0.7]]},
+        {"id": "sinr-compare", "n_reps": 400, "receivers": [[0.3, -0.35], [0.7, 0.75]]},
+        {"id": "coverage-compare", "n_reps": 400, "queries": [[1.5, 0.5]]},
+        {"id": "ppcluster-family", "n_reps": 400, "queries": [[0.2, 0.2], [0.5, 1.25]]},
+        {"id": "lo-extremal", "n_reps": 400, "queries": [[0.25, 0.25], [-0.25, 0.75]]},
         # kernel, mass-law and threshold values that are not positive or finite
         {"id": "sinr-compare", "n_reps": 400, "beta": 0},
         {"id": "lo-extremal", "n_reps": 400, "beta": 0},

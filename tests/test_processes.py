@@ -432,6 +432,39 @@ def test_lattice_index_matches_broadcast_formula(lows, highs, cells, topology):
 
 
 @pytest.mark.parametrize("topology", ["torus", "plain"])
+@pytest.mark.parametrize("lows, highs, cells", [
+    ([0.5], [7.5], [20]),
+    # the default window: cell 8 of axis 0 has midpoint 1.0625, fraction 0.0625
+    ([0.0, 0.0], [4.0, 4.0], [32, 32]),
+    # the midpoints 1.0 and 3.0 of axis 0 lie on lattice lines, and on the
+    # plain window two midpoints of axis 1 lie in (-1, 0)
+    ([0.0, -1.0], [4.0, 2.0], [2, 7]),
+    ([-2.0, 0.0, 3.0], [1.0, 2.0, 4.0], [5, 4, 3]),
+])
+def test_lattice_index_steps_one_double_past_each_fraction(lows, highs, cells, topology):
+    # the lattice rule: a grid cell with offset u over the spacing and fraction
+    # g = spacing * (u - floor(u)) keeps its shift-0 index for shifts up to g
+    # and is one lower from the next double on; checked at every cell's g and
+    # the double after it, where a floating-point floor of u - s can miss
+    w = make_window(lows, highs, topology)
+    field = GridField(w, cells, np.zeros(cells))
+    axes, n_lattice = field.axis_midpoints(), processes._lattice_size(w)
+    zero, _ = processes._lattice_index(w, axes, np.zeros(w.dim), n_lattice)
+    for k, (a, lo) in enumerate(zip(axes, w.lows)):
+        u = (a - lo if topology == "torus" else a) / processes.ISING_SPACING
+        frac = processes.ISING_SPACING * (u - np.floor(u))
+        shift = np.zeros((2 * a.size, w.dim))
+        shift[:, k] = np.concatenate([frac, np.nextafter(frac, np.inf)])
+        idx = processes._lattice_index(w, axes, shift, n_lattice)[0][k]
+        want = zero[k] - (shift[:, k, None] > frac)
+        if topology == "torus":
+            assert np.array_equal(idx, want % n_lattice[k])
+        else:
+            # a plain window numbers each shift's cells from 0
+            assert np.array_equal(idx, want - want.min(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("topology", ["torus", "plain"])
 @pytest.mark.parametrize("lows, highs, cells, translate", [
     ([0.5], [7.5], [20], 0.0),
     # the midpoints 1.0 and 3.0 of axis 0 lie on lattice lines
