@@ -28,7 +28,8 @@ the window's, SINR emitters or receivers or coverage-compare,
 ppcluster-family or lo-extremal queries outside the window, an
 ops-preservation shift of another length, a marked-basis mark_mean that is
 not positive, kernel and mass-law parameters that are not
-finite and positive (a power may be 0), non-finite lo-extremal thresholds,
+finite and positive, a negative SINR noise (the noise-to-signal ratio at
+unit power and unit mean fading), non-finite lo-extremal thresholds,
 lo-extremal queries of other than two points, window bounds that are not
 finite, a ripley-poisson window that is not 2-d, and usage errors: no command,
 an unknown command, or run without CONFIG_PATH), 3 runtime failure (including

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import processes, wireless
 from .distributions import ClusterKernel, MassDistribution, constant, exponential
-from .geometry import Box, RngStream, Window, _in_window, make_window
+from .geometry import TORUS, Box, RngStream, Window, _in_window, make_window
 from .ops import thin_counts
 from .ordering import (
     CONSISTENT,
@@ -177,13 +177,14 @@ def run_ppcluster_family(p: dict, stream: RngStream) -> ScenarioResult:
 
 
 def _sinr_layout(p: dict, w: Window) -> wireless.LinkLayout:
+    # unit power and unit-mean fading: success sees only noise / (power * fading mean)
     return wireless.LinkLayout(
         w,
         np.asarray(p["emitters"], dtype=float),
         np.asarray(p["receivers"], dtype=float),
         float(p["T"]),
-        ResponseKernel("power_law", (float(p["beta"]),), emitted_power=float(p["power"])),
-        exponential(float(p["fading_mean"])),
+        ResponseKernel("power_law", (float(p["beta"]),)),
+        exponential(1.0),
         float(p["noise"]),
     )
 
@@ -242,9 +243,15 @@ def run_coverage_compare(p: dict, stream: RngStream) -> ScenarioResult:
         for k in ("p_cover", "mean_count", "second_moment")
     }
     verdict = decide([-z["p_cover"], z["mean_count"], -z["mean_count"], z["second_moment"]])
-    # one minus the Poisson void probability exp(-lam |ball of radius r|) in d dimensions
+    # one minus the Poisson void probability exp(-lam |ball of radius r|) in d dimensions,
+    # None unless no query's ball overlaps itself round a torus or leaves a plain window
     d = w.dim
+    if w.topology == TORUS:
+        balls_fit = 2 * r <= np.min(w.lengths)
+    else:
+        balls_fit = np.all((queries - r >= w.lows) & (queries + r <= w.highs))
     analytic = 1.0 - float(np.exp(-lam * np.pi ** (d / 2) / math.gamma(d / 2 + 1) * r**d))
+    analytic, cell = (analytic, analytic) if balls_fit else (None, "")
     details = {
         "poisson": {k: v.tolist() for k, v in rep_po.items()},
         "thomas": {k: v.tolist() for k, v in rep_th.items()},
@@ -255,7 +262,7 @@ def run_coverage_compare(p: dict, stream: RngStream) -> ScenarioResult:
          "stderr": float(rep["p_cover_stderr"][i]), "mean_count": float(rep["mean_count"][i]),
          "second_moment": float(rep["second_moment"][i]), "analytic": extra}
         for i in range(queries.shape[0])
-        for germs, rep, extra in (("poisson", rep_po, analytic), ("thomas", rep_th, ""))
+        for germs, rep, extra in (("poisson", rep_po, cell), ("thomas", rep_th, ""))
     ]
     return ScenarioResult("coverage-compare", verdict, details, rows)
 
@@ -335,11 +342,11 @@ def run_levy_grid(p: dict, stream: RngStream) -> ScenarioResult:
     # equal-mean masses: a sum of two Exp(1/2) is convex-smaller than one Exp(1)
     masses = (MassDistribution("sum_of_exponentials", (0.5, 0.5)), exponential(1.0))
     draws = [processes.make_levy_grid_masses(spacing, m, w, boxes) for m in masses]
-    atoms_per_box = (w.volume / spacing**w.dim) / len(boxes)
-    rep = _suite_compare(
-        p, draws, np.full(len(boxes), atoms_per_box), stream.split(10**6), stream
-    )
-    return _order_result("levy-grid", rep, {"atoms_per_box": atoms_per_box})
+    # atoms counted per box: volume / spacing^d is off where spacing does not divide the window
+    locs = processes.lattice_points(spacing, w)
+    atoms = np.array([np.count_nonzero(b.contains(locs)) for b in boxes], dtype=float)
+    rep = _suite_compare(p, draws, atoms, stream.split(10**6), stream)
+    return _order_result("levy-grid", rep, {"atoms_per_box": float(atoms.mean())})
 
 
 def run_marked_basis(p: dict, stream: RngStream) -> ScenarioResult:
@@ -419,9 +426,9 @@ SCENARIOS: dict[str, tuple[str, Callable, dict]] = {
     "sinr-compare": (
         "joint SINR success probability: Poisson vs clustered interferers",
         run_sinr_compare,
-        {"lam": 5.0, "n_reps": 20_000, "window": {}, "T": 1.0, "beta": 4.0, "power": 1.0,
-         "noise": 0.01, "emitters": [[0.3, 0.3], [0.7, 0.7]],
-         "receivers": [[0.3, 0.35], [0.7, 0.75]], "fading_mean": 1.0, **_THOMAS},
+        {"lam": 5.0, "n_reps": 20_000, "window": {}, "T": 1.0, "beta": 4.0, "noise": 0.01,
+         "emitters": [[0.3, 0.3], [0.7, 0.7]], "receivers": [[0.3, 0.35], [0.7, 0.75]],
+         **_THOMAS},
     ),
     "coverage-compare": (
         "Boolean-model coverage: Poisson vs clustered germs at equal intensity",

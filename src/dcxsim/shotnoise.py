@@ -128,17 +128,17 @@ def ragged_sn(
     The batch is walked in replication-aligned blocks of about
     ``geometry._BLOCK`` points: a block ends at the first replication that
     starts at or after a multiple of the block size, so every replication is
-    reduced whole, in point order, and the sums and maxima do not depend on
-    the blocks.  Queries are reduced one at a time, so no (N, q, d) array is
-    built.
+    reduced whole, by one ``reduceat`` over the block's non-empty
+    replications, and the sums and maxima do not depend on the blocks.  The
+    reduction runs in float, so boolean responses count.  Queries are reduced
+    one at a time, so no (N, q, d) array is built.
     """
-    if how not in ("sum", "max"):
+    reduce = {"sum": np.add, "max": np.maximum}.get(how)
+    if reduce is None:
         raise ValueError(f"unknown reduction {how!r}")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     out = np.zeros((batch.size, queries.shape[0]))
     n_points = batch.points.shape[0]
-    if n_points == 0:
-        return out
     counts = batch.counts
     starts = np.cumsum(counts) - counts
     # replication cuts, ascending; a replication longer than a block repeats
@@ -152,21 +152,14 @@ def ragged_sn(
             continue
         pts = batch.points[first:last]
         m = None if marks is None else marks[first:last]
-        block_counts = counts[lo:hi]
-        if how == "sum":
-            rep = np.repeat(np.arange(hi - lo), block_counts)
-        else:
-            filled = np.flatnonzero(block_counts) + lo
-            block_starts = starts[filled] - first
+        filled = np.flatnonzero(counts[lo:hi]) + lo
+        block_starts = starts[filled] - first
         for j, y in enumerate(queries):
             d = pairwise_distances(batch.window, pts, y)[:, 0]
             if m is None:
                 vals = response(d)
             else:
                 vals = response(d, m if m.ndim == 1 else m[:, j])
-            if how == "sum":
-                out[lo:hi, j] = np.bincount(rep, vals, hi - lo)
-            else:
-                out[filled, j] = np.maximum.reduceat(vals, block_starts)
+            out[filled, j] = reduce.reduceat(vals, block_starts, dtype=float)
     return out
 

@@ -57,20 +57,14 @@ class LinkLayout:
     def n_links(self) -> int:
         return self.transmitters.shape[0]
 
-    def direct_gains(self) -> np.ndarray:
-        """Path gain of each link at its own receiver."""
-        d = pairwise_distances(self.window, self.transmitters, self.receivers)
-        gains = self.path_loss.value(np.diag(d))
-        if np.any(gains <= 0):
-            raise ValueError("a direct link has zero path gain (beyond truncation)")
-        return gains
-
-    def cross_gains(self) -> np.ndarray:
-        """Path gain from transmitter i to receiver j at [i, j], diagonal zeroed."""
+    def gains(self) -> np.ndarray:
+        """Path gain from transmitter i to receiver j at [i, j]; the diagonal
+        holds each link's gain at its own receiver."""
         gains = self.path_loss.value(
             pairwise_distances(self.window, self.transmitters, self.receivers)
         )
-        np.fill_diagonal(gains, 0.0)
+        if np.any(np.diag(gains) <= 0):
+            raise ValueError("a direct link has zero path gain (beyond truncation)")
         return gains
 
 
@@ -81,8 +75,9 @@ def _sinr_estimate(
     stream: RngStream,
     rayleigh: bool,
 ) -> tuple[float, float]:
-    gains = layout.direct_gains()
-    cross_gains = layout.cross_gains()
+    cross_gains = layout.gains()
+    gains = np.diag(cross_gains).copy()
+    np.fill_diagonal(cross_gains, 0.0)
     fading, n = layout.fading, layout.n_links
 
     def draw(gen, size: int) -> np.ndarray:

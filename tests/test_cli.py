@@ -232,8 +232,6 @@ def test_invalid_parameter_is_config_error(tmp_path, invoke):
         {"id": "sinr-compare", "n_reps": 400, "beta": 0},
         {"id": "lo-extremal", "n_reps": 400, "beta": 0},
         {"id": "lo-extremal", "n_reps": 400, "beta": -2},
-        {"id": "sinr-compare", "n_reps": 400, "fading_mean": 0},
-        {"id": "sinr-compare", "n_reps": 400, "power": float("inf")},
         {"id": "marked-basis", "n_reps": 400, "suite_size": 6, "mark_mean": float("inf")},
         {"id": "lo-extremal", "n_reps": 400, "threshold_grid": [float("nan")]},
         # a float that is not finite where the default holds floats
@@ -260,11 +258,15 @@ def test_invalid_parameter_is_config_error(tmp_path, invoke):
 
 def test_unknown_key_is_rejected_before_any_scenario_runs(tmp_path, invoke):
     for name, (first, bad, key) in enumerate((
-        ("ginibre-oracle", {"n_rep": 10}, "n_rep"),
-        ("oracle-poisson-scaling", {"window": {"low": [0, 0]}}, "low"),
+        ("ginibre-oracle", {"id": "ripley-poisson", "n_rep": 10}, "n_rep"),
+        ("oracle-poisson-scaling", {"id": "ripley-poisson", "window": {"low": [0, 0]}}, "low"),
+        # sinr-compare has one noise knob: success depends on noise, power and
+        # fading mean only through noise / (power * fading mean)
+        ("ginibre-oracle", {"id": "sinr-compare", "power": float("inf")}, "power"),
+        ("ginibre-oracle", {"id": "sinr-compare", "fading_mean": 0}, "fading_mean"),
     )):
         (tmp_path / str(name)).mkdir()
-        path = _write_config(tmp_path / str(name), [{"id": first}, dict(bad, id="ripley-poisson")])
+        path = _write_config(tmp_path / str(name), [{"id": first}, bad])
         code, output = invoke(["run", str(path)])
         assert code == 2
         assert key in output

@@ -9,7 +9,9 @@ from dcxsim.geometry import (
 )
 from dcxsim import ops, processes
 from dcxsim.ordering import CONSISTENT, batched, counts_on_boxes
-from dcxsim.scenarios import SCENARIOS, _box_count_samplers, _ops_arms, _quadrant_boxes
+from dcxsim.scenarios import (
+    SCENARIOS, _box_count_samplers, _ops_arms, _quadrant_boxes, run_scenario,
+)
 from dcxsim.shotnoise import ResponseKernel, additive_sn, ragged_sn
 from conftest import law_verdict, wrap_oracle
 
@@ -94,6 +96,22 @@ def test_levy_grid_lattice_layout():
     m = processes.sample_levy_grid_basis(1.0, exponential(1.0), w, make_stream(2).generator())
     assert m.n == 16
     assert np.allclose(np.sort(np.unique(m.locations[:, 0])), [0.5, 1.5, 2.5, 3.5])
+
+
+@pytest.mark.parametrize("spacing,counts", [(1.0, [4, 4, 4, 4]), (0.7, [9, 9, 9, 9]),
+                                            (1.5, [1, 2, 2, 4])])
+def test_levy_grid_counts_the_atoms_of_each_box(spacing, counts):
+    # on the 4 x 4 window a spacing that does not divide it still lays whole
+    # lattice cells from the lower corner: 0.7 puts 6 atoms per axis, 3 in
+    # each half, and 1.5 puts 1 below the midline and 2 above; the unit-mean
+    # box masses read those counts
+    res = run_scenario(
+        "levy-grid", {"lattice_spacing": spacing, "n_reps": 2000, "suite_size": 6},
+        make_stream(31),
+    )
+    assert res.details["atoms_per_box"] == np.mean(counts)
+    for side in ("mean_x", "mean_y"):
+        assert np.allclose(res.mean_equality[side], counts, rtol=0.1), side
 
 
 def test_marked_basis_shares_support():

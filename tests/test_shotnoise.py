@@ -177,26 +177,21 @@ def test_ragged_sn_equals_per_realization_reducers():
 
 
 def _single_pass_sn(batch, queries, response, how="sum", weights=None):
-    """ragged_sn as one pass over the whole batch per query, multiplied by
+    """ragged_sn as one reduceat over the whole batch per query, multiplied by
     weights[:, j] when point-query weights are given: the blocked reducer's
     reference."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     out = np.zeros((batch.size, queries.shape[0]))
     if batch.points.shape[0] == 0:
         return out
-    if how == "sum":
-        rep = batch.replication()
-    else:
-        filled = batch.counts > 0
-        starts = (np.cumsum(batch.counts) - batch.counts)[filled]
+    ufunc = {"sum": np.add, "max": np.maximum}[how]
+    filled = batch.counts > 0
+    starts = (np.cumsum(batch.counts) - batch.counts)[filled]
     for j, y in enumerate(queries):
         vals = response(pairwise_distances(batch.window, batch.points, y)[:, 0])
         if weights is not None:
             vals = vals * weights[:, j]
-        if how == "sum":
-            out[:, j] = np.bincount(rep, vals, batch.size)
-        else:
-            out[filled, j] = np.maximum.reduceat(vals, starts)
+        out[filled, j] = ufunc.reduceat(vals, starts, dtype=float)
     return out
 
 
@@ -230,6 +225,33 @@ def test_blocked_ragged_sn_equals_single_pass(monkeypatch, block):
     none = PatternBatch(W, np.empty((0, 2)), np.zeros(5, dtype=int))
     for how in ("sum", "max"):
         assert np.array_equal(ragged_sn(none, QUERIES, h.value, how), np.zeros((5, 2)))
+
+
+@pytest.mark.parametrize("n", [5, 40, 300])
+def test_ragged_sn_of_a_replication_does_not_depend_on_its_offset(n):
+    # one replication of n points, alone and after 1-8 points of other
+    # replications (split into one or several, some empty): its sums and
+    # maxima keep their bits, above and below the unrolled and pairwise
+    # summation lengths (8 and 128 points)
+    gen = make_stream(29).generator()
+    pts = gen.random((n, 2))
+    fades = gen.exponential(1.0, size=(n, QUERIES.shape[0]))
+    h = ResponseKernel("power_law", (4.0,))
+    for how in ("sum", "max"):
+        alone = ragged_sn(PatternBatch(W, pts, np.array([n])), QUERIES, h.value, how)
+        faded = ragged_sn(
+            PatternBatch(W, pts, np.array([n])), QUERIES, lambda d, f: h.value(d) * f, how,
+            marks=fades,
+        )
+        for before in ([1], [2], [3], [0, 4], [5], [6, 0], [1, 6], [8], [2, 2, 0, 2, 2]):
+            lead = gen.random((sum(before), 2))
+            counts = np.array(before + [n, 1])
+            batch = PatternBatch(W, np.vstack([lead, pts, gen.random((1, 2))]), counts)
+            row = len(before)
+            assert np.array_equal(ragged_sn(batch, QUERIES, h.value, how)[row], alone[0])
+            marks = np.vstack([gen.exponential(1.0, size=(sum(before), 2)), fades, [[1.0, 1.0]]])
+            got = ragged_sn(batch, QUERIES, lambda d, f: h.value(d) * f, how, marks=marks)
+            assert np.array_equal(got[row], faded[0])
 
 
 WP = make_window([0.0, 0.0], [1.0, 1.0], "plain")

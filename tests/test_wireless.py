@@ -3,7 +3,7 @@ import pytest
 
 from dcxsim.distributions import MassDistribution, constant, exponential
 from dcxsim.geometry import PatternBatch, make_stream, make_window
-from dcxsim.processes import make_poisson_batch
+from dcxsim.processes import make_poisson_batch, make_thomas_batch
 from dcxsim.scenarios import run_scenario
 from dcxsim.shotnoise import ResponseKernel
 from dcxsim import wireless
@@ -42,7 +42,7 @@ def test_rayleigh_closed_form_single_link():
     # one link has no cross-link term: the success probability is the noise-only tail
     w0, t = 0.3, 2.0
     layout = _layout(threshold=t, noise=w0)
-    g = layout.direct_gains()[0]
+    g = layout.gains()[0, 0]
     p, se = wireless.sinr_success_rayleigh(layout, _no_interferers, 200, make_stream(2))
     assert se == pytest.approx(0.0, abs=1e-15)
     assert p == pytest.approx(float(np.exp(-t * w0 / g)))
@@ -114,6 +114,32 @@ def test_coverage_compare_analytic_is_the_void_probability_of_its_dimension():
         else:
             assert got == pytest.approx(want, rel=1e-12)
 
+
+def test_coverage_compare_analytic_is_null_where_a_ball_is_not_in_the_window():
+    # 1 - exp(-lam pi r^2) misreads the coverage when the ball round a query
+    # overlaps itself on the torus (r 0.6 reads 0.677 against a Monte-Carlo
+    # 0.612) or leaves a plain window (query [0.02, 0.5] reads 0.467 against
+    # 0.330); the value is then null and its CSV cell empty
+    plain = {"lows": [0.0, 0.0], "highs": [1.0, 1.0], "topology": "plain"}
+    for lam, r, window, queries, valid in (
+        (1.0, 0.6, {}, [[0.5, 0.5]], False),
+        (1.0, 0.5, {}, [[0.5, 0.5]], True),
+        (1.0, 0.5, {"lows": [0.0, 0.0], "highs": [2.0, 0.9]}, [[0.5, 0.5]], False),
+        (20.0, 0.1, plain, [[0.02, 0.5]], False),
+        (20.0, 0.1, plain, [[0.5, 0.5], [0.9, 0.1]], True),
+        (20.0, 0.1, plain, [[0.5, 0.5], [0.95, 0.5]], False),
+    ):
+        params = {"lam": lam, "r": r, "n_reps": 200, "window": window, "queries": queries}
+        res = run_scenario("coverage-compare", params, make_stream(5))
+        got = res.details["poisson_coverage_analytic"]
+        cells = [row["analytic"] for row in res.rows if row["germs"] == "poisson"]
+        if valid:
+            assert got == 1.0 - float(np.exp(-lam * np.pi * r**2)), (r, window, queries)
+            assert cells == [got] * len(queries)
+        else:
+            assert got is None, (r, window, queries)
+            assert cells == [""] * len(queries)
+
 def test_boolean_coverage_empty_germs():
     rep = wireless.boolean_coverage(
         _no_interferers, 0.2, np.array([[0.5, 0.5]]), 100, make_stream(6)
@@ -129,8 +155,50 @@ def test_cross_link_interference_reaches_each_receiver():
     rx = np.array([[0.1, 0.2], [0.9, 0.9]])
     for t in (0.4, 0.6, 2.0, 4.0):
         layout = wireless.LinkLayout(W, tx, rx, t, PL, constant(1.0), 0.0)
-        sir = layout.direct_gains() / layout.cross_gains().sum(axis=0)
+        gains = layout.gains()
+        cross = gains - np.diag(np.diag(gains))
+        sir = np.diag(gains) / cross.sum(axis=0)
         p, _ = wireless.sinr_success(layout, _no_interferers, 10, make_stream(7))
         assert p == float(np.all(sir >= t))
     # the two receivers' ratios differ, so a transposed sum would be seen
-    assert not np.allclose(sir, layout.direct_gains() / layout.cross_gains().sum(axis=1))
+    assert not np.allclose(sir, np.diag(gains) / cross.sum(axis=1))
+
+
+def test_gains_hold_every_transmitter_receiver_pair():
+    layout = _layout(n_links=2)
+    d = np.linalg.norm(layout.transmitters[:, None, :] - layout.receivers[None, :, :], axis=2)
+    assert np.allclose(layout.gains(), (1.0 + d) ** -4.0, rtol=1e-12, atol=0)
+    far = wireless.LinkLayout(
+        W, np.array([[0.1, 0.1]]), np.array([[0.6, 0.6]]), 1.0,
+        ResponseKernel("gaussian", (0.01,)), exponential(1.0), 0.0,
+    )
+    with pytest.raises(ValueError, match="zero path gain"):
+        far.gains()
+
+
+@pytest.mark.parametrize(
+    "sampler", [make_poisson_batch(5.0, W), make_thomas_batch(1.0, 5.0, 0.05, W)]
+)
+def test_success_depends_on_noise_over_power_times_fading_mean(sampler):
+    # doubling the emitted power or the fading mean, with the noise doubled
+    # to match, scales the interference, the gains and the fading draws by
+    # powers of two, so both estimators keep their bits: sinr-compare needs
+    # no power or fading_mean knob besides noise
+    tx = np.array([[0.3, 0.3], [0.7, 0.7]])
+    rx = np.array([[0.3, 0.35], [0.7, 0.75]])
+    for estimator in (wireless.sinr_success, wireless.sinr_success_rayleigh):
+        results = {
+            estimator(
+                wireless.LinkLayout(
+                    W, tx, rx, 1.0, ResponseKernel("power_law", (4.0,), emitted_power=power),
+                    exponential(fading_mean), noise,
+                ),
+                sampler, 3000, make_stream(8),
+            )
+            for noise, power, fading_mean in (
+                (0.01, 1.0, 1.0), (0.02, 2.0, 1.0), (0.02, 1.0, 2.0), (0.04, 2.0, 2.0),
+            )
+        }
+        assert len(results) == 1, results
+        ((p, se),) = results
+        assert 0.0 < p < 1.0 and se > 0.0
