@@ -7,7 +7,7 @@ partition of a box counts every point exactly once.
 Arithmetic on batches of (N, d) points runs one axis at a time, as an (N,)
 column combined with a scalar: numpy broadcasting an (N, d) array against a
 (d,) vector runs one inner loop per row, several times slower for small d.
-``Window.wrap`` calls np.mod only on the coordinates that left the window.
+``Window.wrap`` rewrites only the coordinates that left the window.
 """
 from __future__ import annotations
 
@@ -76,26 +76,22 @@ class Window:
         return _inside(points, self.lows, self.highs, np.less_equal)
 
     def wrap(self, points: np.ndarray) -> np.ndarray:
-        """Map points into [lows, highs) by periodic wrapping (torus only):
-        lows + mod(x - lows, lengths) per axis, with a coordinate that rounds
-        to highs or past it mapped to lows (mod of a tiny negative value rounds
-        up to the length, and lows + lengths can exceed highs).  mod runs only
-        where x - lows is not strictly inside (0, length), since it returns
-        such a value unchanged."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty_like(pts)
+        """Map points into [lows, highs) by periodic wrapping (torus only),
+        as a new array.  A coordinate already in [lows, highs) comes back
+        unchanged; the others become lows + mod(x - lows, lengths), with one
+        that rounds to highs or past it mapped to lows (mod of a tiny negative
+        value rounds up to the length, and lows + lengths can exceed highs)."""
+        out = np.array(points, dtype=float, ndmin=2)
         for k, (lo, hi, length) in enumerate(zip(self.lows, self.highs, self.lengths)):
-            rel = pts[:, k] - lo
-            left = rel <= 0
-            left |= rel >= length
-            i = np.flatnonzero(left)
+            col = out[:, k]
+            outside = col < lo
+            outside |= col >= hi
+            i = np.flatnonzero(outside)
             if i.size:
-                rel[i] = np.mod(rel[i], length)
-            rel += lo
-            top = rel >= hi
-            if top.any():
-                rel[top] = lo
-            out[:, k] = rel
+                rel = np.mod(col[i] - lo, length)
+                rel += lo
+                rel[rel >= hi] = lo
+                col[i] = rel
         return out
 
 
@@ -176,18 +172,25 @@ def sq_distances(w: Window, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances under the window's topology between the points
     a (..., d) and b (..., d), paired by broadcasting their leading axes.
     One axis at a time: per axis k the gap |a_k - b_k| (on a torus, the
-    shorter way round), squared and added to the sum of the earlier axes."""
+    shorter way round), squared in place; the first axis's square is the
+    result, and each later one is added into it from one reused buffer."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"points of dimension {a.shape[-1]} and {b.shape[-1]} have no distance")
-    sq = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    # every axis overwrites its buffer; zeros only where there is no axis
+    sq = gap = (np.empty if a.shape[-1] else np.zeros)(shape)
     for k in range(a.shape[-1]):
-        diff = np.abs(a[..., k] - b[..., k])
+        if k == 1:
+            gap = np.empty(shape)
+        np.subtract(a[..., k], b[..., k], out=gap)
+        np.abs(gap, out=gap)
         if w.topology == TORUS:
-            np.minimum(diff, w.lengths[k] - diff, out=diff)
-        diff *= diff
-        sq += diff
+            np.minimum(gap, w.lengths[k] - gap, out=gap)
+        np.multiply(gap, gap, out=gap)
+        if k:
+            sq += gap
     return sq
 
 

@@ -486,13 +486,13 @@ def make_thomas_batch(
         n_child = gen.poisson(cluster_size, size=parents.points.shape[0])
         children = np.repeat(parents.points, n_child, axis=0)
         children += kernel.sample_offsets(gen, children.shape[0], w.dim)
-        rep = np.repeat(parents.replication(), n_child)
         if w.topology == TORUS:
-            children = w.wrap(children)
-        else:
-            keep = w.contains(children)
-            children, rep = children[keep], rep[keep]
-        return PatternBatch(w, children, np.bincount(rep, minlength=size))
+            # every child stays: its replication's count is its parents' total
+            counts = np.bincount(parents.replication(), n_child, size).astype(int)
+            return PatternBatch(w, w.wrap(children), counts)
+        rep = np.repeat(parents.replication(), n_child)
+        keep = w.contains(children)
+        return PatternBatch(w, children[keep], np.bincount(rep[keep], minlength=size))
 
     return draw
 

@@ -23,6 +23,7 @@ from .geometry import (
     PointPattern,
     Window,
     pairwise_distances,
+    sq_distances,
 )
 
 
@@ -123,7 +124,13 @@ def ragged_sn(
     the marks of the same points (column j of them for query j).  how="sum"
     adds the contributions of each replication (additive shot noise, as
     additive_sn), how="max" takes their maximum (extremal shot noise, as
-    extremal_sn); a replication without points gives 0.
+    extremal_sn); a replication without points gives 0.  Without marks the
+    maximum is taken as the response at the distance of each replication's
+    nearest point, the square root of its least squared distance: this is
+    the maximum of the per-point contributions only if response(d) does not
+    increase with d, as ResponseKernel.value does not (a nearest point beyond
+    the truncation radius gives 0).  With marks every point's contribution
+    is computed.
 
     The batch is walked in replication-aligned blocks of about
     ``geometry._BLOCK`` points: a block ends at the first replication that
@@ -136,6 +143,8 @@ def ragged_sn(
     reduce = {"sum": np.add, "max": np.maximum}.get(how)
     if reduce is None:
         raise ValueError(f"unknown reduction {how!r}")
+    # an unmarked maximum is the response of each replication's nearest point
+    nearest = how == "max" and marks is None
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     out = np.zeros((batch.size, queries.shape[0]))
     n_points = batch.points.shape[0]
@@ -155,11 +164,12 @@ def ragged_sn(
         filled = np.flatnonzero(counts[lo:hi]) + lo
         block_starts = starts[filled] - first
         for j, y in enumerate(queries):
-            d = pairwise_distances(batch.window, pts, y)[:, 0]
-            if m is None:
-                vals = response(d)
+            sq = sq_distances(batch.window, pts, y)
+            if nearest:
+                out[filled, j] = response(np.sqrt(np.minimum.reduceat(sq, block_starts)))
             else:
-                vals = response(d, m if m.ndim == 1 else m[:, j])
-            out[filled, j] = reduce.reduceat(vals, block_starts, dtype=float)
+                d = np.sqrt(sq, out=sq)
+                vals = response(d) if m is None else response(d, m if m.ndim == 1 else m[:, j])
+                out[filled, j] = reduce.reduceat(vals, block_starts, dtype=float)
     return out
 

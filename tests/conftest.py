@@ -49,6 +49,9 @@ def law_verdict(n, *comparisons):
 
 
 def wrap_oracle(w, pts):
-    """The broadcast wrap formula, with a coordinate rounded up to highs or past it taken to lows."""
-    out = w.lows + np.mod(np.atleast_2d(pts) - w.lows, w.lengths)
-    return np.where(out >= w.highs, w.lows, out)
+    """A coordinate in [lows, highs) as it is; elsewhere the broadcast wrap
+    formula, with a coordinate rounded up to highs or past it taken to lows."""
+    pts = np.atleast_2d(pts)
+    out = w.lows + np.mod(pts - w.lows, w.lengths)
+    out = np.where(out >= w.highs, w.lows, out)
+    return np.where((pts >= w.lows) & (pts < w.highs), pts, out)

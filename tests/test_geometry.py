@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcxsim import geometry
+from dcxsim import geometry, ops
 from dcxsim.geometry import (
     PLAIN,
     TORUS,
@@ -104,6 +104,22 @@ def test_wrap_matches_broadcast_formula(lows, highs):
         assert np.array_equal(got, wrap_oracle(w, pts))
         assert np.array_equal(np.signbit(got), np.signbit(wrap_oracle(w, pts)))
         assert np.all((got >= lo) & (got < hi))
+
+
+@pytest.mark.parametrize("lows, highs", [
+    ([0.3], [2.1]),
+    ([0.1, -0.4], [1.1, 0.8]),
+    ([0.1, -2.0, 5.0], [1.3, -1.1, 5.7]),
+])
+def test_wrap_and_identity_displace_keep_in_window_points(lows, highs):
+    # (x - lows) + lows is an ulp off x for many doubles when lows != 0
+    w = make_window(lows, highs)
+    gen = make_stream(8).generator()
+    pts = np.round(w.lows + gen.random((20000, w.dim)) * w.lengths, 7)
+    pts = pts[w.contains(pts) & np.all(pts < w.highs, axis=1)]
+    pts = np.vstack([pts, w.lows, np.nextafter(w.highs, -np.inf)])
+    assert np.array_equal(w.wrap(pts), pts)
+    assert np.array_equal(ops.displace(PointPattern(w, pts), lambda x: x).points, pts)
 
 
 @pytest.mark.parametrize("lows, highs", [

@@ -1,5 +1,6 @@
-"""What ``dcxsim run`` does to glibc's heap thresholds, checked in fresh
-interpreters, since the setting holds for the rest of a process."""
+"""What ``dcxsim run`` does to glibc's heap thresholds, and the working set of
+one chunk, checked in fresh interpreters, since the setting holds for the rest
+of a process."""
 import json
 import platform
 import subprocess
@@ -76,3 +77,24 @@ def test_heap_setting_changes_no_report_byte_and_fails_quietly(tmp_path):
         csvs.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).glob("*.csv"))})
     assert len(csvs[0]) == len(scenarios)
     assert csvs[0] == csvs[1]
+
+
+def test_extremal_chunk_working_set(tmp_path):
+    # one chunk of 2000 replications per side: the nearest squared distance
+    # per replication, per-parent Thomas counts and a wrap that copies the
+    # children once keep the traced peak near 1.55 MiB (2.46 MiB when every
+    # point had its own response value and replication index)
+    out = _fresh(
+        "import tracemalloc\n"
+        "from dcxsim.geometry import make_stream\n"
+        "from dcxsim.scenarios import run_scenario\n"
+        "run = lambda: run_scenario('lo-extremal', {'n_reps': 2000}, make_stream(1, 0))\n"
+        "run()\n"
+        "tracemalloc.start()\n"
+        "run()\n"
+        "print(tracemalloc.get_traced_memory()[1])\n",
+        tmp_path,
+    )
+    assert out.returncode == 0, out.stderr
+    peak = int(out.stdout.splitlines()[-1])
+    assert peak < 2.0 * 2**20

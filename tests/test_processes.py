@@ -418,6 +418,21 @@ def test_batch_samplers_match_broadcast_formulas(lows, highs, topology):
         assert batch.points.shape[0] > 1000
 
 
+
+@pytest.mark.parametrize("topology", ["torus", "plain"])
+def test_thomas_batch_counts_match_per_child_replication_index(topology):
+    # about one parent per replication and one child per parent, so many
+    # replications hold no point: the counts, summed per parent on a torus,
+    # equal the bincount of a per-child replication index
+    w = make_window([-0.4, 1.25], [0.8, 3.0], topology)
+    lam = 1.0 / w.volume
+    for seed in range(3):
+        batch = processes.make_thomas_batch(lam, 1.0, 0.1, w)(make_stream(seed).generator(), 400)
+        pts, counts = _thomas_batch_oracle(lam, 1.0, 0.1, w, make_stream(seed).generator(), 400)
+        assert np.array_equal(batch.points, pts) and np.array_equal(batch.counts, counts)
+        assert batch.counts.dtype == counts.dtype
+        assert 50 < np.count_nonzero(counts == 0) < 350
+
 def _lattice_index_oracle(w, points, shift, spacing, n_lattice):
     if w.topology == "torus":
         return np.floor((points - w.lows - shift) / spacing).astype(int) % n_lattice, n_lattice

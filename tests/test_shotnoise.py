@@ -227,6 +227,26 @@ def test_blocked_ragged_sn_equals_single_pass(monkeypatch, block):
         assert np.array_equal(ragged_sn(none, QUERIES, h.value, how), np.zeros((5, 2)))
 
 
+@pytest.mark.parametrize("block", [1, 7, 1 << 14])
+def test_ragged_sn_max_is_the_response_of_the_nearest_point(monkeypatch, block):
+    # the unmarked maximum is read at each replication's least squared
+    # distance; the oracle takes the maximum of every point's response.  The
+    # short-range Gaussian (truncated near 0.105) leaves filled replications
+    # whose nearest point lies beyond truncation at 0, and empty replications
+    # sit between filled ones
+    monkeypatch.setattr(shotnoise, "_BLOCK", block)
+    gen = make_stream(31).generator()
+    counts = np.tile([2, 0, 1, 0, 0, 3, 0, 9, 1, 0, 4, 0, 0, 1, 2, 0, 30, 0], 20)
+    short = ResponseKernel("gaussian", (0.02,))
+    for w in (W, make_window([0.0, 0.0], [1.0, 1.0], "plain")):
+        batch = PatternBatch(w, gen.random((counts.sum(), 2)), counts)
+        for h in (ResponseKernel("power_law", (4.0,)), short):
+            got = ragged_sn(batch, QUERIES, h.value, "max")
+            assert np.array_equal(got, _single_pass_sn(batch, QUERIES, h.value, "max"))
+            assert np.all(got[counts == 0] == 0.0)
+        assert np.any(ragged_sn(batch, QUERIES, short.value, "max")[counts > 0] == 0.0)
+
+
 @pytest.mark.parametrize("n", [5, 40, 300])
 def test_ragged_sn_of_a_replication_does_not_depend_on_its_offset(n):
     # one replication of n points, alone and after 1-8 points of other
