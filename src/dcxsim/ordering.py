@@ -506,8 +506,7 @@ def oracle_ginibre_radii(b: float) -> dict:
     bern = tail[1 : ky.size]  # P(N_b >= k), k = 1..m
     pmf_x = _poisson_binomial_pmf(bern)
     cx = cx_compare_exact((np.arange(pmf_x.size, dtype=float), pmf_x), (ky, py))
-    mean_x = float(np.arange(pmf_x.size) @ pmf_x)
-    mean_y = float(ky @ py)
+    mean_x, mean_y = cx["mean_x"], cx["mean_y"]
     passed = cx["verdict"] == "pass" and abs(mean_x - b) <= ORACLE_TOL and abs(mean_y - b) <= ORACLE_TOL
     return dict(cx, verdict=oracle_verdict(passed), mean_structured=mean_x, mean_poisson=mean_y)
 

@@ -3,14 +3,14 @@ estimators together; each runner returns a verdict plus plot-ready tables."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import processes, wireless
 from .distributions import ClusterKernel, MassDistribution, constant, exponential
-from .geometry import TORUS, Box, RngStream, Window, _in_window, make_window
+from .geometry import TORUS, Box, RngStream, Window, _in_window
 from .ops import thin_counts
 from .ordering import (
     CONSISTENT,
@@ -35,21 +35,12 @@ class ScenarioResult:
     """A scenario's verdict and report parts; ``rows`` is its CSV, one dict per
     row keyed by column in column order."""
 
-    scenario_id: str
     verdict: str
     details: dict
     rows: list[dict]
     per_function: list = field(default_factory=list)
     mean_equality: Optional[dict] = None
-
-
-def _window(p: dict, lows, highs) -> Window:
-    """The scenario's window: its default lows and highs on a torus, with the
-    keys of p["window"] (checked by check_params) overriding them."""
-    wspec = p["window"]
-    return make_window(
-        wspec.get("lows", lows), wspec.get("highs", highs), wspec.get("topology", "torus")
-    )
+    scenario_id: str = ""  # set by run_scenario
 
 
 def _quadrant_boxes(w: Window) -> list[Box]:
@@ -70,11 +61,11 @@ def _suite_compare(p: dict, draws, scale, suite_stream, stream, z_crit: float = 
     return compare_vectors(*draws, suite, int(p["n_reps"]), stream, z_crit=z_crit)
 
 
-def _order_result(sid: str, report, details: dict) -> ScenarioResult:
+def _order_result(report, details: dict) -> ScenarioResult:
     """The result of a scenario decided by one suite comparison: the records
     are its per_function entries and, one per suite function, its CSV rows."""
     return ScenarioResult(
-        sid, report.verdict, details, report.records, report.records, report.mean_equality
+        report.verdict, details, report.records, report.records, report.mean_equality
     )
 
 
@@ -134,21 +125,19 @@ def _interferer_samplers(p: dict, w: Window) -> tuple:
 # Scenario runners: each reads the merged parameters of run_scenario
 
 def run_ising_vs_poisson(p: dict, stream: RngStream) -> ScenarioResult:
-    w = _window(p, [0.0, 0.0], [4.0, 4.0])
+    w = Window(**p["window"])
     boxes = _quadrant_boxes(w)
     lam_bar, *draws = _box_count_samplers(p, w, boxes)
     scale = np.array([lam_bar * b.volume for b in boxes])
     report = _suite_compare(p, draws, scale, stream.split(10**6), stream)
     n_separated = int(sum(r["z"] > 3.0 for r in report.records))
-    return _order_result(
-        "ising-vs-poisson", report, {"lam_bar": lam_bar, "n_strictly_separated": n_separated}
-    )
+    return _order_result(report, {"lam_bar": lam_bar, "n_strictly_separated": n_separated})
 
 
 def run_ppcluster_family(p: dict, stream: RngStream) -> ScenarioResult:
     lam = float(p["lam"])
     pairs = p["c_pairs"]
-    w = _window(p, [0.0, 0.0], [1.0, 1.0])
+    w = Window(**p["window"])
     kernel = ClusterKernel(p["sigma"])
     queries = _in_window(p["queries"], w, "query")
 
@@ -171,8 +160,7 @@ def run_ppcluster_family(p: dict, stream: RngStream) -> ScenarioResult:
         results.append(dict(summary, c_pair=[c_hi, c_lo], mean_equality=rep.mean_equality))
         rows.append({"c_hi": c_hi, "c_lo": c_lo, **summary})
     return ScenarioResult(
-        "ppcluster-family", worst(r["verdict"] for r in results), {"pairs": results}, rows,
-        per_function,
+        worst(r["verdict"] for r in results), {"pairs": results}, rows, per_function
     )
 
 
@@ -191,7 +179,7 @@ def _sinr_layout(p: dict, w: Window) -> wireless.LinkLayout:
 
 def run_sinr_compare(p: dict, stream: RngStream) -> ScenarioResult:
     n_reps = int(p["n_reps"])
-    w = _window(p, [0.0, 0.0], [1.0, 1.0])
+    w = Window(**p["window"])
     layout = _sinr_layout(p, w)
     poisson, thomas = _interferer_samplers(p, w)
     p_po, se_po = wireless.sinr_success_rayleigh(
@@ -224,14 +212,14 @@ def run_sinr_compare(p: dict, stream: RngStream) -> ScenarioResult:
             ("poisson", "indicator", p_ind, se_ind),
         )
     ]
-    return ScenarioResult("sinr-compare", verdict, details, rows)
+    return ScenarioResult(verdict, details, rows)
 
 
 def run_coverage_compare(p: dict, stream: RngStream) -> ScenarioResult:
     lam = float(p["lam"])
     r = float(p["r"])
     n_reps = int(p["n_reps"])
-    w = _window(p, [0.0, 0.0], [1.0, 1.0])
+    w = Window(**p["window"])
     queries = _in_window(p["queries"], w, "query")
     poisson, thomas = _interferer_samplers(p, w)
     rep_po = wireless.boolean_coverage(poisson, r, queries, n_reps, stream.split(0))
@@ -264,12 +252,12 @@ def run_coverage_compare(p: dict, stream: RngStream) -> ScenarioResult:
         for i in range(queries.shape[0])
         for germs, rep, extra in (("poisson", rep_po, cell), ("thomas", rep_th, ""))
     ]
-    return ScenarioResult("coverage-compare", verdict, details, rows)
+    return ScenarioResult(verdict, details, rows)
 
 
 def run_palm_poisson_check(p: dict, stream: RngStream) -> ScenarioResult:
     lam = float(p["lam"])
-    w = _window(p, [0.0, 0.0], [2.0, 2.0])
+    w = Window(**p["window"])
     box_a = Box(p["box_lows"], p["box_highs"])
     # weight and statistic are both the count N(A)
     counts = processes.make_poisson_counts(lam, w, [box_a])
@@ -280,14 +268,14 @@ def run_palm_poisson_check(p: dict, stream: RngStream) -> ScenarioResult:
     expected = lam * box_a.volume + 1.0
     z = float(_z_scores(est - expected, se))
     details = {"estimate": est, "stderr": se, "expected": expected}
-    return ScenarioResult("palm-poisson-check", decide([z, -z]), details, [details])
+    return ScenarioResult(decide([z, -z]), details, [details])
 
 
-def _oracle_result(sid: str, records: list[dict], details: dict, columns: list) -> ScenarioResult:
+def _oracle_result(records: list[dict], details: dict, columns: list) -> ScenarioResult:
     """The result of an exact-oracle scenario: "pass" iff every record passes,
     one CSV row of the ``columns`` keys per record."""
     return ScenarioResult(
-        sid, oracle_verdict(all(r["verdict"] == "pass" for r in records)), details,
+        oracle_verdict(all(r["verdict"] == "pass" for r in records)), details,
         [{k: r[k] for k in columns} for r in records],
     )
 
@@ -295,8 +283,7 @@ def _oracle_result(sid: str, records: list[dict], details: dict, columns: list) 
 def run_ginibre_oracle(p: dict, stream: RngStream) -> ScenarioResult:
     records = [dict(oracle_ginibre_radii(float(b)), b=float(b)) for b in p["b_values"]]
     return _oracle_result(
-        "ginibre-oracle", records, {"per_b": records},
-        ["b", "max_violation", "mean_structured", "mean_poisson"],
+        records, {"per_b": records}, ["b", "max_violation", "mean_structured", "mean_poisson"]
     )
 
 
@@ -307,17 +294,17 @@ def run_oracle_poisson_scaling(p: dict, stream: RngStream) -> ScenarioResult:
     ]
     violation = max((r["max_violation"] for r in records), default=0.0)
     return _oracle_result(
-        "oracle-poisson-scaling", records, {"per_pair": records, "violation": violation},
+        records, {"per_pair": records, "violation": violation},
         ["a", "c", "max_violation", "mean_x", "mean_y"],
     )
 
 
 def run_lo_extremal(p: dict, stream: RngStream) -> ScenarioResult:
-    w = _window(p, [0.0, 0.0], [1.0, 1.0])
+    w = Window(**p["window"])
     queries = _in_window(p["queries"], w, "query")
     # the thresholds are (t1, t2) pairs, one level per query
     if len(queries) != 2:
-        raise ValueError("scenario parameter 'queries' must hold exactly 2 points for lo-extremal")
+        raise ValueError("scenario parameter 'queries' must hold exactly 2 points")
     h = ResponseKernel("power_law", (float(p["beta"]),))
     poisson, thomas = _interferer_samplers(p, w)
     extremal = lambda sampler: lambda gen, size: ragged_sn(
@@ -332,12 +319,12 @@ def run_lo_extremal(p: dict, stream: RngStream) -> ScenarioResult:
          "stderr": r["stderr"]}
         for r in rep["per_threshold"]
     ]
-    return ScenarioResult("lo-extremal", rep["verdict"], rep, rows)
+    return ScenarioResult(rep["verdict"], rep, rows)
 
 
 def run_levy_grid(p: dict, stream: RngStream) -> ScenarioResult:
     spacing = float(p["lattice_spacing"])
-    w = _window(p, [0.0, 0.0], [4.0, 4.0])
+    w = Window(**p["window"])
     boxes = _quadrant_boxes(w)
     # equal-mean masses: a sum of two Exp(1/2) is convex-smaller than one Exp(1)
     masses = (MassDistribution("sum_of_exponentials", (0.5, 0.5)), exponential(1.0))
@@ -345,8 +332,10 @@ def run_levy_grid(p: dict, stream: RngStream) -> ScenarioResult:
     # atoms counted per box: volume / spacing^d is off where spacing does not divide the window
     locs = processes.lattice_points(spacing, w)
     atoms = np.array([np.count_nonzero(b.contains(locs)) for b in boxes], dtype=float)
+    if not atoms.any():
+        raise ValueError(f"lattice_spacing {spacing:g} puts no lattice atom in any box")
     rep = _suite_compare(p, draws, atoms, stream.split(10**6), stream)
-    return _order_result("levy-grid", rep, {"atoms_per_box": float(atoms.mean())})
+    return _order_result(rep, {"atoms_per_box": float(atoms.mean())})
 
 
 def run_marked_basis(p: dict, stream: RngStream) -> ScenarioResult:
@@ -354,18 +343,18 @@ def run_marked_basis(p: dict, stream: RngStream) -> ScenarioResult:
     mark_mean = float(p["mark_mean"])
     if not mark_mean > 0:
         raise ValueError("mark_mean must be positive")
-    w = _window(p, [0.0, 0.0], [1.0, 1.0])
+    w = Window(**p["window"])
     boxes = _quadrant_boxes(w)
     # Poisson atoms carrying the mean mark E Z vs i.i.d. exponential marks Z
     marks = (constant(mark_mean), exponential(mark_mean))
     draws = [processes.make_marked_poisson_masses(lam, m, w, boxes) for m in marks]
     scale = np.array([lam * mark_mean * b.volume for b in boxes])
     rep = _suite_compare(p, draws, scale, stream.split(10**6), stream)
-    return _order_result("marked-basis", rep, {})
+    return _order_result(rep, {})
 
 
 def run_ops_preservation(p: dict, stream: RngStream) -> ScenarioResult:
-    w = _window(p, [0.0, 0.0], [4.0, 4.0])
+    w = Window(**p["window"])
     boxes = _quadrant_boxes(w)
     arms = _ops_arms(p, w, boxes)
     rows, verdicts = [], {}
@@ -377,15 +366,15 @@ def run_ops_preservation(p: dict, stream: RngStream) -> ScenarioResult:
         verdicts[name] = rep.verdict
         min_z = min(r["z"] for r in rep.records)
         rows.append({"operation": name, "verdict": rep.verdict, "min_z": min_z})
-    return ScenarioResult("ops-preservation", worst(verdicts.values()), {"per_op": verdicts}, rows)
+    return ScenarioResult(worst(verdicts.values()), {"per_op": verdicts}, rows)
 
 
 def run_ripley_poisson(p: dict, stream: RngStream) -> ScenarioResult:
     lam = float(p["lam"])
     r_grid = np.asarray(p["r_grid"], dtype=float)
-    w = _window(p, [0.0, 0.0], [1.0, 1.0])
+    w = Window(**p["window"])
     if w.dim != 2:
-        raise ValueError("ripley-poisson needs a 2-d window: its reference pi r^2 is the planar K")
+        raise ValueError("the window must be 2-d: the reference pi r^2 is the planar K")
     # pi r^2 is the torus K only while the ball of radius r does not wrap
     r_max = float(np.min(w.highs - w.lows)) / 2.0
     if not np.all((r_grid >= 0) & (r_grid <= r_max)):
@@ -400,46 +389,51 @@ def run_ripley_poisson(p: dict, stream: RngStream) -> ScenarioResult:
         {"r": r, "k_hat": k, "stderr": s, "pi_r_squared": pi_r2}
         for r, k, s, pi_r2 in zip(r_grid.tolist(), *details.values())
     ]
-    return ScenarioResult("ripley-poisson", decide(np.concatenate([z, -z])), details, rows)
+    return ScenarioResult(decide(np.concatenate([z, -z])), details, rows)
 
 
-# Defaults shared by scenarios: the spin-lattice Cox process, and the Thomas
-# interferers or germs (children per parent, Gaussian spread)
+# Defaults shared by scenarios: the spin-lattice Cox process, the Thomas
+# interferers or germs (children per parent, Gaussian spread), and the
+# windows: the unit square, 2 x 2 and 4 x 4, each a torus
 _SPINS = {"mu1": 2.0, "mu2": 0.0, "p_plus": 0.5, "cells_per_axis": 32}
 _THOMAS = {"cluster_size": 5.0, "sigma": 0.05}
+_UNIT_SQUARE = {"lows": [0.0, 0.0], "highs": [1.0, 1.0], "topology": TORUS}
+_SQUARE_2 = {"lows": [0.0, 0.0], "highs": [2.0, 2.0], "topology": TORUS}
+_SQUARE_4 = {"lows": [0.0, 0.0], "highs": [4.0, 4.0], "topology": TORUS}
 
 # id -> (description, runner, defaults).  The defaults are every parameter the
-# runner reads, as plain config values; check_params rejects any other key.
+# runner reads, its window included, as plain config values; check_params
+# rejects any other key.
 SCENARIOS: dict[str, tuple[str, Callable, dict]] = {
     "ising-vs-poisson": (
         "dcx comparison of box counts: homogeneous Poisson vs the spin-lattice Cox process",
         run_ising_vs_poisson,
-        {"n_reps": 20_000, "suite_size": 100, "window": {}, **_SPINS},
+        {"n_reps": 20_000, "suite_size": 100, "window": _SQUARE_4, **_SPINS},
     ),
     "ppcluster-family": (
         "cluster-intensity family: dcx-decreasing in the parent-splitting parameter c",
         run_ppcluster_family,
         {"lam": 20.0, "sigma": 0.1, "n_reps": 20_000, "suite_size": 40,
-         "c_pairs": [[4.0, 1.0], [2.0, 0.5]], "window": {},
+         "c_pairs": [[4.0, 1.0], [2.0, 0.5]], "window": _UNIT_SQUARE,
          "queries": [[0.2, 0.2], [0.5, 0.5], [0.8, 0.6]]},
     ),
     "sinr-compare": (
         "joint SINR success probability: Poisson vs clustered interferers",
         run_sinr_compare,
-        {"lam": 5.0, "n_reps": 20_000, "window": {}, "T": 1.0, "beta": 4.0, "noise": 0.01,
+        {"lam": 5.0, "n_reps": 20_000, "window": _UNIT_SQUARE, "T": 1.0, "beta": 4.0, "noise": 0.01,
          "emitters": [[0.3, 0.3], [0.7, 0.7]], "receivers": [[0.3, 0.35], [0.7, 0.75]],
          **_THOMAS},
     ),
     "coverage-compare": (
         "Boolean-model coverage: Poisson vs clustered germs at equal intensity",
         run_coverage_compare,
-        {"lam": 20.0, "r": 0.1, "n_reps": 20_000, "window": {}, "queries": [[0.5, 0.5]],
+        {"lam": 20.0, "r": 0.1, "n_reps": 20_000, "window": _UNIT_SQUARE, "queries": [[0.5, 0.5]],
          **_THOMAS},
     ),
     "palm-poisson-check": (
         "reweighted-law identity: box-count expectation lam|A| + 1 under the size-biased law",
         run_palm_poisson_check,
-        {"lam": 5.0, "n_reps": 20_000, "window": {}, "box_lows": [0.0, 0.0],
+        {"lam": 5.0, "n_reps": 20_000, "window": _SQUARE_2, "box_lows": [0.0, 0.0],
          "box_highs": [1.0, 1.0]},
     ),
     "ginibre-oracle": (
@@ -455,29 +449,29 @@ SCENARIOS: dict[str, tuple[str, Callable, dict]] = {
     "lo-extremal": (
         "lower-orthant comparison of extremal shot-noise fields, clustered vs Poisson",
         run_lo_extremal,
-        {"lam": 20.0, "beta": 4.0, "n_reps": 20_000, "window": {},
+        {"lam": 20.0, "beta": 4.0, "n_reps": 20_000, "window": _UNIT_SQUARE,
          "queries": [[0.25, 0.25], [0.75, 0.75]],
          "threshold_grid": np.linspace(0.1, 0.9, 5).tolist(), **_THOMAS},
     ),
     "levy-grid": (
         "lattice measures with i.i.d. masses: convex-ordered masses give dcx-ordered boxes",
         run_levy_grid,
-        {"lattice_spacing": 1.0, "n_reps": 20_000, "suite_size": 60, "window": {}},
+        {"lattice_spacing": 1.0, "n_reps": 20_000, "suite_size": 60, "window": _SQUARE_4},
     ),
     "marked-basis": (
         "Poisson atoms with constant masses vs i.i.d. random marks, dcx on box masses",
         run_marked_basis,
-        {"lam": 10.0, "mark_mean": 1.0, "n_reps": 20_000, "suite_size": 60, "window": {}},
+        {"lam": 10.0, "mark_mean": 1.0, "n_reps": 20_000, "suite_size": 60, "window": _UNIT_SQUARE},
     ),
     "ops-preservation": (
         "thinning, displacement and superposition applied to an ordered pair keep the verdict",
         run_ops_preservation,
-        {"n_reps": 10_000, "suite_size": 30, "window": {}, "shift": [0.35, 0.15], **_SPINS},
+        {"n_reps": 10_000, "suite_size": 30, "window": _SQUARE_4, "shift": [0.35, 0.15], **_SPINS},
     ),
     "ripley-poisson": (
         "Ripley K baseline on the torus: homogeneous Poisson against pi r^2",
         run_ripley_poisson,
-        {"lam": 50.0, "n_reps": 1000, "r_grid": [0.02, 0.05, 0.1, 0.15], "window": {}},
+        {"lam": 50.0, "n_reps": 1000, "r_grid": [0.02, 0.05, 0.1, 0.15], "window": _UNIT_SQUARE},
     ),
 }
 
@@ -495,40 +489,48 @@ def _leaves(value) -> list:
     return [value]
 
 
-def check_params(scenario_id: str, params) -> None:
-    """Raise ValueError for a key of the mapping ``params`` that is not one of
-    the scenario's SCENARIOS defaults, for an empty list where the default is
-    a non-empty list, for a value that is not an integer where the default is
-    one, for a value that is not an integer or a finite float where the
-    default holds floats (as a scalar or in a nested list; a bool or a string
-    such as "nan" is neither), for a ``window`` that is not a mapping, and for
-    a ``window`` key other than lows, highs and topology."""
-    defaults = SCENARIOS[scenario_id][2]
-    unknown = sorted(str(k) for k in set(params) - set(defaults))
+def _check(where: str, defaults: dict, params: dict, prefix: str = "") -> None:
+    """Raise ValueError, naming the key by its dotted path, for a key of
+    ``params`` not in ``defaults``, a value that is not a mapping where the
+    default is one (its keys are checked in turn), an empty list where the
+    default is a non-empty list, a value that is not an integer where the
+    default is one, and a value that is not an integer or a finite float
+    where the default holds floats (as a scalar or in a nested list; a bool
+    or a string such as "nan" is neither)."""
+    unknown = sorted(prefix + str(k) for k in set(params) - set(defaults))
     if unknown:
-        raise ValueError(f"unknown key(s) for scenario {scenario_id}: {', '.join(unknown)}")
+        raise ValueError(f"unknown key(s) for {where}: {', '.join(unknown)}")
     for key, value in params.items():
-        default = defaults[key]
+        default, name = defaults[key], prefix + key
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"scenario parameter {name!r} must be a mapping")
+            _check(where, default, value, name + ".")
         if isinstance(default, list) and default and isinstance(value, list) and not value:
-            raise ValueError(f"scenario parameter {key!r} must be a non-empty list")
+            raise ValueError(f"scenario parameter {name!r} must be a non-empty list")
         if is_int(default) and not is_int(value):
-            raise ValueError(f"scenario parameter {key!r} must be an integer")
+            raise ValueError(f"scenario parameter {name!r} must be an integer")
         if any(isinstance(x, float) for x in _leaves(default)) and not all(
             is_int(x) or (isinstance(x, float) and math.isfinite(x)) for x in _leaves(value)
         ):
-            raise ValueError(f"scenario parameter {key!r} must be a finite number")
-    wspec = params.get("window", {})
-    if not isinstance(wspec, dict):
-        raise ValueError("scenario parameter 'window' must be a mapping")
-    unknown = sorted(str(k) for k in set(wspec) - {"lows", "highs", "topology"})
-    if unknown:
-        raise ValueError(f"unknown window keys {unknown}")
+            raise ValueError(f"scenario parameter {name!r} must be a finite number")
+
+
+def check_params(scenario_id: str, params) -> None:
+    """_check's rule on the mapping ``params`` against the scenario's
+    SCENARIOS defaults, window keys and values included."""
+    _check(f"scenario {scenario_id}", SCENARIOS[scenario_id][2], params)
 
 
 def run_scenario(scenario_id: str, params: dict, stream: RngStream) -> ScenarioResult:
-    """Run a scenario on its SCENARIOS defaults overridden by ``params``."""
+    """Run a scenario on its SCENARIOS defaults overridden by ``params``; a
+    mapping default (the window) is overridden key by key."""
     if scenario_id not in SCENARIOS:
         raise KeyError(f"unknown scenario {scenario_id!r}")
     check_params(scenario_id, params)
     _, runner, defaults = SCENARIOS[scenario_id]
-    return runner({**defaults, **params}, stream)
+    merged = {
+        k: {**d, **params.get(k, {})} if isinstance(d, dict) else params.get(k, d)
+        for k, d in defaults.items()
+    }
+    return replace(runner(merged, stream), scenario_id=scenario_id)

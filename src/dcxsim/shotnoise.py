@@ -29,23 +29,22 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class ResponseKernel:
-    """Radially symmetric non-negative response g(distance), scaled by emitted_power.
+    """Radially symmetric non-negative response g(distance), 1 at distance 0.
 
     kinds:
-      gaussian        params = (sigma,)          g(r) = P * exp(-r^2 / 2 sigma^2)
-      power_law       params = (beta,)           g(r) = P / (1 + r)^beta
+      gaussian        params = (sigma,)          g(r) = exp(-r^2 / 2 sigma^2)
+      power_law       params = (beta,)           g(r) = 1 / (1 + r)^beta
     """
 
     kind: str
     params: Tuple[float, ...]
-    emitted_power: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.kind not in ("gaussian", "power_law"):
             raise ValueError(f"unknown response kernel kind {self.kind!r}")
-        if not (all(0 < p < math.inf for p in self.params) and 0 <= self.emitted_power < math.inf):
-            raise ValueError("response kernel needs finite params > 0 and emitted_power >= 0")
+        if not all(0 < p < math.inf for p in self.params):
+            raise ValueError("response kernel needs finite params > 0")
 
     def _profile(self, r: np.ndarray) -> np.ndarray:
         if self.kind == "gaussian":
@@ -57,8 +56,7 @@ class ResponseKernel:
     def value(self, r) -> np.ndarray:
         """g(r) with contributions beyond the truncation radius dropped."""
         r = np.asarray(r, dtype=float)
-        out = self.emitted_power * self._profile(r)
-        return np.where(r <= self.truncation_radius(), out, 0.0)
+        return np.where(r <= self.truncation_radius(), self._profile(r), 0.0)
 
     def truncation_radius(self) -> float:
         """Radius where the profile falls below TRUNCATION_REL_TOL of its peak."""
@@ -124,13 +122,12 @@ def ragged_sn(
     the marks of the same points (column j of them for query j).  how="sum"
     adds the contributions of each replication (additive shot noise, as
     additive_sn), how="max" takes their maximum (extremal shot noise, as
-    extremal_sn); a replication without points gives 0.  Without marks the
-    maximum is taken as the response at the distance of each replication's
-    nearest point, the square root of its least squared distance: this is
-    the maximum of the per-point contributions only if response(d) does not
-    increase with d, as ResponseKernel.value does not (a nearest point beyond
-    the truncation radius gives 0).  With marks every point's contribution
-    is computed.
+    extremal_sn, of unmarked points only); a replication without points
+    gives 0.  The maximum is taken as the response at the distance of each
+    replication's nearest point, the square root of its least squared
+    distance: this is the maximum of the per-point contributions only if
+    response(d) does not increase with d, as ResponseKernel.value does not
+    (a nearest point beyond the truncation radius gives 0).
 
     The batch is walked in replication-aligned blocks of about
     ``geometry._BLOCK`` points: a block ends at the first replication that
@@ -140,11 +137,10 @@ def ragged_sn(
     reduction runs in float, so boolean responses count.  Queries are reduced
     one at a time, so no (N, q, d) array is built.
     """
-    reduce = {"sum": np.add, "max": np.maximum}.get(how)
-    if reduce is None:
+    if how not in ("sum", "max"):
         raise ValueError(f"unknown reduction {how!r}")
-    # an unmarked maximum is the response of each replication's nearest point
-    nearest = how == "max" and marks is None
+    if how == "max" and marks is not None:
+        raise ValueError("how='max' takes no marks")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     out = np.zeros((batch.size, queries.shape[0]))
     n_points = batch.points.shape[0]
@@ -165,11 +161,11 @@ def ragged_sn(
         block_starts = starts[filled] - first
         for j, y in enumerate(queries):
             sq = sq_distances(batch.window, pts, y)
-            if nearest:
+            if how == "max":
                 out[filled, j] = response(np.sqrt(np.minimum.reduceat(sq, block_starts)))
             else:
                 d = np.sqrt(sq, out=sq)
                 vals = response(d) if m is None else response(d, m if m.ndim == 1 else m[:, j])
-                out[filled, j] = reduce.reduceat(vals, block_starts, dtype=float)
+                out[filled, j] = np.add.reduceat(vals, block_starts, dtype=float)
     return out
 

@@ -249,6 +249,8 @@ def test_invalid_parameter_is_config_error(tmp_path, invoke):
         # pi r^2 is the planar K
         {"id": "ripley-poisson", "n_reps": 50, "window": {"lows": [0.0], "highs": [1.0]}},
         {"id": "ripley-poisson", "n_reps": 50, "window": {"lows": [0, 0, 0], "highs": [1, 1, 1]}},
+        # no lattice atom in any box: every count was 0 and the verdict vacuous
+        {"id": "levy-grid", "n_reps": 400, "suite_size": 6, "lattice_spacing": 100.0},
     ):
         path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}, entry])
         code, _ = invoke(["run", str(path)])
@@ -271,6 +273,26 @@ def test_unknown_key_is_rejected_before_any_scenario_runs(tmp_path, invoke):
         assert code == 2
         assert key in output
         assert not list((tmp_path / str(name) / "out").glob("*"))
+
+
+def test_window_values_are_checked_before_any_scenario_runs(tmp_path, invoke):
+    # window keys fall under the rule of every other key: a NaN bound ran the
+    # scenarios before it and failed only when its own window was built
+    for name, (window, path_name) in enumerate((
+        ({"lows": [float("nan"), 0.0]}, "window.lows"),
+        ({"highs": [1.0, float("inf")]}, "window.highs"),
+        ({"lows": []}, "window.lows"),
+        ({"low": [0.0, 0.0]}, "window.low"),
+        ("abc", "window"),
+    )):
+        (tmp_path / str(name)).mkdir()
+        entry = {"id": "ripley-poisson", "n_reps": 50, "window": window}
+        path = _write_config(tmp_path / str(name), [{"id": "oracle-poisson-scaling"}, entry])
+        code, output = invoke(["run", str(path)])
+        assert code == 2, window
+        assert path_name in output, output
+        assert "oracle-poisson-scaling:" not in output, output
+        assert not (tmp_path / str(name) / "out").exists()
 
 
 def test_lo_extremal_needs_exactly_two_queries(tmp_path, invoke):
@@ -318,32 +340,52 @@ def test_run_scenario_rejects_unknown_keys():
 
 
 class _RecordingParams(dict):
-    """A parameter mapping that records every key a runner looks up."""
+    """A parameter mapping that records the dotted path of every key a runner
+    looks up, in it and in the mappings nested in it ("window.lows", say);
+    unpacking it with ** looks up every key."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.read = set()
+    def __init__(self, params, read=None, prefix=""):
+        self.read = set() if read is None else read
+        self.prefix = prefix
+        super().__init__({
+            k: _RecordingParams(v, self.read, f"{prefix}{k}.") if isinstance(v, dict) else v
+            for k, v in params.items()
+        })
 
     def get(self, key, default=None):
-        self.read.add(key)
+        self.read.add(self.prefix + key)
         return super().get(key, default)
 
     def __getitem__(self, key):
-        self.read.add(key)
+        self.read.add(self.prefix + key)
         return super().__getitem__(key)
 
     def __contains__(self, key):
-        self.read.add(key)
+        self.read.add(self.prefix + key)
         return super().__contains__(key)
+
+    def __iter__(self):
+        # a dict subclass that keeps dict's __iter__ is unpacked without
+        # __getitem__, so ** would read unseen
+        return super().__iter__()
+
+
+def _paths(defaults: dict, prefix="") -> set:
+    """The dotted path of every key of ``defaults`` and of its nested mappings."""
+    return {
+        p for k, v in defaults.items()
+        for p in {prefix + k} | (_paths(v, f"{prefix}{k}.") if isinstance(v, dict) else set())
+    }
 
 
 @pytest.mark.parametrize("sid", sorted(SCENARIOS))
 def test_declared_keys_are_the_keys_read(sid):
-    # the runner reads every default, and nothing else, from the merged mapping
+    # the runner reads every default, and nothing else, from the merged
+    # mapping; window keys included, so no runner keeps a default of its own
     _, runner, defaults = SCENARIOS[sid]
     params = _RecordingParams({**defaults, **FAST_PARAMS[sid]})
     runner(params, make_stream(7))
-    assert params.read == set(defaults)
+    assert params.read == _paths(defaults)
 
 
 @pytest.mark.parametrize("sid", sorted(SCENARIOS))
@@ -420,7 +462,7 @@ def test_exit_one_on_violation(tmp_path, monkeypatch, invoke):
     from dcxsim.scenarios import ScenarioResult
 
     def fake_run(sid, params, stream):
-        return ScenarioResult(sid, "VIOLATION", {}, [{"x": 1.0}])
+        return ScenarioResult("VIOLATION", {}, [{"x": 1.0}], scenario_id=sid)
 
     monkeypatch.setattr(cli_mod, "run_scenario", fake_run)
     path = _write_config(tmp_path, [{"id": "ripley-poisson"}])

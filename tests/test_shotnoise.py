@@ -104,14 +104,14 @@ def test_extremal_never_exceeds_additive():
 
 def _gaussian_campbell_mean(h: ResponseKernel, lam: float) -> float:
     # planar Campbell mean of the Gaussian kernel, cut where it falls to
-    # TRUNCATION_REL_TOL of its peak: lam * P * 2 pi sigma^2 * (1 - tol)
+    # TRUNCATION_REL_TOL of its peak: lam * 2 pi sigma^2 * (1 - tol)
     (sigma,) = h.params
-    return lam * h.emitted_power * 2 * np.pi * sigma**2 * (1 - TRUNCATION_REL_TOL)
+    return lam * 2 * np.pi * sigma**2 * (1 - TRUNCATION_REL_TOL)
 
 
 def test_campbell_mean_matches_monte_carlo():
     # sigma 0.05 keeps the truncated kernel inside the unit torus
-    h = ResponseKernel("gaussian", (0.05,), emitted_power=2.0)
+    h = ResponseKernel("gaussian", (0.05,))
     lam = 10.0
     target = _gaussian_campbell_mean(h, lam)
     gen = make_stream(17).generator()
@@ -174,6 +174,8 @@ def test_ragged_sn_equals_per_realization_reducers():
         assert np.array_equal(ragged_sn(none, QUERIES, h.value, how), np.zeros((4, 2)))
     with pytest.raises(ValueError):
         ragged_sn(batch, QUERIES, h.value, "mean")
+    with pytest.raises(ValueError, match="marks"):
+        ragged_sn(batch, QUERIES, lambda d, r: d <= r, "max", marks=radii)
 
 
 def _single_pass_sn(batch, queries, response, how="sum", weights=None):
@@ -214,14 +216,14 @@ def test_blocked_ragged_sn_equals_single_pass(monkeypatch, block):
             assert np.array_equal(
                 ragged_sn(batch, QUERIES, h.value, how), _single_pass_sn(batch, QUERIES, h.value, how)
             )
-            assert np.array_equal(
-                ragged_sn(batch, QUERIES, lambda d, f: h.value(d) * f, how, marks=fades),
-                _single_pass_sn(batch, QUERIES, h.value, how, weights=fades),
-            )
-            assert np.array_equal(
-                ragged_sn(batch, QUERIES, lambda d, r: d <= r, how, marks=radii),
-                _single_pass_sn(batch, QUERIES, lambda d: d <= radii, how),
-            )
+        assert np.array_equal(
+            ragged_sn(batch, QUERIES, lambda d, f: h.value(d) * f, marks=fades),
+            _single_pass_sn(batch, QUERIES, h.value, weights=fades),
+        )
+        assert np.array_equal(
+            ragged_sn(batch, QUERIES, lambda d, r: d <= r, marks=radii),
+            _single_pass_sn(batch, QUERIES, lambda d: d <= radii),
+        )
     none = PatternBatch(W, np.empty((0, 2)), np.zeros(5, dtype=int))
     for how in ("sum", "max"):
         assert np.array_equal(ragged_sn(none, QUERIES, h.value, how), np.zeros((5, 2)))
@@ -257,12 +259,10 @@ def test_ragged_sn_of_a_replication_does_not_depend_on_its_offset(n):
     pts = gen.random((n, 2))
     fades = gen.exponential(1.0, size=(n, QUERIES.shape[0]))
     h = ResponseKernel("power_law", (4.0,))
+    faded = lambda d, f: h.value(d) * f
+    faded_alone = ragged_sn(PatternBatch(W, pts, np.array([n])), QUERIES, faded, marks=fades)
     for how in ("sum", "max"):
         alone = ragged_sn(PatternBatch(W, pts, np.array([n])), QUERIES, h.value, how)
-        faded = ragged_sn(
-            PatternBatch(W, pts, np.array([n])), QUERIES, lambda d, f: h.value(d) * f, how,
-            marks=fades,
-        )
         for before in ([1], [2], [3], [0, 4], [5], [6, 0], [1, 6], [8], [2, 2, 0, 2, 2]):
             lead = gen.random((sum(before), 2))
             counts = np.array(before + [n, 1])
@@ -270,8 +270,9 @@ def test_ragged_sn_of_a_replication_does_not_depend_on_its_offset(n):
             row = len(before)
             assert np.array_equal(ragged_sn(batch, QUERIES, h.value, how)[row], alone[0])
             marks = np.vstack([gen.exponential(1.0, size=(sum(before), 2)), fades, [[1.0, 1.0]]])
-            got = ragged_sn(batch, QUERIES, lambda d, f: h.value(d) * f, how, marks=marks)
-            assert np.array_equal(got[row], faded[0])
+            if how == "sum":  # a maximum takes no marks
+                got = ragged_sn(batch, QUERIES, faded, marks=marks)
+                assert np.array_equal(got[row], faded_alone[0])
 
 
 WP = make_window([0.0, 0.0], [1.0, 1.0], "plain")
