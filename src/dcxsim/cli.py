@@ -9,10 +9,12 @@ key is a configuration error, found before any scenario runs):
   scenarios   list of {id: <scenario id>, ...scenario parameters...}; at any
               depth, window keys and values included, a key not in the
               scenario's SCENARIOS defaults, and a value that is not a
-              mapping, is an empty list, is not an integer, or is not a
-              finite number where the default is a mapping, a non-empty list,
-              an integer, or holds floats (a bool, "nan", a NaN window
-              bound), is a configuration error, found before any scenario runs
+              mapping, is an empty list, is not a string, is not an integer,
+              or is not a finite number where the default is a mapping, a
+              non-empty list, a string, an integer, or holds floats (a bool,
+              "nan", a NaN window bound), and a merged window that Window
+              refuses (topology klein, lows not below highs), is a
+              configuration error, found before any scenario runs
 
 Each scenario produces <output_dir>/<id>.json and <output_dir>/<id>.csv, so
 an id listed twice is a configuration error, found before any scenario runs.
@@ -30,8 +32,8 @@ not positive, kernel and mass-law parameters that are not
 finite and positive, a negative SINR noise (the noise-to-signal ratio at
 unit power and unit mean fading), non-finite lo-extremal thresholds,
 lo-extremal queries of other than two points, a levy-grid lattice_spacing
-that puts no lattice atom in any box, a ripley-poisson window that is not
-2-d, and usage errors: no command,
+that leaves some box without a lattice atom, a ripley-poisson window that
+is not 2-d, and usage errors: no command,
 an unknown command, or run without CONFIG_PATH), 3 runtime failure (including
 numerical failures: NumericalError, LinAlgError, FloatingPointError). An
 interrupt (Ctrl-C) propagates as KeyboardInterrupt, so it never exits 1.

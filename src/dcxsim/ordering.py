@@ -212,13 +212,16 @@ class Moments:
 
     @classmethod
     def of(cls, rows: np.ndarray) -> "Moments":
-        """Two-pass moments of the rows of a 2-d array."""
+        """Two-pass moments of the rows of a 2-d array, centred in place: a
+        float array passed in is overwritten with its squared deviations, so
+        a caller that still needs its rows passes a copy (rows of another
+        dtype are converted to a new float array first)."""
         rows = np.asarray(rows, dtype=float)
         shift = rows[0].copy()  # a view would keep every chunk's rows alive
-        dev = rows - shift
-        offset = dev.mean(axis=0)
-        dev -= offset
-        return cls(rows.shape[0], shift, offset, np.square(dev, out=dev).sum(axis=0))
+        rows -= shift
+        offset = rows.mean(axis=0)
+        rows -= offset
+        return cls(rows.shape[0], shift, offset, np.square(rows, out=rows).sum(axis=0))
 
     def merge(self, other: "Moments") -> "Moments":
         n = self.n + other.n
@@ -272,6 +275,8 @@ def replicate(
     Each chunk of _CHUNK replications (the last one holds the remainder)
     calls ``draw(gen, size)`` once for a (size, k) array of independent
     replications, and ``reduce`` maps it to the rows whose moments are kept.
+    ``Moments.of`` centres those rows in place, so ``reduce`` returns a
+    fresh array, or the draw itself, which nothing else holds.
     Chunk ci of side s draws from ``stream.split(ci).split(s)``, one index
     deeper than the suite streams ``stream.split(j)``, so the two never share
     a path; chunks merge in chunk order, so the result depends only on the stream.
@@ -321,8 +326,13 @@ def compare_vectors(
     nf = len(suite)
 
     def reduce(v: np.ndarray) -> np.ndarray:
-        # suite values first, then the coordinates for the mean-equality gate
-        return np.column_stack([f(v) for f in suite] + [v])
+        # suite values first, then the coordinates for the mean-equality
+        # gate, written into one array that Moments.of then centres in place
+        rows = np.empty((v.shape[0], nf + v.shape[1]))
+        for i, f in enumerate(suite):
+            rows[:, i] = f(v)
+        rows[:, nf:] = v
+        return rows
 
     mom_x, mom_y = replicate((draw_x, draw_y), reduce, n_reps, stream)
     mean_x, mean_y = mom_x.mean, mom_y.mean

@@ -35,13 +35,21 @@ from .geometry import (
     cell_overlaps,
     pairwise_distances,
 )
-from .shotnoise import ragged_sn
+from .shotnoise import ragged_sn, replication_blocks
 
 LGCP_CELL_CAP = 10_000
 
 
-def _uniform_points(w: Window, n: int, gen: np.random.Generator) -> np.ndarray:
-    return w.lows + gen.random((n, w.dim)) * w.lengths
+def _uniform_points(
+    gen: np.random.Generator, n: int, lows: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """(n, d) points uniform on the box lows + [0, lengths): lows + u *
+    lengths, one axis at a time, on one (n, d) draw."""
+    pts = gen.random((n, lows.shape[0]))
+    for col, lo, length in zip(pts.T, lows, lengths):
+        col *= length
+        col += lo
+    return pts
 
 
 def sample_poisson(lam: float, w: Window, gen: np.random.Generator) -> PointPattern:
@@ -49,7 +57,7 @@ def sample_poisson(lam: float, w: Window, gen: np.random.Generator) -> PointPatt
     if lam <= 0:
         raise ValueError("intensity must be positive")
     n = gen.poisson(lam * w.volume)
-    return PointPattern(w, _uniform_points(w, n, gen))
+    return PointPattern(w, _uniform_points(gen, n, w.lows, w.lengths))
 
 
 def sample_cox(field: GridField, gen: np.random.Generator) -> PointPattern:
@@ -71,7 +79,7 @@ def sample_mixed_poisson(
     """Mixed Poisson: one random intensity level, then homogeneous Poisson."""
     lam = float(mix.sample(gen))
     n = gen.poisson(lam * w.volume)
-    return PointPattern(w, _uniform_points(w, n, gen))
+    return PointPattern(w, _uniform_points(gen, n, w.lows, w.lengths))
 
 
 def _check_spins(mu1: float, mu2: float, p_plus: float) -> None:
@@ -300,7 +308,7 @@ def sample_marked_poisson_basis(
     The law reference of ``make_marked_poisson_masses``; the program draws
     each side on its own and never uses the shared support.
     """
-    pts = _uniform_points(w, gen.poisson(lam * w.volume), gen)
+    pts = _uniform_points(gen, gen.poisson(lam * w.volume), w.lows, w.lengths)
     marks = np.asarray(mark.sample(gen, size=pts.shape[0]), dtype=float)
     const = np.full(pts.shape[0], mark.mean())
     return AtomicMeasure(w, pts, const), AtomicMeasure(w, pts, marks)
@@ -336,22 +344,23 @@ def make_marked_poisson_masses(lam: float, mark: MassDistribution, w: Window, bo
     return draw
 
 
+def _parent_box(w: Window, pad: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lows and lengths of the box that cluster parents are drawn on: the
+    window padded by ``pad`` when it is plain, so parents lie partly outside
+    it, while on a torus the clusters wrap."""
+    if w.topology == TORUS:
+        return w.lows, w.lengths
+    return w.lows - pad, w.lengths + 2 * pad
+
+
 def _poisson_batch(
     lam: float, w: Window, pad: float, gen: np.random.Generator, size: int
 ) -> PatternBatch:
-    """``size`` independent Poisson(lam) patterns as one batch, on the window
-    padded by ``pad`` when it is plain: cluster parents, which then lie partly
-    outside it, while on a torus the clusters wrap."""
-    lows, lengths = w.lows, w.lengths
-    if w.topology != TORUS:
-        lows, lengths = lows - pad, lengths + 2 * pad
+    """``size`` independent Poisson(lam) patterns as one batch on
+    _parent_box(w, pad): the counts, then one uniform draw for all points."""
+    lows, lengths = _parent_box(w, pad)
     counts = gen.poisson(lam * float(np.prod(lengths)), size=size)
-    # lows + u * lengths one axis at a time, on the same (N, d) draw
-    pts = gen.random((int(counts.sum()), w.dim))
-    for col, lo, length in zip(pts.T, lows, lengths):
-        col *= length
-        col += lo
-    return PatternBatch(w, pts, counts)
+    return PatternBatch(w, _uniform_points(gen, int(counts.sum()), lows, lengths), counts)
 
 
 def ppcluster_intensity_at(
@@ -502,15 +511,30 @@ def make_ppcluster_intensity_at(
 ) -> Callable:
     """Batch sampler (gen, size) -> (size, len(queries)) of
     ppcluster_intensity_at: Poisson(c lam) parents, the kernel density summed
-    over each replication's parents, divided by c."""
+    over each replication's parents, divided by c.
+
+    The parents are _poisson_batch's, the same doubles in the same order,
+    but drawn one block of shotnoise.replication_blocks at a time after the
+    chunk's counts, and each block is reduced before the next is drawn: a
+    chunk never holds more than a block of parents.
+    """
     if c <= 0 or lam <= 0:
         raise ValueError("c and lam must be positive")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    pad = kernel.truncation_radius()
+    lows, lengths = _parent_box(w, kernel.truncation_radius())
+    mean = c * lam * float(np.prod(lengths))
     density = lambda d: kernel.density(d, w.dim)
-    return lambda gen, size: ragged_sn(
-        _poisson_batch(c * lam, w, pad, gen, size), queries, density
-    ) / c
+
+    def draw(gen: np.random.Generator, size: int) -> np.ndarray:
+        counts = gen.poisson(mean, size=size)
+        out = np.zeros((size, queries.shape[0]))
+        for lo, hi, first, last in replication_blocks(counts):
+            parents = _uniform_points(gen, last - first, lows, lengths)
+            out[lo:hi] = ragged_sn(PatternBatch(w, parents, counts[lo:hi]), queries, density)
+        out /= c
+        return out
+
+    return draw
 
 
 def sample_ginibre_radii(b_max: float, gen: np.random.Generator) -> PointPattern:

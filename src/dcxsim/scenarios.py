@@ -332,8 +332,9 @@ def run_levy_grid(p: dict, stream: RngStream) -> ScenarioResult:
     # atoms counted per box: volume / spacing^d is off where spacing does not divide the window
     locs = processes.lattice_points(spacing, w)
     atoms = np.array([np.count_nonzero(b.contains(locs)) for b in boxes], dtype=float)
-    if not atoms.any():
-        raise ValueError(f"lattice_spacing {spacing:g} puts no lattice atom in any box")
+    # an empty box has mass 0 on both sides: its suite functions and gate read z = 0
+    if not atoms.all():
+        raise ValueError(f"lattice_spacing {spacing:g} leaves a box without a lattice atom")
     rep = _suite_compare(p, draws, atoms, stream.split(10**6), stream)
     return _order_result(rep, {"atoms_per_box": float(atoms.mean())})
 
@@ -493,10 +494,11 @@ def _check(where: str, defaults: dict, params: dict, prefix: str = "") -> None:
     """Raise ValueError, naming the key by its dotted path, for a key of
     ``params`` not in ``defaults``, a value that is not a mapping where the
     default is one (its keys are checked in turn), an empty list where the
-    default is a non-empty list, a value that is not an integer where the
-    default is one, and a value that is not an integer or a finite float
-    where the default holds floats (as a scalar or in a nested list; a bool
-    or a string such as "nan" is neither)."""
+    default is a non-empty list, a value that is not a string where the
+    default is one, a value that is not an integer where the default is
+    one, and a value that is not an integer or a finite float where the
+    default holds floats (as a scalar or in a nested list; a bool or a
+    string such as "nan" is neither)."""
     unknown = sorted(prefix + str(k) for k in set(params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown key(s) for {where}: {', '.join(unknown)}")
@@ -508,6 +510,8 @@ def _check(where: str, defaults: dict, params: dict, prefix: str = "") -> None:
             _check(where, default, value, name + ".")
         if isinstance(default, list) and default and isinstance(value, list) and not value:
             raise ValueError(f"scenario parameter {name!r} must be a non-empty list")
+        if isinstance(default, str) and not isinstance(value, str):
+            raise ValueError(f"scenario parameter {name!r} must be a string")
         if is_int(default) and not is_int(value):
             raise ValueError(f"scenario parameter {name!r} must be an integer")
         if any(isinstance(x, float) for x in _leaves(default)) and not all(
@@ -516,21 +520,32 @@ def _check(where: str, defaults: dict, params: dict, prefix: str = "") -> None:
             raise ValueError(f"scenario parameter {name!r} must be a finite number")
 
 
+def _merged(defaults: dict, params: dict) -> dict:
+    """The defaults overridden by ``params``; a mapping default (the window)
+    is overridden key by key."""
+    return {
+        k: {**d, **params.get(k, {})} if isinstance(d, dict) else params.get(k, d)
+        for k, d in defaults.items()
+    }
+
+
 def check_params(scenario_id: str, params) -> None:
     """_check's rule on the mapping ``params`` against the scenario's
-    SCENARIOS defaults, window keys and values included."""
-    _check(f"scenario {scenario_id}", SCENARIOS[scenario_id][2], params)
+    SCENARIOS defaults, window keys and values included; then the merged
+    window must be one that ``Window`` accepts."""
+    defaults = SCENARIOS[scenario_id][2]
+    _check(f"scenario {scenario_id}", defaults, params)
+    if "window" in defaults:
+        try:
+            Window(**_merged(defaults, params)["window"])
+        except ValueError as exc:
+            raise ValueError(f"scenario parameter 'window': {exc}") from exc
 
 
 def run_scenario(scenario_id: str, params: dict, stream: RngStream) -> ScenarioResult:
-    """Run a scenario on its SCENARIOS defaults overridden by ``params``; a
-    mapping default (the window) is overridden key by key."""
+    """Run a scenario on its SCENARIOS defaults overridden by ``params``."""
     if scenario_id not in SCENARIOS:
         raise KeyError(f"unknown scenario {scenario_id!r}")
     check_params(scenario_id, params)
     _, runner, defaults = SCENARIOS[scenario_id]
-    merged = {
-        k: {**d, **params.get(k, {})} if isinstance(d, dict) else params.get(k, d)
-        for k, d in defaults.items()
-    }
-    return replace(runner(merged, stream), scenario_id=scenario_id)
+    return replace(runner(_merged(defaults, params), stream), scenario_id=scenario_id)

@@ -107,6 +107,29 @@ def extremal_sn(p: PointPattern, h: ResponseKernel, queries: np.ndarray) -> np.n
     return vals.max(axis=0)
 
 
+def replication_blocks(counts: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """The replication-aligned blocks of a ragged batch with these
+    per-replication counts, as (lo, hi, first, last): replications lo:hi,
+    whose points are first:last in replication order.
+
+    A block ends at the first replication that starts at or after a multiple
+    of ``geometry._BLOCK`` points, so it holds about that many points, or
+    one replication when it has more.  Blocks without points are left out.
+    """
+    starts = np.cumsum(counts) - counts
+    n_points = int(np.sum(counts))
+    # replication cuts, ascending; a replication longer than a block repeats
+    # its cut, and empty replications can follow the last point
+    cuts = np.append(np.searchsorted(starts, np.arange(0, n_points, _BLOCK)), len(counts))
+    edges = np.append(starts, n_points)[cuts].tolist()
+    cuts = cuts.tolist()
+    return [
+        (lo, hi, first, last)
+        for lo, hi, first, last in zip(cuts, cuts[1:], edges, edges[1:])
+        if first < last
+    ]
+
+
 def ragged_sn(
     batch: PatternBatch,
     queries: np.ndarray,
@@ -129,13 +152,11 @@ def ragged_sn(
     response(d) does not increase with d, as ResponseKernel.value does not
     (a nearest point beyond the truncation radius gives 0).
 
-    The batch is walked in replication-aligned blocks of about
-    ``geometry._BLOCK`` points: a block ends at the first replication that
-    starts at or after a multiple of the block size, so every replication is
-    reduced whole, by one ``reduceat`` over the block's non-empty
-    replications, and the sums and maxima do not depend on the blocks.  The
-    reduction runs in float, so boolean responses count.  Queries are reduced
-    one at a time, so no (N, q, d) array is built.
+    The batch is walked in the blocks of ``replication_blocks``, so every
+    replication is reduced whole, by one ``reduceat`` over the block's
+    non-empty replications, and the sums and maxima do not depend on the
+    blocks.  The reduction runs in float, so boolean responses count.
+    Queries are reduced one at a time, so no (N, q, d) array is built.
     """
     if how not in ("sum", "max"):
         raise ValueError(f"unknown reduction {how!r}")
@@ -143,29 +164,19 @@ def ragged_sn(
         raise ValueError("how='max' takes no marks")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     out = np.zeros((batch.size, queries.shape[0]))
-    n_points = batch.points.shape[0]
-    counts = batch.counts
-    starts = np.cumsum(counts) - counts
-    # replication cuts, ascending; a replication longer than a block repeats
-    # its cut, and empty replications can follow the last point, so a block
-    # may hold no points (its rows stay 0)
-    cuts = np.append(np.searchsorted(starts, np.arange(0, n_points, _BLOCK)), batch.size)
-    offsets = np.append(starts, n_points)
-    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        first, last = offsets[lo], offsets[hi]
-        if first == last:
-            continue
+    for lo, hi, first, last in replication_blocks(batch.counts):
         pts = batch.points[first:last]
         m = None if marks is None else marks[first:last]
-        filled = np.flatnonzero(counts[lo:hi]) + lo
-        block_starts = starts[filled] - first
+        counts = batch.counts[lo:hi]
+        filled = np.flatnonzero(counts)
+        block_starts = (np.cumsum(counts) - counts)[filled]
+        rows = out[lo:hi]
         for j, y in enumerate(queries):
             sq = sq_distances(batch.window, pts, y)
             if how == "max":
-                out[filled, j] = response(np.sqrt(np.minimum.reduceat(sq, block_starts)))
+                rows[filled, j] = response(np.sqrt(np.minimum.reduceat(sq, block_starts)))
             else:
                 d = np.sqrt(sq, out=sq)
                 vals = response(d) if m is None else response(d, m if m.ndim == 1 else m[:, j])
-                out[filled, j] = np.add.reduceat(vals, block_starts, dtype=float)
+                rows[filled, j] = np.add.reduceat(vals, block_starts, dtype=float)
     return out
-

@@ -251,10 +251,25 @@ def test_invalid_parameter_is_config_error(tmp_path, invoke):
         {"id": "ripley-poisson", "n_reps": 50, "window": {"lows": [0, 0, 0], "highs": [1, 1, 1]}},
         # no lattice atom in any box: every count was 0 and the verdict vacuous
         {"id": "levy-grid", "n_reps": 400, "suite_size": 6, "lattice_spacing": 100.0},
+        # one atom in one box of the 4 x 4 window: the three empty boxes' suite
+        # functions read mean 0, stderr 0 and z 0, and the verdict was CONSISTENT
+        {"id": "levy-grid", "n_reps": 400, "suite_size": 6, "lattice_spacing": 5.0},
     ):
         path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}, entry])
         code, _ = invoke(["run", str(path)])
         assert code == 2, entry
+        assert not list((tmp_path / "out").glob("*")), entry
+    # a non-string topology, and a window that Window refuses, are found when
+    # the config loads: the scenario before them printed its line first
+    for entry in (
+        {"id": "ripley-poisson", "window": {"topology": 5}},
+        {"id": "ripley-poisson", "window": {"topology": "klein"}},
+    ):
+        path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}, entry])
+        code, output = invoke(["run", str(path)])
+        assert code == 2, entry
+        assert "topology" in output, output
+        assert "oracle-poisson-scaling:" not in output, output
         assert not list((tmp_path / "out").glob("*")), entry
 
 

@@ -79,16 +79,14 @@ def test_heap_setting_changes_no_report_byte_and_fails_quietly(tmp_path):
     assert csvs[0] == csvs[1]
 
 
-def test_extremal_chunk_working_set(tmp_path):
-    # one chunk of 2000 replications per side: the nearest squared distance
-    # per replication, per-parent Thomas counts and a wrap that copies the
-    # children once keep the traced peak near 1.55 MiB (2.46 MiB when every
-    # point had its own response value and replication index)
+def _traced_peak(tmp_path: Path, scenario_id: str, params: dict) -> int:
+    """tracemalloc's peak over a second run of the scenario in a fresh
+    interpreter: the first run loads every module and fills every cache."""
     out = _fresh(
         "import tracemalloc\n"
         "from dcxsim.geometry import make_stream\n"
         "from dcxsim.scenarios import run_scenario\n"
-        "run = lambda: run_scenario('lo-extremal', {'n_reps': 2000}, make_stream(1, 0))\n"
+        f"run = lambda: run_scenario({scenario_id!r}, {params!r}, make_stream(1, 0))\n"
         "run()\n"
         "tracemalloc.start()\n"
         "run()\n"
@@ -96,5 +94,28 @@ def test_extremal_chunk_working_set(tmp_path):
         tmp_path,
     )
     assert out.returncode == 0, out.stderr
-    peak = int(out.stdout.splitlines()[-1])
-    assert peak < 2.0 * 2**20
+    return int(out.stdout.splitlines()[-1])
+
+
+def test_extremal_chunk_working_set(tmp_path):
+    # one chunk of 2000 replications per side: the nearest squared distance
+    # per replication, per-parent Thomas counts and a wrap that copies the
+    # children once keep the traced peak near 1.55 MiB (2.46 MiB when every
+    # point had its own response value and replication index)
+    assert _traced_peak(tmp_path, "lo-extremal", {"n_reps": 2000}) < 2.0 * 2**20
+
+
+def test_cluster_intensity_chunk_working_set(tmp_path):
+    # at lam 200 a chunk of 2000 replications has about 1.6 million parents
+    # at c = 4: drawn and reduced one block of replications at a time, the
+    # traced peak stays near 1 MiB (25.2 MiB when the chunk's parents were
+    # drawn as one array)
+    assert _traced_peak(tmp_path, "ppcluster-family", {"n_reps": 2000, "lam": 200.0}) < 2.0 * 2**20
+
+
+def test_suite_chunk_working_set(tmp_path):
+    # a suite chunk holds one (size, suite + boxes) rows array, written in
+    # place by compare_vectors and centred in place by Moments.of: a traced
+    # peak near 1.2 MiB (2.06 MiB with a stacked copy and a centred copy)
+    peak = _traced_peak(tmp_path, "ising-vs-poisson", {"n_reps": 2000, "suite_size": 60})
+    assert peak < 1.5 * 2**20

@@ -122,7 +122,8 @@ def test_compare_vectors_mean_gate_inconclusive():
 @settings(max_examples=80, deadline=None)
 def test_moments_merged_chunks_match_one_pass(n, k, cuts, offset, seed):
     rows = offset + make_stream(seed).generator().standard_normal((n, k))
-    pieces = np.split(rows, sorted({c for c in cuts if c < n}))
+    # Moments.of centres its rows in place: each piece is a copy, not a view of rows
+    pieces = [p.copy() for p in np.split(rows, sorted({c for c in cuts if c < n}))]
     merged = Moments.of(pieces[0])
     for piece in pieces[1:]:
         merged = merged.merge(Moments.of(piece))

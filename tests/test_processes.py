@@ -7,7 +7,7 @@ from dcxsim.distributions import (
 from dcxsim.geometry import (
     Box, GridField, count_in, make_stream, make_window, mass_in, pairwise_distances,
 )
-from dcxsim import ops, processes
+from dcxsim import ops, processes, shotnoise
 from dcxsim.ordering import CONSISTENT, batched, counts_on_boxes
 from dcxsim.scenarios import (
     SCENARIOS, _box_count_samplers, _ops_arms, _quadrant_boxes, run_scenario,
@@ -112,6 +112,38 @@ def test_levy_grid_counts_the_atoms_of_each_box(spacing, counts):
     assert res.details["atoms_per_box"] == np.mean(counts)
     for side in ("mean_x", "mean_y"):
         assert np.allclose(res.mean_equality[side], counts, rtol=0.1), side
+
+
+@pytest.mark.parametrize("topology", ["torus", "plain"])
+@pytest.mark.parametrize("size", [1, 7, 2000])
+@pytest.mark.parametrize("c, lam, block", [
+    # the defaults, about ten blocks of 2^14 parents in a chunk of 2000
+    (4.0, 20.0, None),
+    # about 1.5 parents a replication: many are empty and many straddle a
+    # multiple of the block size
+    (0.5, 3.0, 16),
+])
+def test_streamed_ppcluster_equals_the_whole_chunk_draw(monkeypatch, topology, size, c, lam, block):
+    # drawn one block of parents at a time, the cluster intensity must equal,
+    # bit for bit, ragged_sn over the whole chunk's Poisson parents (padded on
+    # a plain window), and leave the generator where that draw leaves it
+    if block is not None:
+        monkeypatch.setattr(shotnoise, "_BLOCK", block)
+    w = make_window([0.0, 0.0], [1.0, 1.0], topology)
+    kernel = ClusterKernel(0.1)
+    queries = np.array([[0.2, 0.2], [0.5, 0.5], [0.8, 0.6], [0.02, 0.97]])
+    gen = make_stream(41).generator()
+    got = processes.make_ppcluster_intensity_at(c, lam, kernel, w, queries)(gen, size)
+    ref_gen = make_stream(41).generator()
+    parents = processes._poisson_batch(c * lam, w, kernel.truncation_radius(), ref_gen, size)
+    density = lambda d: kernel.density(d, w.dim)
+    assert np.array_equal(got, ragged_sn(parents, queries, density) / c)
+    assert gen.random() == ref_gen.random()
+    if size == 2000:
+        starts = np.cumsum(parents.counts) - parents.counts
+        edge = shotnoise._BLOCK
+        assert np.any((starts % edge > 0) & (starts % edge + parents.counts > edge))
+        assert np.any(parents.counts == 0) == (block is not None)
 
 
 def test_marked_basis_shares_support():
