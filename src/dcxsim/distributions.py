@@ -128,11 +128,13 @@ class ClusterKernel:
         if not self.sigma > 0:
             raise ValueError("cluster kernel sigma must be positive")
 
-    def density(self, r, dim: int) -> np.ndarray:
-        """Kernel density evaluated at distance r; integrates to 1 over R^dim."""
-        r = np.asarray(r, dtype=float)
-        norm = (2 * np.pi * self.sigma**2) ** (dim / 2)
-        return np.exp(-(r**2) / (2 * self.sigma**2)) / norm
+    def density(self, r2, dim: int) -> np.ndarray:
+        """Kernel density at squared distance r2 from its centre; integrates to
+        1 over R^dim.  It takes the squared distance that sq_distances gives,
+        so the batch path takes no square root only to square it again."""
+        out = np.exp(np.asarray(r2, dtype=float) * (-0.5 / self.sigma**2))
+        out /= (2 * np.pi * self.sigma**2) ** (dim / 2)
+        return out
 
     def truncation_radius(self) -> float:
         """Radius beyond which the density is below TRUNCATION_REL_TOL of its peak."""

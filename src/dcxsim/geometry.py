@@ -368,17 +368,18 @@ def cell_overlaps(w: Window, cells_per_axis, lows, highs) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class RngStream:
-    """A master seed and the path of split indices from it, keying Philox
-    through numpy's SeedSequence, which hashes distinct paths to independent
-    keys.  SeedSequence cuts ints into 32-bit words, so an index of 2**32 or
-    more, or a seed of 2**128 or more, would alias a longer path."""
+    """A master seed and the path of split indices from it, seeding a
+    PCG64DXSM generator through numpy's SeedSequence(seed, spawn_key=path),
+    which hashes distinct paths to independent states.  SeedSequence cuts
+    ints into 32-bit words, so an index of 2**32 or more, or a seed of 2**128
+    or more, would alias a longer path."""
 
     seed: int
     path: tuple[int, ...] = ()
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
-        return np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.PCG64DXSM(seq))
 
     def split(self, i: int) -> "RngStream":
         """The substream at path + (i,); ValueError unless 0 <= i < 2**32."""

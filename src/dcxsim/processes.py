@@ -373,7 +373,7 @@ def ppcluster_intensity_at(
         raise ValueError("c and lam must be positive")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     parents = _poisson_batch(c * lam, w, kernel.truncation_radius(), gen, 1).points
-    return kernel.density(pairwise_distances(w, parents, queries), w.dim).sum(axis=0) / c
+    return kernel.density(pairwise_distances(w, parents, queries) ** 2, w.dim).sum(axis=0) / c
 
 
 def sample_ppcluster_intensity(
@@ -516,7 +516,8 @@ def make_ppcluster_intensity_at(
     The parents are _poisson_batch's, the same doubles in the same order,
     but drawn one block of shotnoise.replication_blocks at a time after the
     chunk's counts, and each block is reduced before the next is drawn: a
-    chunk never holds more than a block of parents.
+    chunk never holds more than a block of parents.  The density takes
+    ragged_sn's squared distances as they are.
     """
     if c <= 0 or lam <= 0:
         raise ValueError("c and lam must be positive")
@@ -530,7 +531,8 @@ def make_ppcluster_intensity_at(
         out = np.zeros((size, queries.shape[0]))
         for lo, hi, first, last in replication_blocks(counts):
             parents = _uniform_points(gen, last - first, lows, lengths)
-            out[lo:hi] = ragged_sn(PatternBatch(w, parents, counts[lo:hi]), queries, density)
+            batch = PatternBatch(w, parents, counts[lo:hi])
+            out[lo:hi] = ragged_sn(batch, queries, density, squared=True)
         out /= c
         return out
 

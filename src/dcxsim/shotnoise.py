@@ -136,11 +136,13 @@ def ragged_sn(
     response: Callable[..., np.ndarray],
     how: str = "sum",
     marks: Optional[np.ndarray] = None,
+    squared: bool = False,
 ) -> np.ndarray:
     """Shot noise of every replication of a batch at the queries, (size, q).
 
     For each query y, ``response`` maps distances from points to y to their
-    contributions, elementwise: response(d) without marks; with per-point
+    contributions, elementwise (squared distances, with no square root taken,
+    when ``squared`` is true): response(d) without marks; with per-point
     marks (N,) or per point-query marks (N, q), response(d, m), where m holds
     the marks of the same points (column j of them for query j).  how="sum"
     adds the contributions of each replication (additive shot noise, as
@@ -174,9 +176,10 @@ def ragged_sn(
         for j, y in enumerate(queries):
             sq = sq_distances(batch.window, pts, y)
             if how == "max":
-                rows[filled, j] = response(np.sqrt(np.minimum.reduceat(sq, block_starts)))
+                near = np.minimum.reduceat(sq, block_starts)
+                rows[filled, j] = response(near if squared else np.sqrt(near))
             else:
-                d = np.sqrt(sq, out=sq)
+                d = sq if squared else np.sqrt(sq, out=sq)
                 vals = response(d) if m is None else response(d, m if m.ndim == 1 else m[:, j])
                 rows[filled, j] = np.add.reduceat(vals, block_starts, dtype=float)
     return out

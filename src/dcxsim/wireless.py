@@ -75,18 +75,19 @@ def _sinr_estimate(
     stream: RngStream,
     rayleigh: bool,
 ) -> tuple[float, float]:
-    cross_gains = layout.gains()
-    gains = np.diag(cross_gains).copy()
-    np.fill_diagonal(cross_gains, 0.0)
+    all_gains = layout.gains()
+    gains = np.diag(all_gains)
     fading, n = layout.fading, layout.n_links
+    # row r: the gains from every other link's emitter to receiver r
+    cross_gains = all_gains.T[~np.eye(n, dtype=bool)].reshape(n, n - 1)
 
     def draw(gen, size: int) -> np.ndarray:
         interferers = interferer_sampler(gen, size)
-        # the other links' emitters (zero gain on the diagonal) and the
-        # interferers, with fading i.i.d. per emitter-receiver pair
-        cross = np.asarray(fading.sample(gen, size=(size, n, n)), dtype=float) * cross_gains
+        # the other links' emitters and the interferers, with fading i.i.d.
+        # per emitter-receiver pair
+        cross = np.asarray(fading.sample(gen, size=(size, n, n - 1)), dtype=float) * cross_gains
         fades = np.asarray(fading.sample(gen, size=(interferers.points.shape[0], n)), dtype=float)
-        i_pow = cross.sum(axis=1) + ragged_sn(
+        i_pow = cross.sum(axis=2) + ragged_sn(
             interferers, layout.receivers, lambda d, f: layout.path_loss.value(d) * f, marks=fades
         )
         s = layout.threshold * (layout.noise + i_pow) / gains

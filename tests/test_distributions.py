@@ -67,7 +67,7 @@ def test_kernel_density_normalized(kernel, dim):
 
     surf = 2 * np.pi ** (dim / 2) / special.gamma(dim / 2)
     total, _ = quad(
-        lambda r: surf * r ** (dim - 1) * float(kernel.density(r, dim)), 0, np.inf, limit=200
+        lambda r: surf * r ** (dim - 1) * float(kernel.density(r**2, dim)), 0, np.inf, limit=200
     )
     assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -82,7 +82,7 @@ def test_kernel_offsets_match_density():
 def test_truncation_radius_bounds_density():
     k = ClusterKernel(0.2)
     r = k.truncation_radius()
-    assert float(k.density(r, 2)) <= 1e-6 * float(k.density(0.0, 2)) * (1 + 1e-9)
+    assert float(k.density(r**2, 2)) <= 1e-6 * float(k.density(0.0, 2)) * (1 + 1e-9)
 
 
 def test_covariance_spec_and_cholesky():

@@ -29,7 +29,7 @@ from conftest import wrap_oracle
 from test_acceptance import FAST_PARAMS, SEED
 
 # calls that build a generator or a seed: only RngStream.generator may make them
-_RNG_BUILDERS = {"Philox", "SeedSequence", "default_rng", "Generator", "RandomState"}
+_RNG_BUILDERS = {"PCG64DXSM", "Philox", "SeedSequence", "default_rng", "Generator", "RandomState"}
 
 
 def test_window_validation():
@@ -272,6 +272,16 @@ def test_rng_stream_reproducible_and_split():
     assert s.split(0) == s.split(0)
 
 
+def test_rng_stream_draws_pcg64dxsm_seeded_by_its_path():
+    # a change of bit generator or of keying moves every report byte; this
+    # names the cause
+    s = make_stream(123, 4)
+    assert type(s.generator().bit_generator) is np.random.PCG64DXSM
+    seq = np.random.SeedSequence(123, spawn_key=(4,))
+    want = np.random.Generator(np.random.PCG64DXSM(seq)).random(5)
+    assert np.array_equal(s.generator().random(5), want)
+
+
 def test_paths_a_linear_id_mix_merged_draw_different_numbers():
     # a child key linear in (parent id, index) before mixing made each pair
     # one stream; the second is scenario 0's suite stream and chunk 8472,
@@ -296,7 +306,7 @@ def test_split_index_and_seed_ranges():
     assert make_stream(2**64 - 1, 3) == RngStream(2**64 - 1, (3,))
 
 
-def test_distinct_paths_give_distinct_philox_keys():
+def test_distinct_paths_give_distinct_generator_states():
     # edge paths, then random paths of one to four small or full-width indices
     gen = make_stream(1).generator()
     paths = {(), (0,), (0, 0), (2**32 - 1,), (1, 0), (0, 1), (0, 65537), (1, 0, 0)}
@@ -304,8 +314,11 @@ def test_distinct_paths_give_distinct_philox_keys():
         high = (2, 2**16, 2**32)[gen.integers(3)]
         paths.add(tuple(gen.integers(0, high, gen.integers(1, 5)).tolist()))
     streams = [RngStream(seed, path) for seed in (0, 2**64 - 1) for path in sorted(paths)]
-    keys = {tuple(s.generator().bit_generator.state["state"]["key"]) for s in streams}
-    assert len(keys) == len(streams)
+    states = set()
+    for s in streams:
+        state = s.generator().bit_generator.state["state"]
+        states.add((state["state"], state["inc"]))
+    assert len(states) == len(streams)
 
 
 def test_no_two_generators_of_a_run_share_a_path(monkeypatch):

@@ -157,9 +157,13 @@ def test_replicate_draws_chunk_ci_of_side_s_from_substream_ci_then_s():
             reduce(draw(stream.split(ci).split(s).generator(), size))
             for ci, size in enumerate(sizes)
         ])
+        # a mean near 0 has no relative accuracy against O(1) rows: allow a
+        # few ulps of each column's largest |row| besides the relative bound
+        ulp = np.spacing(np.abs(rows).max(axis=0))
         ref = Moments.of(rows)
         assert moms[s].n == ref.n == sum(sizes)
-        np.testing.assert_allclose(moms[s].mean, ref.mean, rtol=1e-12, atol=0)
+        err = np.abs(moms[s].mean - ref.mean)
+        assert np.all(err <= 1e-12 * np.abs(ref.mean) + 8 * ulp), (err, ulp)
         np.testing.assert_allclose(moms[s].var, ref.var, rtol=1e-12, atol=0)
 
 

@@ -136,8 +136,8 @@ def test_streamed_ppcluster_equals_the_whole_chunk_draw(monkeypatch, topology, s
     got = processes.make_ppcluster_intensity_at(c, lam, kernel, w, queries)(gen, size)
     ref_gen = make_stream(41).generator()
     parents = processes._poisson_batch(c * lam, w, kernel.truncation_radius(), ref_gen, size)
-    density = lambda d: kernel.density(d, w.dim)
-    assert np.array_equal(got, ragged_sn(parents, queries, density) / c)
+    density = lambda d2: kernel.density(d2, w.dim)
+    assert np.array_equal(got, ragged_sn(parents, queries, density, squared=True) / c)
     assert gen.random() == ref_gen.random()
     if size == 2000:
         starts = np.cumsum(parents.counts) - parents.counts

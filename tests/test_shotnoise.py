@@ -208,14 +208,16 @@ def test_blocked_ragged_sn_equals_single_pass(monkeypatch, block):
     edges = PatternBatch(W, gen.random((counts.sum(), 2)), counts)
     big = make_poisson_batch(50.0, W)(gen, 400)
     h = ResponseKernel("power_law", (4.0,))
+    # squared distances, with the root taken by the response
+    root = lambda d2: h.value(np.sqrt(d2))
     for batch in (edges, big):
         n = batch.points.shape[0]
         fades = gen.exponential(1.0, size=(n, QUERIES.shape[0]))
         radii = gen.exponential(0.2, size=n)
         for how in ("sum", "max"):
-            assert np.array_equal(
-                ragged_sn(batch, QUERIES, h.value, how), _single_pass_sn(batch, QUERIES, h.value, how)
-            )
+            single = _single_pass_sn(batch, QUERIES, h.value, how)
+            assert np.array_equal(ragged_sn(batch, QUERIES, h.value, how), single)
+            assert np.array_equal(ragged_sn(batch, QUERIES, root, how, squared=True), single)
         assert np.array_equal(
             ragged_sn(batch, QUERIES, lambda d, f: h.value(d) * f, marks=fades),
             _single_pass_sn(batch, QUERIES, h.value, weights=fades),

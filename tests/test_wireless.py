@@ -164,6 +164,45 @@ def test_cross_link_interference_reaches_each_receiver():
     assert not np.allclose(sir, np.diag(gains) / cross.sum(axis=1))
 
 
+class _RecordingFading:
+    """Constant unit fades with the exponential tail, recording the shape of
+    every draw."""
+
+    kind = "exponential"
+
+    def __init__(self):
+        self.sizes = []
+
+    def sample(self, gen, size):
+        self.sizes.append(size)
+        return np.ones(size)
+
+    def tail(self, s):
+        return exponential(1.0).tail(s)
+
+
+def test_cross_link_fades_are_drawn_only_off_the_diagonal():
+    # three links, no interferers: per replication, n(n-1) cross fades, none
+    # for the interferers, and n own-link fades for the indicator only.  With
+    # unit fades the Rayleigh product is exp(-T sum_r I_r / g_rr), I_r the
+    # column sum of the other emitters' gains at receiver r
+    tx = np.array([[0.1, 0.1], [0.5, 0.5], [0.8, 0.2]])
+    rx = np.array([[0.1, 0.2], [0.9, 0.9], [0.7, 0.2]])
+    t, n = 0.05, 3
+    estimators = ((wireless.sinr_success, n * n), (wireless.sinr_success_rayleigh, n * (n - 1)))
+    for estimator, per_rep in estimators:
+        fading = _RecordingFading()
+        layout = wireless.LinkLayout(W, tx, rx, t, PL, fading, 0.0)
+        p, _ = estimator(layout, _no_interferers, 10, make_stream(9))
+        assert sum(int(np.prod(size)) for size in fading.sizes) == 10 * per_rep, fading.sizes
+    gains = layout.gains()
+    own = np.diag(gains)
+    cross = gains - np.diag(own)
+    assert p == pytest.approx(float(np.exp(-t * np.sum(cross.sum(axis=0) / own))), rel=1e-12)
+    # a transposed sum would give another product
+    assert not np.isclose(np.sum(cross.sum(axis=0) / own), np.sum(cross.sum(axis=1) / own))
+
+
 def test_gains_hold_every_transmitter_receiver_pair():
     layout = _layout(n_links=2)
     d = np.linalg.norm(layout.transmitters[:, None, :] - layout.receivers[None, :, :], axis=2)
