@@ -9,6 +9,9 @@ Monte-Carlo estimates come from ``replicate``: chunk ci of side s is one batch
 draw (gen, size) -> (size, k) from ``stream.split(ci).split(s)``.  Scenarios
 pass the batch samplers of ``processes``; ``batched`` turns a per-replication
 draw into one for the reference paths (``compare_on_boxes``, the law tests).
+``compare_vectors`` evaluates its whole suite per chunk in one function-major
+buffer (``_suite_plan``); ``TestFunction.__call__``, one function at a time,
+is the reference and serves the numeric certificate and the exact oracle.
 
 Every Monte-Carlo verdict comes from ``decide``: a family of z-scores, signed
 so that negative values count against the claim (a two-sided test enters as
@@ -117,7 +120,7 @@ def make_suite(
             theta = theta * (target / max(u_bar, 1e-12))
             out.append(TestFunction(fid, "lin_convex", theta, phi="exp", shift=target))
         elif fam == "lin_convex:power":
-            p = float(gen.choice([1.0, 2.0, 3.0]))
+            p = (1.0, 2.0, 3.0)[int(gen.integers(3))]
             t = float(gen.uniform(0.0, 1.2) * u_bar) if p > 1 or gen.random() < 0.5 else 0.0
             out.append(TestFunction(fid, "lin_convex", theta, phi="power", t=t, p=p))
         else:  # pair_product
@@ -307,6 +310,50 @@ def _z_scores(diff, se, degenerate=None) -> np.ndarray:
         return np.where(se > 0, diff / np.where(se > 0, se, 1.0), degenerate)
 
 
+def _suite_plan(suite: Sequence[TestFunction]) -> tuple[Callable, np.ndarray]:
+    """One evaluation of the whole suite per batch, and where each function lands.
+
+    ``reduce`` maps a (size, k) batch v to a (size, len(suite) + k) rows array:
+    the transpose of one function-major buffer whose rows are the exp
+    functions, the power functions by exponent, the pair products (each
+    family in suite order), then the k coordinates.  It is filled in place:
+    one matmul of the stacked weights gives every linear statistic theta . x,
+    and ufuncs on contiguous row blocks apply each profile.  Column
+    ``back[i]`` of the rows holds suite[i], which ``TestFunction.__call__``
+    evaluates on its own as the reference, up to the rounding of theta . x.
+    """
+    # exp, power by exponent, then pair products; sorted keeps suite order within each
+    rank = [(f.family != "lin_convex", f.phi != "exp", f.p) for f in suite]
+    order = sorted(range(len(suite)), key=rank.__getitem__)
+    lin = [suite[i] for i in order if suite[i].family == "lin_convex"]
+    n_lin, nf = len(lin), len(suite)
+    n_exp = sum(f.phi == "exp" for f in lin)
+    theta = np.array([f.theta for f in lin], dtype=float)
+    offset = np.array([f.shift if f.phi == "exp" else f.t for f in lin])[:, None]
+    powers, stop = [], n_exp
+    for p, run in itertools.groupby(f.p for f in lin[n_exp:]):
+        start, stop = stop, stop + len(list(run))
+        powers.append((slice(start, stop), p))
+    pairs = [suite[i].theta.astype(int) for i in order[n_lin:]]
+
+    def reduce(v: np.ndarray) -> np.ndarray:
+        buf = np.empty((nf + v.shape[1], v.shape[0]))
+        x, u = buf[nf:], buf[:n_lin]
+        x[...] = v.T
+        np.matmul(theta.reshape(n_lin, v.shape[1]), x, out=u)
+        u -= offset
+        np.exp(np.minimum(u[:n_exp], _EXP_ARG_CAP, out=u[:n_exp]), out=u[:n_exp])
+        np.maximum(u[n_exp:], 0.0, out=u[n_exp:])
+        for block, p in powers:
+            rows = u[block]
+            rows **= p
+        for r, (i, j) in enumerate(pairs, n_lin):
+            np.multiply(x[i], x[j], out=buf[r])
+        return buf.T
+
+    return reduce, np.argsort(order)
+
+
 def compare_vectors(
     draw_x: Callable[[np.random.Generator, int], np.ndarray],
     draw_y: Callable[[np.random.Generator, int], np.ndarray],
@@ -320,23 +367,20 @@ def compare_vectors(
     Welch z-scores against the claim X <= Y and a Bonferroni-corrected verdict.
 
     draw_x and draw_y are batch draws (gen, size) -> (size, n), each side
-    drawn from its own substreams, so the two sides are independent."""
+    drawn from its own substreams, so the two sides are independent.  Each
+    chunk's suite values and coordinates fill one function-major
+    (suite + n, size) buffer (``_suite_plan``), whose transpose Moments.of
+    centres in place; the records come back in suite order."""
     if len(suite) == 0:
         raise ValueError("empty test-function suite")
     nf = len(suite)
 
-    def reduce(v: np.ndarray) -> np.ndarray:
-        # suite values first, then the coordinates for the mean-equality
-        # gate, written into one array that Moments.of then centres in place
-        rows = np.empty((v.shape[0], nf + v.shape[1]))
-        for i, f in enumerate(suite):
-            rows[:, i] = f(v)
-        rows[:, nf:] = v
-        return rows
-
+    reduce, back = _suite_plan(suite)
     mom_x, mom_y = replicate((draw_x, draw_y), reduce, n_reps, stream)
-    mean_x, mean_y = mom_x.mean, mom_y.mean
-    var_x, var_y = mom_x.var, mom_y.var
+    # back to suite order, once; the coordinates follow the suite rows
+    back = np.concatenate([back, np.arange(nf, len(mom_x.mean))])
+    mean_x, mean_y = mom_x.mean[back], mom_y.mean[back]
+    var_x, var_y = mom_x.var[back], mom_y.var[back]
     se_all = np.sqrt((var_x + var_y) / n_reps)
     diff_all = mean_y - mean_x
 

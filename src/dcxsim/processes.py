@@ -269,14 +269,18 @@ def make_ising_cox_counts(
     field = GridField(w, cells_per_axis, np.zeros(tuple(np.atleast_1d(cells_per_axis))))
     ovs = _preimage_overlaps(w, field.cells_per_axis, boxes, translate)
     tables = _occupancy_tables(w, field.axis_midpoints(), ovs, n_lattice)
-    letters = "ijklmnopqr"[: w.dim]
-    spec = f"s{letters}," + ",".join(f"s{c}b" for c in letters) + "->sb"
 
     def draw(gen: np.random.Generator, size: int) -> np.ndarray:
         shift = gen.random((size, w.dim)) * ISING_SPACING
         occ, n_lat = _lookup_occupancy(tables, shift)
         values = np.where(gen.random((size, *n_lat)) < p_plus, mu1, mu2)
-        return gen.poisson(np.einsum(spec, values, *occ))
+        # contract the last lattice axis by a batched matmul, then each
+        # remaining axis, last first, by a multiply and a sum
+        mean = (values.reshape(size, -1, n_lat[-1]) @ occ[-1]).reshape(size, *n_lat[:-1], -1)
+        for k in range(w.dim - 2, -1, -1):
+            mean *= occ[k].reshape(size, *[1] * k, n_lat[k], -1)
+            mean = mean.sum(axis=-2)
+        return gen.poisson(mean)
 
     return draw
 

@@ -114,8 +114,17 @@ def test_cluster_intensity_chunk_working_set(tmp_path):
 
 
 def test_suite_chunk_working_set(tmp_path):
-    # a suite chunk holds one (size, suite + boxes) rows array, written in
-    # place by compare_vectors and centred in place by Moments.of: a traced
-    # peak near 1.2 MiB (2.06 MiB with a stacked copy and a centred copy)
+    # a suite chunk holds one (suite + boxes, size) function-major buffer,
+    # filled in place by compare_vectors and centred in place, as its
+    # transpose, by Moments.of: a traced peak near 1.15 MiB (2.06 MiB with a
+    # stacked copy and a centred copy)
     peak = _traced_peak(tmp_path, "ising-vs-poisson", {"n_reps": 2000, "suite_size": 60})
     assert peak < 1.5 * 2**20
+
+
+def test_mass_suite_chunk_working_set(tmp_path):
+    # 16 lattice atoms summed into 4 boxes and a suite of 40: the chunk's
+    # (2000, 16) mass draw and its function-major buffer keep the traced
+    # peak near 0.82 MiB
+    peak = _traced_peak(tmp_path, "levy-grid", {"n_reps": 2000, "suite_size": 40})
+    assert peak < 1.2 * 2**20

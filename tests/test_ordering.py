@@ -112,6 +112,58 @@ def test_compare_vectors_mean_gate_inconclusive():
     assert not rep.mean_equality["passed"]
 
 
+def _ulp_bound(f, v, ulps=8):
+    """How far f(v) may move per row when its linear statistic theta . x is
+    rounded differently, by ``ulps`` ulps of its scale |theta| . |x| plus the
+    offset subtracted from it; 0 for a pair product, one exact product."""
+    if f.family != "lin_convex":
+        return np.zeros(len(v))
+    v = np.asarray(v, dtype=float)
+    du = ulps * np.finfo(float).eps * (np.abs(v) @ np.abs(f.theta) + f.shift + f.t)
+    if f.phi == "exp":
+        return f(v) * np.expm1(du)
+    # the mean value theorem for the convex, increasing ((u - t)+)^p
+    return f.p * (np.maximum(v @ f.theta - f.t, 0.0) + du) ** (f.p - 1) * du
+
+
+@pytest.mark.parametrize("n, count, integer", [
+    (4, 60, False), (4, 60, True), (1, 6, True), (3, 1, False), (3, 2, True),
+])
+def test_suite_plan_matches_each_function(n, count, integer):
+    # one function-major evaluation of the suite against f(v) per function;
+    # suites of 1 and 2 functions have no power rows or no pair rows, and
+    # n = 1 gives the pair product x0 * x0
+    stream = make_stream(17)
+    gen = stream.split(1).generator()
+    draw = (lambda size: gen.poisson(5.0, (size, n))) if integer else (
+        lambda size: gen.gamma(2.0, 2.5, (size, n)))
+    v, w = draw(500), draw(500)
+    suite = make_suite("dcx", n, count, stream, scale=np.full(n, 5.0))
+    if count > 2:
+        # an exp function past its cap on some rows: theta . x - shift > 90
+        suite.append(TestFunction(count, "lin_convex", np.full(n, 30.0 / n), phi="exp", shift=1.0))
+        assert 0 < np.mean(v @ suite[-1].theta - 1.0 > ordering._EXP_ARG_CAP) < 1
+    if count == 60:
+        powers = {f.p for f in suite if f.phi == "power"}
+        assert powers == {1.0, 2.0, 3.0} and len({f.describe() for f in suite}) == 3
+    reduce, back = ordering._suite_plan(suite)
+    rows = reduce(v)
+    assert rows.shape == (len(v), len(suite) + n)
+    assert np.array_equal(rows[:, len(suite):], v)
+    for i, f in enumerate(suite):
+        assert np.all(np.abs(rows[:, back[i]] - f(v)) <= _ulp_bound(f, v)), (i, f)
+    # the records come back in suite order, each mean within that bound of
+    # the per-function Moments
+    rep = compare_vectors(lambda g, size: v, lambda g, size: w, suite, len(v), make_stream(3))
+    assert [(r["id"], r["family"]) for r in rep.records] == [(f.fid, f.describe()) for f in suite]
+    for r, f in zip(rep.records, suite):
+        for key, data in (("mean_x", v), ("mean_y", w)):
+            want = Moments.of(f(data)[:, None]).mean[0]
+            assert abs(r[key] - want) <= _ulp_bound(f, data).max() + 4 * np.spacing(want), (key, f)
+    # each coordinate is one contiguous column, summed as a column alone
+    assert rep.mean_equality["mean_x"] == [Moments.of(v[:, [j]]).mean[0] for j in range(n)]
+
+
 @given(
     st.integers(2, 80),
     st.integers(1, 3),

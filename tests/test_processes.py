@@ -327,6 +327,52 @@ def test_box_mass_samplers_match_measure_path_in_law():
     assert law_verdict(2000, *pairs) == CONSISTENT
 
 
+class _PoissonMeans:
+    """A generator whose ``poisson`` hands back the means it is given."""
+
+    def __init__(self, gen):
+        self.random = gen.random
+
+    def poisson(self, lam):
+        return lam
+
+
+@pytest.mark.parametrize("topology", ["torus", "plain"])
+@pytest.mark.parametrize("translate", [0.0, 0.3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ising_cox_contraction_matches_einsum(dim, translate, topology):
+    # the box means of make_ising_cox_counts against one einsum over every
+    # lattice axis at once, from the same shifts and spins
+    w = make_window([0.0] * dim, [4.0] * dim, topology)
+    boxes, cells = _quadrant_boxes(w), [8] * dim
+    draw = processes.make_ising_cox_counts(2.0, 0.5, 0.4, w, cells, boxes, translate)
+    field = GridField(w, cells, np.zeros(cells))
+    ovs = processes._preimage_overlaps(w, field.cells_per_axis, boxes, translate)
+    tables = processes._occupancy_tables(
+        w, field.axis_midpoints(), ovs, processes._lattice_size(w)
+    )
+    letters = "ijk"[:dim]
+    spec = f"s{letters}," + ",".join(f"s{c}b" for c in letters) + "->sb"
+
+    def reference(gen, size):
+        shift = gen.random((size, dim)) * processes.ISING_SPACING
+        occ, n_lat = processes._lookup_occupancy(tables, shift)
+        values = np.where(gen.random((size, *n_lat)) < 0.4, 2.0, 0.5)
+        return gen.poisson(np.einsum(spec, values, *occ))
+
+    for seed in range(3):
+        # each mean sums non-negative terms, so a different grouping moves it
+        # by a few of its own ulps at most
+        got, want = (f(_PoissonMeans(make_stream(seed).generator()), 2000) for f in (draw, reference))
+        np.testing.assert_allclose(got, want, rtol=16 * np.finfo(float).eps, atol=0.0)
+        # the sums group differently, so a mean can move by an ulp; in 3-d
+        # with a translate some do, and a count drawn from a moved mean can
+        # differ and shift the draws after it
+        if dim < 3 or not translate:
+            got, want = (f(make_stream(seed).generator(), 2000) for f in (draw, reference))
+            assert np.array_equal(got, want)
+
+
 def test_count_samplers_reject_bad_boxes():
     w = make_window([0, 0], [4, 4])
     overlapping = [Box([0, 0], [2, 2]), Box([1, 1], [3, 3])]
