@@ -8,12 +8,12 @@ key is a configuration error, found before any scenario runs):
               no effect, since scenarios run their replications serially
   scenarios   list of {id: <scenario id>, ...scenario parameters...}; at any
               depth, window keys and values included, a key not in the
-              scenario's SCENARIOS defaults, and a value that is not a
-              mapping, is an empty list, is not a string, is not an integer,
-              or is not a finite number where the default is a mapping, a
-              non-empty list, a string, an integer, or holds floats (a bool,
-              "nan", a NaN window bound), and a merged window that Window
-              refuses (topology klein, lows not below highs), is a
+              scenario's SCENARIOS defaults, a value that nests lists
+              otherwise than its default (a list for a scalar, an empty
+              list), a value that is not a mapping, a string, an integer or
+              a finite number where the default is one (or holds floats: a
+              bool, "nan", a NaN window bound), and a merged window that
+              Window refuses (topology klein, lows not below highs), is a
               configuration error, found before any scenario runs
 
 Each scenario produces <output_dir>/<id>.json and <output_dir>/<id>.csv, so
@@ -23,18 +23,19 @@ exits 2 or 3 writes no report.
 Exit codes: 0 clean, 1 a verdict was VIOLATION/fail, 2 configuration error
 (including a seed outside [0, 2**64), a scenario id that is not a scenario's
 name, such as a list or a mapping, a repeated scenario id, invalid scenario
-parameters, among them a bool or a string where the default holds floats,
-fewer than 2 replications, points or queries whose dimension is not
-the window's, SINR emitters or receivers or coverage-compare,
-ppcluster-family or lo-extremal queries outside the window, an
-ops-preservation shift of another length, a marked-basis mark_mean that is
-not positive, kernel and mass-law parameters that are not
+parameters, among them a bool or a string where the default holds floats
+and a value that nests lists less or more deeply than its default (both
+found before any scenario runs), fewer than 2 replications, points or
+queries whose dimension is not the window's, SINR emitters or receivers or
+coverage-compare, ppcluster-family or lo-extremal queries outside the
+window, an ops-preservation shift of another length, a marked-basis
+mark_mean that is not positive, kernel and mass-law parameters that are not
 finite and positive, a negative SINR noise (the noise-to-signal ratio at
 unit power and unit mean fading), non-finite lo-extremal thresholds,
 lo-extremal queries of other than two points, a levy-grid lattice_spacing
 that leaves some box without a lattice atom, a ripley-poisson window that
-is not 2-d, and usage errors: no command,
-an unknown command, or run without CONFIG_PATH), 3 runtime failure (including
+is not 2-d, and usage errors: no command, an unknown command, or run
+without CONFIG_PATH), 3 runtime failure (including
 numerical failures: NumericalError, LinAlgError, FloatingPointError). An
 interrupt (Ctrl-C) propagates as KeyboardInterrupt, so it never exits 1.
 

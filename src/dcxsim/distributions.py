@@ -20,14 +20,14 @@ POISSON_TAIL = 1e-12
 
 
 def poisson_pmf_tail(mean: float) -> tuple[np.ndarray, np.ndarray]:
-    """Poisson(mean) pmf on 0..top and its tail, tail[k] = P(N >= k) summed
-    over k..top.
+    """Poisson(mean) pmf and its tail, tail[k] = P(N >= k), on the exact
+    oracles' support 0..m, m one past poisson_tail_order(mean).
 
-    top = mean + 40 sqrt(mean) + 40, beyond which the Poisson mass is below
-    exp(-60) by a Chernoff bound, far under POISSON_TAIL.  Each term is
-    exp(k log mean - lgamma(k + 1) - mean), and the tail is a reversed
-    cumulative sum, so small terms are added first and the tail is
-    non-increasing.
+    Both are computed on 0..top first, top = mean + 40 sqrt(mean) + 40,
+    beyond which the Poisson mass is below exp(-60) by a Chernoff bound, far
+    under POISSON_TAIL.  Each term is exp(k log mean - lgamma(k + 1) - mean),
+    and the tail is a reversed cumulative sum, so small terms are added
+    first and the tail is non-increasing from tail[0] = 1.
     """
     if mean <= 0:
         raise ValueError("mean must be positive")
@@ -35,19 +35,15 @@ def poisson_pmf_tail(mean: float) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(top + 1)
     log_fact = np.array([math.lgamma(j + 1.0) for j in range(top + 1)])
     pmf = np.exp(k * math.log(mean) - log_fact - mean)
-    return pmf, np.cumsum(pmf[::-1])[::-1]
-
-
-def tail_order(tail: np.ndarray) -> int:
-    """Smallest m with tail[m] < POISSON_TAIL for a tail of poisson_pmf_tail;
-    it is non-increasing from tail[0] = 1, so m >= 1 counts the entries at or
-    above it."""
-    return int(np.count_nonzero(tail >= POISSON_TAIL))
+    tail = np.cumsum(pmf[::-1])[::-1]
+    m = int(np.count_nonzero(tail >= POISSON_TAIL)) + 1
+    return pmf[: m + 1], tail[: m + 1]
 
 
 def poisson_tail_order(mean: float) -> int:
-    """Smallest m with P(Poisson(mean) >= m) < POISSON_TAIL."""
-    return tail_order(poisson_pmf_tail(mean)[1])
+    """Smallest m with P(Poisson(mean) >= m) < POISSON_TAIL: the table of
+    poisson_pmf_tail ends one past it."""
+    return poisson_pmf_tail(mean)[0].size - 2
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ column combined with a scalar: numpy broadcasting an (N, d) array against a
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -203,6 +204,22 @@ def pairwise_distances(w: Window, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.atleast_2d(np.asarray(b, dtype=float))
     sq = sq_distances(w, a[..., :, None, :], b[..., None, :, :])
     return np.sqrt(sq, out=sq)
+
+
+def sq_threshold(r: float) -> float:
+    """t(r), the largest double whose sqrt is <= r, so that sq <= t(r) holds
+    exactly when sqrt(sq) <= r (sqrt is correctly rounded, hence monotone):
+    the batch reducers' one "within r" rule, on squared distances.  -1
+    (below every squared distance) when r < 0 or r is NaN."""
+    if not r >= 0:
+        return -1.0
+    # r * r (inf once it overflows) is within a few ulps of t(r)
+    t = r * r
+    while math.sqrt(t) > r:
+        t = math.nextafter(t, 0.0)
+    while t < math.inf and math.sqrt(math.nextafter(t, math.inf)) <= r:
+        t = math.nextafter(t, math.inf)
+    return t
 
 
 # ---------------------------------------------------------------------------

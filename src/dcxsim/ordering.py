@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .distributions import poisson_pmf_tail, tail_order
+from .distributions import poisson_pmf_tail
 from .geometry import Box, RngStream, boxes_disjoint, count_in
 
 CONSISTENT = "CONSISTENT"
@@ -522,21 +522,13 @@ def cx_compare_exact(
     }
 
 
-def _poisson_pmf_truncated(mean: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The support 0..m and the Poisson(mean) pmf on it, m one past
-    poisson_tail_order(mean), and the tail of poisson_pmf_tail: one table."""
-    pmf, tail = poisson_pmf_tail(mean)
-    m = tail_order(tail) + 1
-    return np.arange(m + 1, dtype=float), pmf[: m + 1], tail
-
-
 def oracle_poisson_scaling(a: float, c: float) -> dict:
     """Exact check that Poisson(c a) <= c * Poisson(a) in convex order (c >= 1)."""
     if a <= 0 or c < 1:
         raise ValueError("need a > 0 and c >= 1")
-    kx, px, _ = _poisson_pmf_truncated(c * a)
-    ky, py, _ = _poisson_pmf_truncated(a)
-    return cx_compare_exact((kx, px), (c * ky, py))
+    px, _ = poisson_pmf_tail(c * a)
+    py, _ = poisson_pmf_tail(a)
+    return cx_compare_exact((np.arange(px.size), px), (c * np.arange(py.size), py))
 
 
 def _poisson_binomial_pmf(probs: np.ndarray) -> np.ndarray:
@@ -556,10 +548,9 @@ def oracle_ginibre_radii(b: float) -> dict:
     must both be b for a pass."""
     if b <= 0:
         raise ValueError("b must be positive")
-    ky, py, tail = _poisson_pmf_truncated(b)
-    bern = tail[1 : ky.size]  # P(N_b >= k), k = 1..m
-    pmf_x = _poisson_binomial_pmf(bern)
-    cx = cx_compare_exact((np.arange(pmf_x.size, dtype=float), pmf_x), (ky, py))
+    py, tail = poisson_pmf_tail(b)
+    pmf_x = _poisson_binomial_pmf(tail[1:])  # Bern(P(N_b >= k)), k = 1..m
+    cx = cx_compare_exact((np.arange(pmf_x.size), pmf_x), (np.arange(py.size), py))
     mean_x, mean_y = cx["mean_x"], cx["mean_y"]
     passed = cx["verdict"] == "pass" and abs(mean_x - b) <= ORACLE_TOL and abs(mean_y - b) <= ORACLE_TOL
     return dict(cx, verdict=oracle_verdict(passed), mean_structured=mean_x, mean_poisson=mean_y)

@@ -34,6 +34,7 @@ from .geometry import (
     boxes_disjoint,
     cell_overlaps,
     pairwise_distances,
+    sq_distances,
 )
 from .shotnoise import ragged_sn, replication_blocks
 
@@ -196,9 +197,10 @@ def _occupancy(idx: np.ndarray, n_lat: int, ov: np.ndarray) -> np.ndarray:
 
 
 def _occupancy_tables(w: Window, axes, ovs, n_lattice: np.ndarray) -> list[tuple]:
-    """Per axis k, the sorted shifts in (0, ISING_SPACING) at which a grid
-    cell's lattice index changes, the (intervals, n_lat_k, boxes) _occupancy of
-    each interval between them, and each interval's lattice size n_lat_k.
+    """Per axis k, the sorted distinct shifts in (0, ISING_SPACING) at which
+    a grid cell's lattice index changes, the (intervals, n_lat_k, boxes)
+    _occupancy of each interval between them, and each interval's lattice
+    size n_lat_k.
 
     A cell with fraction g (_lattice_offsets) changes index at s > g, that is
     at s >= nextafter(g, inf), so these breakpoints are read off the rule
@@ -210,8 +212,8 @@ def _occupancy_tables(w: Window, axes, ovs, n_lattice: np.ndarray) -> list[tuple
     """
     tables = []
     for k, ((_, frac), ov) in enumerate(zip(_lattice_offsets(w, axes), ovs)):
-        breaks = np.sort(np.nextafter(frac, np.inf))
-        breaks = breaks[breaks < ISING_SPACING]
+        b = np.sort(np.nextafter(frac, np.inf))
+        breaks = b[np.append(b[1:] != b[:-1], True) & (b < ISING_SPACING)]
         starts = np.zeros((breaks.size + 1, w.dim))
         starts[1:, k] = breaks
         idx, n_lat = _lattice_index(w, axes, starts, n_lattice)
@@ -377,7 +379,7 @@ def ppcluster_intensity_at(
         raise ValueError("c and lam must be positive")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     parents = _poisson_batch(c * lam, w, kernel.truncation_radius(), gen, 1).points
-    return kernel.density(pairwise_distances(w, parents, queries) ** 2, w.dim).sum(axis=0) / c
+    return kernel.density(sq_distances(w, parents[:, None], queries), w.dim).sum(axis=0) / c
 
 
 def sample_ppcluster_intensity(
@@ -536,7 +538,7 @@ def make_ppcluster_intensity_at(
         for lo, hi, first, last in replication_blocks(counts):
             parents = _uniform_points(gen, last - first, lows, lengths)
             batch = PatternBatch(w, parents, counts[lo:hi])
-            out[lo:hi] = ragged_sn(batch, queries, density, squared=True)
+            out[lo:hi] = ragged_sn(batch, queries, density)
         out /= c
         return out
 

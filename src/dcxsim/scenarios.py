@@ -308,7 +308,7 @@ def run_lo_extremal(p: dict, stream: RngStream) -> ScenarioResult:
     h = ResponseKernel("power_law", (float(p["beta"]),))
     poisson, thomas = _interferer_samplers(p, w)
     extremal = lambda sampler: lambda gen, size: ragged_sn(
-        sampler(gen, size), queries, h.value, "max"
+        sampler(gen, size), queries, lambda s: h.value(np.sqrt(s)), "max"
     )
     grid_1d = np.asarray(p["threshold_grid"], dtype=float)
     thresholds = np.array([[t1, t2] for t1 in grid_1d for t2 in grid_1d])
@@ -483,22 +483,24 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _leaves(value) -> list:
-    """The entries of a scalar or of a list nested to any depth."""
+def _leaves(value, depth: int = 0) -> list:
+    """(depth, entry) for the entries of a scalar (depth 0) or of a list
+    nested to any depth; an empty list has none."""
     if isinstance(value, list):
-        return [x for v in value for x in _leaves(v)]
-    return [value]
+        return [x for v in value for x in _leaves(v, depth + 1)]
+    return [(depth, value)]
 
 
 def _check(where: str, defaults: dict, params: dict, prefix: str = "") -> None:
     """Raise ValueError, naming the key by its dotted path, for a key of
     ``params`` not in ``defaults``, a value that is not a mapping where the
-    default is one (its keys are checked in turn), an empty list where the
-    default is a non-empty list, a value that is not a string where the
-    default is one, a value that is not an integer where the default is
-    one, and a value that is not an integer or a finite float where the
-    default holds floats (as a scalar or in a nested list; a bool or a
-    string such as "nan" is neither)."""
+    default is one (its keys are checked in turn), a value whose entries sit
+    at other depths of nested lists than its default's (a list for a scalar,
+    a scalar for a list, a pair for a list of pairs, an empty list), a value
+    that is not a string where the default is one, a value that is not an
+    integer where the default is one, and a value that is not an integer or
+    a finite float where the default holds floats (as a scalar or in a
+    nested list; a bool or a string such as "nan" is neither)."""
     unknown = sorted(prefix + str(k) for k in set(params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown key(s) for {where}: {', '.join(unknown)}")
@@ -508,14 +510,15 @@ def _check(where: str, defaults: dict, params: dict, prefix: str = "") -> None:
             if not isinstance(value, dict):
                 raise ValueError(f"scenario parameter {name!r} must be a mapping")
             _check(where, default, value, name + ".")
-        if isinstance(default, list) and default and isinstance(value, list) and not value:
-            raise ValueError(f"scenario parameter {name!r} must be a non-empty list")
+        got, want = _leaves(value), _leaves(default)
+        if {d for d, _ in got} != {d for d, _ in want}:
+            raise ValueError(f"scenario parameter {name!r} must nest lists as its default does")
         if isinstance(default, str) and not isinstance(value, str):
             raise ValueError(f"scenario parameter {name!r} must be a string")
         if is_int(default) and not is_int(value):
             raise ValueError(f"scenario parameter {name!r} must be an integer")
-        if any(isinstance(x, float) for x in _leaves(default)) and not all(
-            is_int(x) or (isinstance(x, float) and math.isfinite(x)) for x in _leaves(value)
+        if any(isinstance(x, float) for _, x in want) and not all(
+            is_int(x) or (isinstance(x, float) and math.isfinite(x)) for _, x in got
         ):
             raise ValueError(f"scenario parameter {name!r} must be a finite number")
 

@@ -3,7 +3,8 @@
 ``additive_sn`` and ``extremal_sn`` reduce one realization.  ``ragged_sn``
 reduces a whole batch of realizations (a ``PatternBatch``) in
 replication-aligned blocks: the Monte-Carlo estimators use it, and the
-per-realization functions are its reference.
+per-realization functions are its reference.  Its responses receive
+squared distances, and "within r" is ``geometry.sq_threshold``.
 """
 from __future__ import annotations
 
@@ -136,23 +137,22 @@ def ragged_sn(
     response: Callable[..., np.ndarray],
     how: str = "sum",
     marks: Optional[np.ndarray] = None,
-    squared: bool = False,
 ) -> np.ndarray:
     """Shot noise of every replication of a batch at the queries, (size, q).
 
-    For each query y, ``response`` maps distances from points to y to their
-    contributions, elementwise (squared distances, with no square root taken,
-    when ``squared`` is true): response(d) without marks; with per-point
-    marks (N,) or per point-query marks (N, q), response(d, m), where m holds
-    the marks of the same points (column j of them for query j).  how="sum"
-    adds the contributions of each replication (additive shot noise, as
-    additive_sn), how="max" takes their maximum (extremal shot noise, as
-    extremal_sn, of unmarked points only); a replication without points
-    gives 0.  The maximum is taken as the response at the distance of each
-    replication's nearest point, the square root of its least squared
-    distance: this is the maximum of the per-point contributions only if
-    response(d) does not increase with d, as ResponseKernel.value does not
-    (a nearest point beyond the truncation radius gives 0).
+    For each query y, ``response`` maps the squared distances s from points
+    to y (``sq_distances``) to their contributions, elementwise: response(s)
+    without marks; with per point-query marks (N, q), response(s, m), m
+    their column for y.  A response on distances takes the root itself, in
+    place if it likes, since s is fresh per query; "within r" is
+    s <= ``sq_threshold``(r).  how="sum" adds the contributions of each
+    replication (additive shot noise, as additive_sn), how="max" takes
+    their maximum (extremal shot noise, as extremal_sn, of unmarked points
+    only); a replication without points gives 0.  The maximum is taken as
+    the response at each replication's least squared distance: this is the
+    maximum of the per-point contributions only if the response does not
+    increase with distance, as ResponseKernel.value does not (a nearest
+    point beyond the truncation radius gives 0).
 
     The batch is walked in the blocks of ``replication_blocks``, so every
     replication is reduced whole, by one ``reduceat`` over the block's
@@ -176,10 +176,8 @@ def ragged_sn(
         for j, y in enumerate(queries):
             sq = sq_distances(batch.window, pts, y)
             if how == "max":
-                near = np.minimum.reduceat(sq, block_starts)
-                rows[filled, j] = response(near if squared else np.sqrt(near))
+                rows[filled, j] = response(np.minimum.reduceat(sq, block_starts))
             else:
-                d = sq if squared else np.sqrt(sq, out=sq)
-                vals = response(d) if m is None else response(d, m if m.ndim == 1 else m[:, j])
+                vals = response(sq) if m is None else response(sq, m[:, j])
                 rows[filled, j] = np.add.reduceat(vals, block_starts, dtype=float)
     return out

@@ -4,12 +4,12 @@ estimates reduce batch draws through ``ordering.replicate``.
 
 Ripley's K counts each unordered pair of a replication once, on squared
 distances: a pair is within r exactly when its squared distance is at most
-t(r), the largest double whose square root is at most r.  A chunk's
-replications are grouped by point count and stacked (g, n, d), a block of
-about ``geometry._BLOCK`` pair entries at a time."""
+``geometry.sq_threshold``(r), the largest double whose square root is at
+most r, the rule Boolean coverage shares.  A chunk's replications are
+grouped by point count and stacked (g, n, d), a block of about
+``geometry._BLOCK`` pair entries at a time."""
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -24,24 +24,10 @@ from .geometry import (
     RngStream,
     pairwise_distances,
     sq_distances,
+    sq_threshold,
 )
 from .ordering import replicate
 from .shotnoise import Source, _atoms_of
-
-
-def _sq_threshold(r: float) -> float:
-    """t(r), the largest double whose sqrt is <= r, so that sq <= t(r) holds
-    exactly when sqrt(sq) <= r: sqrt is correctly rounded, hence monotone.
-    -1 (below every squared distance) when r < 0 or r is NaN."""
-    if not r >= 0:
-        return -1.0
-    # r * r (inf once it overflows) is within a few ulps of t(r)
-    t = r * r
-    while math.sqrt(t) > r:
-        t = math.nextafter(t, 0.0)
-    while t < math.inf and math.sqrt(math.nextafter(t, math.inf)) <= r:
-        t = math.nextafter(t, math.inf)
-    return t
 
 
 def ripley_k(
@@ -53,7 +39,7 @@ def ripley_k(
     Returns (K_hat, stderr); for homogeneous Poisson in the plane K(r) = pi r^2.
     """
     r_grid = np.asarray(r_grid, dtype=float)
-    thresholds = [_sq_threshold(r) for r in r_grid.tolist()]
+    thresholds = [sq_threshold(r) for r in r_grid.tolist()]
 
     def k_rows(batch: PatternBatch) -> np.ndarray:
         w = batch.window

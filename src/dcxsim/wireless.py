@@ -3,9 +3,10 @@ joint SINR coverage of a set of links and Boolean-model coverage counts.
 
 The estimators take ragged batch samplers (gen, size) -> PatternBatch: a
 chunk's points (N, d) in replication order and its per-replication counts
-(size,).  Fading is drawn as (N, links) arrays and reaches
-``shotnoise.ragged_sn`` as its marks, with the response value(d) * f, and
-the chunk is reduced in replication-aligned blocks; noise power and grain
+(size,).  ``shotnoise.ragged_sn`` reduces the chunk in replication-aligned
+blocks on squared distances s: fading, drawn as (N, links), is its per
+point-query marks, with the response value(sqrt(s)) * f, and a germ covers
+a query when s <= ``geometry.sq_threshold``(radius).  Noise power and grain
 radius are fixed numbers.  The chunks are those of ``ordering.replicate``."""
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import MassDistribution
-from .geometry import RngStream, Window, _in_window, pairwise_distances
+from .geometry import RngStream, Window, _in_window, pairwise_distances, sq_threshold
 from .ordering import replicate
 from .shotnoise import ResponseKernel, ragged_sn
 
@@ -77,7 +78,7 @@ def _sinr_estimate(
 ) -> tuple[float, float]:
     all_gains = layout.gains()
     gains = np.diag(all_gains)
-    fading, n = layout.fading, layout.n_links
+    fading, n, value = layout.fading, layout.n_links, layout.path_loss.value
     # row r: the gains from every other link's emitter to receiver r
     cross_gains = all_gains.T[~np.eye(n, dtype=bool)].reshape(n, n - 1)
 
@@ -88,7 +89,7 @@ def _sinr_estimate(
         cross = np.asarray(fading.sample(gen, size=(size, n, n - 1)), dtype=float) * cross_gains
         fades = np.asarray(fading.sample(gen, size=(interferers.points.shape[0], n)), dtype=float)
         i_pow = cross.sum(axis=2) + ragged_sn(
-            interferers, layout.receivers, lambda d, f: layout.path_loss.value(d) * f, marks=fades
+            interferers, layout.receivers, lambda s, f: value(np.sqrt(s, out=s)) * f, marks=fades
         )
         s = layout.threshold * (layout.noise + i_pow) / gains
         if rayleigh:
@@ -148,13 +149,15 @@ def boolean_coverage(
     stderrs under the same key plus "_stderr".
 
     germ_sampler is a batch sampler (gen, size) -> PatternBatch; the count
-    is stats.coverage_field of each realization with every mark = radius."""
+    is stats.coverage_field of each realization with every mark = radius,
+    taken on squared distances s as s <= sq_threshold(radius)."""
     if not radius > 0:
         raise ValueError("grain radius must be positive")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    t = sq_threshold(radius)
 
     def draw(gen, size: int) -> np.ndarray:
-        return ragged_sn(germ_sampler(gen, size), queries, lambda d: d <= radius)
+        return ragged_sn(germ_sampler(gen, size), queries, lambda s: s <= t)
 
     (mom,) = replicate((draw,), lambda v: np.hstack([v >= 1, v, v**2]), n_reps, stream)
     out = {}

@@ -171,8 +171,10 @@ def test_criterion_08_extremal_lower_orthant():
     queries = np.array([[0.25, 0.25], [0.75, 0.75]])
     poisson = processes.make_poisson_batch(lam, W1)
     thomas = processes.make_thomas_batch(4.0, 5.0, 0.05, W1)
-    draw_po = lambda gen, size: ragged_sn(poisson(gen, size), queries, h.value, "max")
-    draw_th = lambda gen, size: ragged_sn(thomas(gen, size), queries, h.value, "max")
+    # ragged_sn hands the response squared distances
+    root = lambda s: h.value(np.sqrt(s))
+    draw_po = lambda gen, size: ragged_sn(poisson(gen, size), queries, root, "max")
+    draw_th = lambda gen, size: ragged_sn(thomas(gen, size), queries, root, "max")
     grid = np.linspace(0.1, 0.9, 5)
     thresholds = np.array([[a, b] for a in grid for b in grid])
     rep = lo_compare(draw_th, draw_po, thresholds, 20_000, make_stream(SEED, 8))

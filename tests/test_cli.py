@@ -310,6 +310,26 @@ def test_window_values_are_checked_before_any_scenario_runs(tmp_path, invoke):
         assert not (tmp_path / str(name) / "out").exists()
 
 
+def test_list_nesting_is_checked_before_any_scenario_runs(tmp_path, invoke):
+    # a list where the default is a scalar, a scalar where it is a list, and
+    # a pair where it is a list of pairs ran the scenarios before them and
+    # then failed inside Python or numpy without naming the key
+    for name, (entry, key) in enumerate((
+        ({"id": "palm-poisson-check", "lam": [5.0]}, "lam"),
+        ({"id": "ginibre-oracle", "b_values": 0.5}, "b_values"),
+        ({"id": "ppcluster-family", "c_pairs": [4.0, 1.0]}, "c_pairs"),
+        ({"id": "lo-extremal", "threshold_grid": 0.5}, "threshold_grid"),
+        ({"id": "ops-preservation", "shift": [[0.35, 0.15]]}, "shift"),
+    )):
+        (tmp_path / str(name)).mkdir()
+        path = _write_config(tmp_path / str(name), [{"id": "oracle-poisson-scaling"}, entry])
+        code, output = invoke(["run", str(path)])
+        assert code == 2, entry
+        assert key in output, output
+        assert "oracle-poisson-scaling:" not in output, output
+        assert not (tmp_path / str(name) / "out").exists()
+
+
 def test_lo_extremal_needs_exactly_two_queries(tmp_path, invoke):
     # its thresholds are (t1, t2) pairs: one query ran on a one-point field,
     # three failed inside numpy without naming the parameter

@@ -137,7 +137,7 @@ def test_streamed_ppcluster_equals_the_whole_chunk_draw(monkeypatch, topology, s
     ref_gen = make_stream(41).generator()
     parents = processes._poisson_batch(c * lam, w, kernel.truncation_radius(), ref_gen, size)
     density = lambda d2: kernel.density(d2, w.dim)
-    assert np.array_equal(got, ragged_sn(parents, queries, density, squared=True) / c)
+    assert np.array_equal(got, ragged_sn(parents, queries, density) / c)
     assert gen.random() == ref_gen.random()
     if size == 2000:
         starts = np.cumsum(parents.counts) - parents.counts
@@ -404,7 +404,9 @@ def _batch_probe(batch) -> np.ndarray:
     strip = np.bincount(batch.replication(), STRIP.contains(batch.points), batch.size)
     split = np.split(batch.points, np.cumsum(batch.counts)[:-1])
     pairs = [_close_pairs(batch.window, pts) for pts in split]
-    return np.column_stack([batch.counts, strip, pairs, ragged_sn(batch, PROBES, H_PROBE.value)])
+    # ragged_sn hands the response squared distances
+    probe = ragged_sn(batch, PROBES, lambda s: H_PROBE.value(np.sqrt(s)))
+    return np.column_stack([batch.counts, strip, pairs, probe])
 
 
 WP = make_window([0.0, 0.0], [1.0, 1.0], "plain")
@@ -607,3 +609,15 @@ def test_occupancy_lookup_matches_lattice_index(lows, highs, cells, translate, t
             for got, i, n, ov in zip(occ, idx, want_n, ovs):
                 want = processes._occupancy(i, n, ov)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_occupancy_tables_keep_one_row_per_distinct_breakpoint():
+    # the default 4 x 4 torus with 32 cells per axis: 8 of the 32 fractions
+    # per axis are distinct, and tied breakpoints share one row
+    w = make_window([0.0, 0.0], [4.0, 4.0], "torus")
+    field = GridField(w, [32, 32], np.zeros((32, 32)))
+    ovs = processes._preimage_overlaps(w, field.cells_per_axis, _quadrant_boxes(w), 0.0)
+    tables = processes._occupancy_tables(w, field.axis_midpoints(), ovs, processes._lattice_size(w))
+    for breaks, table, rows in tables:
+        assert np.all(np.diff(breaks) > 0)
+        assert table.shape[0] == rows.size == 9

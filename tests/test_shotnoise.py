@@ -12,6 +12,8 @@ from dcxsim.geometry import (
     make_stream,
     make_window,
     pairwise_distances,
+    sq_distances,
+    sq_threshold,
 )
 from dcxsim.ordering import (
     CONSISTENT,
@@ -35,6 +37,14 @@ from conftest import law_verdict
 
 W = make_window([0.0, 0.0], [1.0, 1.0])
 QUERIES = np.array([[0.5, 0.5], [0.1, 0.9]])
+# ragged_sn hands every response squared distances s: a grain of radius r
+# covers the query when sqrt(s) <= r
+WITHIN = lambda s, r: np.sqrt(s) <= r
+
+
+def _each_query(marks):
+    """Per-point marks (N,) as the per point-query marks (N, q) of ragged_sn."""
+    return np.repeat(marks[:, None], QUERIES.shape[0], axis=1)
 
 
 def test_kernel_shapes_and_truncation():
@@ -157,10 +167,11 @@ def test_ragged_sn_equals_per_realization_reducers():
     pats = [empty] + [sample_poisson(3.0, W, gen) for _ in range(30)] + [empty, empty]
     batch = _batch_of(pats)
     h = ResponseKernel("power_law", (4.0,))
+    root = lambda s: h.value(np.sqrt(s))
     radii = gen.exponential(0.2, size=batch.points.shape[0])
-    total = ragged_sn(batch, QUERIES, h.value)
-    top = ragged_sn(batch, QUERIES, h.value, "max")
-    count = ragged_sn(batch, QUERIES, lambda d, r: d <= r, marks=radii)
+    total = ragged_sn(batch, QUERIES, root)
+    top = ragged_sn(batch, QUERIES, root, "max")
+    count = ragged_sn(batch, QUERIES, WITHIN, marks=_each_query(radii))
     ends = np.cumsum(batch.counts)
     for r, p in enumerate(pats):
         grains = PointPattern(W, p.points, radii[ends[r] - p.n : ends[r]])
@@ -171,11 +182,39 @@ def test_ragged_sn_equals_per_realization_reducers():
         assert np.all(out[[0, -2, -1]] == 0.0)
     none = PatternBatch(W, np.empty((0, 2)), np.zeros(4, dtype=int))
     for how in ("sum", "max"):
-        assert np.array_equal(ragged_sn(none, QUERIES, h.value, how), np.zeros((4, 2)))
+        assert np.array_equal(ragged_sn(none, QUERIES, root, how), np.zeros((4, 2)))
     with pytest.raises(ValueError):
-        ragged_sn(batch, QUERIES, h.value, "mean")
+        ragged_sn(batch, QUERIES, root, "mean")
     with pytest.raises(ValueError, match="marks"):
-        ragged_sn(batch, QUERIES, lambda d, r: d <= r, "max", marks=radii)
+        ragged_sn(batch, QUERIES, WITHIN, "max", marks=_each_query(radii))
+
+
+def test_coverage_within_r_is_one_exact_squared_threshold():
+    # germs at distance r and one double either side of it from a query at
+    # the origin, in the window and across the torus seam: on an axis 1.5
+    # long, 1.5 - e and 1.5 - (1.5 - e) are exact for e in [0.5, 0.75], so
+    # every distance is the double the germ was placed at.  A fourth germ,
+    # off the axes, sits at squared distance 0.49 = sq_threshold(0.7), one
+    # double above 0.7 * 0.7.  Counted as s <= sq_threshold(r), coverage
+    # equals coverage_field with radius marks r
+    w = make_window([0.0, 0.0], [1.5, 1.0])
+    query = np.zeros((1, 2))
+    for r, seam in ((0.1, False), (0.7, False), (0.7, True)):
+        gaps = np.array([r, np.nextafter(r, 0.0), np.nextafter(r, np.inf)])
+        pts = np.array([[g, 0.0] for g in gaps] + [[0.56, 0.42]])
+        if seam:
+            pts[:, 0] = 1.5 - pts[:, 0]
+        assert np.array_equal(pairwise_distances(w, pts[:3], query)[:, 0], gaps)
+        assert sq_distances(w, pts[3], query[0]) == sq_threshold(0.7) > 0.7 * 0.7
+        # one germ per replication, then the four together
+        reps = [pts[k : k + 1] for k in range(4)] + [pts]
+        batch = PatternBatch(w, np.vstack(reps), np.array([1, 1, 1, 1, 4]))
+        t = sq_threshold(r)
+        got = ragged_sn(batch, query, lambda s: s <= t)
+        want = [coverage_field(PointPattern(w, p, np.full(len(p), r)), query) for p in reps]
+        assert np.array_equal(got, want)
+        near = int(r == 0.7)
+        assert got[:, 0].tolist() == [1, 1, 0, near, 2 + near]
 
 
 def _single_pass_sn(batch, queries, response, how="sum", weights=None):
@@ -209,26 +248,25 @@ def test_blocked_ragged_sn_equals_single_pass(monkeypatch, block):
     big = make_poisson_batch(50.0, W)(gen, 400)
     h = ResponseKernel("power_law", (4.0,))
     # squared distances, with the root taken by the response
-    root = lambda d2: h.value(np.sqrt(d2))
+    root = lambda s: h.value(np.sqrt(s))
     for batch in (edges, big):
         n = batch.points.shape[0]
         fades = gen.exponential(1.0, size=(n, QUERIES.shape[0]))
         radii = gen.exponential(0.2, size=n)
         for how in ("sum", "max"):
             single = _single_pass_sn(batch, QUERIES, h.value, how)
-            assert np.array_equal(ragged_sn(batch, QUERIES, h.value, how), single)
-            assert np.array_equal(ragged_sn(batch, QUERIES, root, how, squared=True), single)
+            assert np.array_equal(ragged_sn(batch, QUERIES, root, how), single)
         assert np.array_equal(
-            ragged_sn(batch, QUERIES, lambda d, f: h.value(d) * f, marks=fades),
+            ragged_sn(batch, QUERIES, lambda s, f: root(s) * f, marks=fades),
             _single_pass_sn(batch, QUERIES, h.value, weights=fades),
         )
         assert np.array_equal(
-            ragged_sn(batch, QUERIES, lambda d, r: d <= r, marks=radii),
+            ragged_sn(batch, QUERIES, WITHIN, marks=_each_query(radii)),
             _single_pass_sn(batch, QUERIES, lambda d: d <= radii),
         )
     none = PatternBatch(W, np.empty((0, 2)), np.zeros(5, dtype=int))
     for how in ("sum", "max"):
-        assert np.array_equal(ragged_sn(none, QUERIES, h.value, how), np.zeros((5, 2)))
+        assert np.array_equal(ragged_sn(none, QUERIES, root, how), np.zeros((5, 2)))
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 14])
@@ -245,10 +283,11 @@ def test_ragged_sn_max_is_the_response_of_the_nearest_point(monkeypatch, block):
     for w in (W, make_window([0.0, 0.0], [1.0, 1.0], "plain")):
         batch = PatternBatch(w, gen.random((counts.sum(), 2)), counts)
         for h in (ResponseKernel("power_law", (4.0,)), short):
-            got = ragged_sn(batch, QUERIES, h.value, "max")
+            got = ragged_sn(batch, QUERIES, lambda s: h.value(np.sqrt(s)), "max")
             assert np.array_equal(got, _single_pass_sn(batch, QUERIES, h.value, "max"))
             assert np.all(got[counts == 0] == 0.0)
-        assert np.any(ragged_sn(batch, QUERIES, short.value, "max")[counts > 0] == 0.0)
+        short_top = ragged_sn(batch, QUERIES, lambda s: short.value(np.sqrt(s)), "max")
+        assert np.any(short_top[counts > 0] == 0.0)
 
 
 @pytest.mark.parametrize("n", [5, 40, 300])
@@ -261,16 +300,17 @@ def test_ragged_sn_of_a_replication_does_not_depend_on_its_offset(n):
     pts = gen.random((n, 2))
     fades = gen.exponential(1.0, size=(n, QUERIES.shape[0]))
     h = ResponseKernel("power_law", (4.0,))
-    faded = lambda d, f: h.value(d) * f
+    root = lambda s: h.value(np.sqrt(s))
+    faded = lambda s, f: root(s) * f
     faded_alone = ragged_sn(PatternBatch(W, pts, np.array([n])), QUERIES, faded, marks=fades)
     for how in ("sum", "max"):
-        alone = ragged_sn(PatternBatch(W, pts, np.array([n])), QUERIES, h.value, how)
+        alone = ragged_sn(PatternBatch(W, pts, np.array([n])), QUERIES, root, how)
         for before in ([1], [2], [3], [0, 4], [5], [6, 0], [1, 6], [8], [2, 2, 0, 2, 2]):
             lead = gen.random((sum(before), 2))
             counts = np.array(before + [n, 1])
             batch = PatternBatch(W, np.vstack([lead, pts, gen.random((1, 2))]), counts)
             row = len(before)
-            assert np.array_equal(ragged_sn(batch, QUERIES, h.value, how)[row], alone[0])
+            assert np.array_equal(ragged_sn(batch, QUERIES, root, how)[row], alone[0])
             marks = np.vstack([gen.exponential(1.0, size=(sum(before), 2)), fades, [[1.0, 1.0]]])
             if how == "sum":  # a maximum takes no marks
                 got = ragged_sn(batch, QUERIES, faded, marks=marks)
@@ -288,7 +328,7 @@ def _interference_batch(gen, size):
     # interferer-query pair, as the SINR estimators draw it
     b = make_poisson_batch(5.0, W)(gen, size)
     fades = FADING.sample(gen, size=(b.points.shape[0], QUERIES.shape[0]))
-    return ragged_sn(b, QUERIES, lambda d, f: PL.value(d) * f, marks=fades)
+    return ragged_sn(b, QUERIES, lambda s, f: PL.value(np.sqrt(s)) * f, marks=fades)
 
 
 def _interference_single(gen):
@@ -300,7 +340,7 @@ def _interference_single(gen):
 def _coverage_batch(gen, size):
     b = make_thomas_batch(4.0, 5.0, 0.05, W)(gen, size)
     radii = RADIUS.sample(gen, size=b.points.shape[0])
-    return ragged_sn(b, QUERIES, lambda d, r: d <= r, marks=radii)
+    return ragged_sn(b, QUERIES, WITHIN, marks=_each_query(radii))
 
 
 def _coverage_single(gen):
@@ -313,7 +353,8 @@ REDUCTION_CASES = {
     "count-coverage": (_coverage_batch, _coverage_single),
     "max-extremal": (
         lambda gen, size: ragged_sn(
-            make_thomas_batch(4.0, 5.0, 0.05, WP)(gen, size), QUERIES, PL.value, "max"
+            make_thomas_batch(4.0, 5.0, 0.05, WP)(gen, size), QUERIES,
+            lambda s: PL.value(np.sqrt(s)), "max",
         ),
         lambda gen: extremal_sn(make_thomas_sampler(4.0, 5.0, 0.05, WP)(gen), PL, QUERIES),
     ),

@@ -5,6 +5,7 @@ import pytest
 
 from dcxsim.geometry import (
     Box, PatternBatch, PointPattern, count_in, make_stream, make_window, pairwise_distances,
+    sq_threshold,
 )
 from dcxsim.ordering import batched, replicate
 from dcxsim.processes import make_poisson_batch, make_thomas_batch, sample_poisson
@@ -122,14 +123,14 @@ def test_sq_threshold_is_the_largest_square_within_r():
          np.sqrt(np.finfo(float).max), np.finfo(float).max],
     ])
     for r in rs.tolist():
-        t = stats._sq_threshold(r)
+        t = sq_threshold(r)
         assert math.sqrt(t) <= r < math.sqrt(math.nextafter(t, math.inf))
-    assert stats._sq_threshold(0.0) == 0.0 and stats._sq_threshold(1e-310) == 0.0
-    assert stats._sq_threshold(1e300) == np.finfo(float).max
-    assert stats._sq_threshold(math.inf) == math.inf
+    assert sq_threshold(0.0) == 0.0 and sq_threshold(1e-310) == 0.0
+    assert sq_threshold(1e300) == np.finfo(float).max
+    assert sq_threshold(math.inf) == math.inf
     # below every squared distance
     for r in (-0.1, -tiny, -math.inf, math.nan):
-        assert stats._sq_threshold(r) < 0
+        assert sq_threshold(r) < 0
 
 
 def test_ripley_counts_no_pair_below_zero_or_at_nan():
