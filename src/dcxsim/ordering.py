@@ -267,6 +267,13 @@ def batched(draw: Callable[[np.random.Generator], np.ndarray]) -> Callable:
     return lambda gen, size: np.stack([np.atleast_1d(draw(gen)) for _ in range(size)])
 
 
+def check_reps(n_reps: int) -> int:
+    """n_reps, refused below 2: one replication leaves the variance undefined."""
+    if n_reps < 2:
+        raise ValueError("need at least 2 replications")
+    return n_reps
+
+
 def replicate(
     draws: Sequence[Callable[[np.random.Generator, int], np.ndarray]],
     reduce: Callable[[np.ndarray], np.ndarray],
@@ -284,9 +291,7 @@ def replicate(
     deeper than the suite streams ``stream.split(j)``, so the two never share
     a path; chunks merge in chunk order, so the result depends only on the stream.
     """
-    if n_reps < 2:
-        raise ValueError("need at least 2 replications")
-    sizes = _chunk_sizes(n_reps)
+    sizes = _chunk_sizes(check_reps(n_reps))
 
     def worker(ci: int) -> list[Moments]:
         chunk = stream.split(ci)

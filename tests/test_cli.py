@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import yaml
 
 from dcxsim.cli import ConfigError, _load_config, main
 from dcxsim.geometry import NumericalError, make_stream
-from dcxsim.scenarios import SCENARIOS, run_scenario
+from dcxsim import ordering
+from dcxsim.scenarios import SCENARIOS, build_scenario, run_scenario
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -186,8 +188,9 @@ def test_non_string_output_dir_is_config_error(tmp_path, invoke):
 
 
 def test_invalid_parameter_is_config_error(tmp_path, invoke):
-    # each bad entry follows a good scenario: values are checked only when
-    # their scenario runs, and the good one must not leave its reports behind
+    # each bad entry follows a good scenario: every entry is built when the
+    # config loads, so the good one neither prints its verdict line nor
+    # leaves its reports behind
     for entry in (
         {"id": "oracle-poisson-scaling", "a_values": [-1.0]},
         {"id": "levy-grid", "window": "abc"},
@@ -254,13 +257,28 @@ def test_invalid_parameter_is_config_error(tmp_path, invoke):
         # one atom in one box of the 4 x 4 window: the three empty boxes' suite
         # functions read mean 0, stderr 0 and z 0, and the verdict was CONSISTENT
         {"id": "levy-grid", "n_reps": 400, "suite_size": 6, "lattice_spacing": 5.0},
+        # refused by the build, before any draw: a plain window (ripley_k itself
+        # refuses it only in its chunk loop), no intensity, an empty suite, one
+        # replication, and a direct link with zero path gain
+        {"id": "ripley-poisson", "n_reps": 50, "window": {"topology": "plain"}},
+        {"id": "ripley-poisson", "n_reps": 50, "lam": 0},
+        {"id": "levy-grid", "n_reps": 400, "suite_size": 0},
+        {"id": "marked-basis", "n_reps": 1},
+        # the second link is 70.7 long, past the power law's truncation radius 30.6
+        {"id": "sinr-compare", "n_reps": 400, "window": {"highs": [100.0, 100.0]},
+         "emitters": [[1, 1], [10, 10]], "receivers": [[1, 1.05], [60, 60]]},
     ):
-        path = _write_config(tmp_path, [{"id": "oracle-poisson-scaling"}, entry])
-        code, _ = invoke(["run", str(path)])
+        # after itself, an oracle-poisson-scaling entry would be a repeated id
+        first = "oracle-poisson-scaling"
+        if entry["id"] == first:
+            first = "ginibre-oracle"
+        path = _write_config(tmp_path, [{"id": first}, entry])
+        code, output = invoke(["run", str(path)])
         assert code == 2, entry
+        assert not any(line.startswith(f"{first}:") for line in output.splitlines()), output
         assert not list((tmp_path / "out").glob("*")), entry
-    # a non-string topology, and a window that Window refuses, are found when
-    # the config loads: the scenario before them printed its line first
+    # a non-string topology, and a window that Window refuses, are refused
+    # with an error that names the topology
     for entry in (
         {"id": "ripley-poisson", "window": {"topology": 5}},
         {"id": "ripley-poisson", "window": {"topology": "klein"}},
@@ -340,6 +358,7 @@ def test_lo_extremal_needs_exactly_two_queries(tmp_path, invoke):
         code, output = invoke(["run", str(path)])
         assert code == 2, queries
         assert "queries" in output
+        assert "oracle-poisson-scaling:" not in output, output
         assert not list((tmp_path / str(name) / "out").glob("*"))
 
 
@@ -421,6 +440,23 @@ def test_declared_keys_are_the_keys_read(sid):
     params = _RecordingParams({**defaults, **FAST_PARAMS[sid]})
     runner(params, make_stream(7))
     assert params.read == _paths(defaults)
+
+
+def test_a_build_draws_no_replication(monkeypatch):
+    # a build makes every check and sampler and leaves the chunks to its step,
+    # which gives run_scenario's result record for record
+    def no_chunks(worker, n_chunks):
+        raise AssertionError("a build ran the chunk loop")
+
+    with monkeypatch.context() as m:
+        m.setattr(ordering, "_run_chunks", no_chunks)
+        steps = [
+            build_scenario(sid, FAST_PARAMS[sid], make_stream(7, k))
+            for k, sid in enumerate(SCENARIOS)
+        ]
+    for k, (sid, step) in enumerate(zip(SCENARIOS, steps)):
+        got, want = step(), run_scenario(sid, FAST_PARAMS[sid], make_stream(7, k))
+        assert json.dumps(asdict(got), sort_keys=True) == json.dumps(asdict(want), sort_keys=True)
 
 
 @pytest.mark.parametrize("sid", sorted(SCENARIOS))
